@@ -110,16 +110,7 @@ class DifferenceEquation:
 
     def roots(self):
         """(complex root, multiplicity, exact root or None) triples."""
-        if self.exact is not None:
-            rational, leftovers = xq.rational_roots(list(self.exact))
-            out = [(complex(d), m, d) for d, m in rational]
-            for factor, mult in leftovers:
-                for d, m in nm.roots_with_multiplicity(
-                    np.array([float(c) for c in factor], dtype=complex), ROOT_CLUSTER_RTOL
-                ):
-                    out.append((d, m * mult, None))
-            return out
-        return [(d, m, None) for d, m in nm.roots_with_multiplicity(self.coefficients, ROOT_CLUSTER_RTOL)]
+        return _root_triples(self.coefficients, self.exact)
 
 
 def difference_equation(coefficients) -> DifferenceEquation:
@@ -366,17 +357,26 @@ def _merge_roots(per_equation_roots):
     return root_data([(d, m) for d, m, _ in merged], [ex for _, _, ex in merged])
 
 
+def _root_triples(coeffs_float, coeffs_exact):
+    """(complex root, multiplicity, exact root or None) triples of a polynomial.
+
+    With exact coefficients the rational roots are exact and only the
+    leftover factors fall back to clustered float roots.
+    """
+    if coeffs_exact is None:
+        return [(d, m, None) for d, m in nm.roots_with_multiplicity(coeffs_float, ROOT_CLUSTER_RTOL)]
+    rational, leftovers = xq.rational_roots(list(coeffs_exact))
+    out = [(complex(d), m, d) for d, m in rational]
+    for factor, mult in leftovers:
+        for d, m in nm.roots_with_multiplicity(
+            np.array([float(c) for c in factor], dtype=complex), ROOT_CLUSTER_RTOL
+        ):
+            out.append((d, m * mult, None))
+    return out
+
+
 def _roots_of_poly(coeffs_float, coeffs_exact):
-    if coeffs_exact is not None:
-        rational, leftovers = xq.rational_roots(list(coeffs_exact))
-        out = [(complex(d), m, d) for d, m in rational]
-        for factor, mult in leftovers:
-            for d, m in nm.roots_with_multiplicity(
-                np.array([float(c) for c in factor], dtype=complex), ROOT_CLUSTER_RTOL
-            ):
-                out.append((d, m * mult, None))
-    else:
-        out = [(d, m, None) for d, m in nm.roots_with_multiplicity(coeffs_float, ROOT_CLUSTER_RTOL)]
+    out = _root_triples(coeffs_float, coeffs_exact)
     out.sort(key=lambda e: (-abs(e[0]), round(float(np.angle(e[0])), 12)))
     return root_data([(d, m) for d, m, _ in out], [ex for _, _, ex in out])
 

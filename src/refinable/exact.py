@@ -1,14 +1,18 @@
 """Exact linear algebra and polynomial arithmetic over the rationals.
 
 Matrices are lists of rows of :class:`fractions.Fraction`; polynomials are
-ascending coefficient lists. Dimensions in this package are tiny (the scale
-matrix is at most 10x10), so the code favors clarity over asymptotics.
+ascending coefficient lists. The scale matrix of a degree-N mask is
+(N+1)x(N+1) with no fixed bound on N, so the spectral steps stay polynomial
+in N: the characteristic polynomial is computed over the integers and
+rational roots are found from float roots checked by exact evaluation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial, lcm
+
+import numpy as np
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -46,10 +50,6 @@ def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(a, s):
     return [[s * x for x in row] for row in a]
 
@@ -79,10 +79,6 @@ def vec_mat(v, a):
         return []
     cols = len(a[0])
     return [sum(v[i] * a[i][j] for i in range(len(a))) for j in range(cols)]
-
-
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def trace(a):
@@ -200,18 +196,30 @@ def inverse(a):
 def charpoly(a):
     """Monic characteristic polynomial det(xI - A), ascending coefficients.
 
-    Faddeev-LeVerrier recursion; exact over the rationals.
+    Faddeev-LeVerrier recursion on the integer matrix B = L A, where L is the
+    common denominator of the entries of A. Every division by k in the
+    recursion over B is exact, and det(xI - A) has coefficient c_k(B) / L^k
+    at x^(n-k).
     """
     n = len(a)
+    den = 1
+    for row in a:
+        for x in row:
+            den = lcm(den, x.denominator)
+    b = [[x.numerator * (den // x.denominator) for x in row] for row in a]
     coeffs = [ZERO] * (n + 1)
     coeffs[n] = ONE
-    mk = identity(n)
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
+    scale = 1
     for k in range(1, n + 1):
-        am = mat_mul(a, mk)
-        ck = -trace(am) / k
-        coeffs[n - k] = ck
-        if k < n:
-            mk = [[am[i][j] + (ck if i == j else ZERO) for j in range(n)] for i in range(n)]
+        cols = list(zip(*mk))
+        bm = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in b]
+        ck = -sum(bm[i][i] for i in range(n)) // k
+        scale *= den
+        coeffs[n - k] = Fraction(ck, scale)
+        for i in range(n):
+            bm[i][i] += ck
+        mk = bm
     return coeffs
 
 
@@ -242,10 +250,6 @@ def poly_add(p, q):
 def poly_sub(p, q):
     n = max(len(p), len(q))
     return poly_trim([(p[i] if i < len(p) else ZERO) - (q[i] if i < len(q) else ZERO) for i in range(n)])
-
-
-def poly_scale(p, s):
-    return poly_trim([s * x for x in p])
 
 
 def poly_mul(p, q):
@@ -334,62 +338,79 @@ def squarefree_factors(p):
     return out
 
 
-def _divisors(n):
-    n = abs(n)
-    out = set()
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-    return out
+def _convergents(x: Fraction, max_den: int):
+    """Continued-fraction convergents of x with denominator at most max_den."""
+    num, den = x.numerator, x.denominator
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while den:
+        a, rem = divmod(num, den)
+        h0, h1 = h1, a * h1 + h0
+        k0, k1 = k1, a * k1 + k0
+        if k1 > max_den:
+            return
+        yield Fraction(h1, k1)
+        num, den = den, rem
+
+
+def _float_guided_roots(g):
+    """Ascending rational roots of a monic squarefree g with g(0) != 0.
+
+    With g cleared to integers (leading term L, constant term a_0), the
+    candidates are the continued-fraction convergents with denominator at
+    most L of the real parts of the float roots. A candidate p/q is kept
+    only if p divides a_0, q divides L and g(p/q) == 0 exactly. By Legendre's
+    theorem a root p/q is among the candidates whenever its float
+    approximation lies within 1 / (2 q^2) of it.
+    """
+    lead = 1
+    for c in g:
+        lead = lcm(lead, c.denominator)
+    const = int(g[0] * lead)
+    try:
+        floats = np.roots([float(c) for c in reversed(g)])
+    except OverflowError:
+        return []
+    found = set()
+    for z in floats:
+        if not np.isfinite(z) or z.imag < 0:
+            continue
+        for cand in _convergents(Fraction(float(z.real)), lead):
+            if (
+                cand not in found
+                and cand != 0
+                and const % cand.numerator == 0
+                and lead % cand.denominator == 0
+                and poly_eval(g, cand) == 0
+            ):
+                found.add(cand)
+    return sorted(found)
 
 
 def rational_roots(p):
     """Split a rational polynomial into rational linear factors and leftovers.
 
     Returns (roots, leftovers): ``roots`` is a list of (Fraction root,
-    multiplicity); ``leftovers`` a list of (monic rational polynomial,
-    multiplicity) with no rational roots. Uses the rational root theorem per
-    squarefree factor, so the split is exact.
+    multiplicity), ascending within each squarefree factor; ``leftovers`` a
+    list of (monic rational polynomial, multiplicity). Every reported root is
+    checked by exact evaluation, so the split is exact; a rational root that
+    the float guide misses stays inside a leftover factor.
     """
     roots = []
     leftovers = []
     for factor, mult in squarefree_factors(p):
-        # clear denominators to an integer polynomial
-        denom_lcm = 1
-        for c in factor:
-            denom_lcm = denom_lcm * c.denominator // _gcd_int(denom_lcm, c.denominator)
-        ints = [int(c * denom_lcm) for c in factor]
         g = list(factor)
         while g and g[0] == 0:
             g = g[1:]
             roots.append((ZERO, mult))
         if poly_degree(g) < 1:
             continue
-        while ints and ints[0] == 0:
-            ints = ints[1:]
-        candidates = set()
-        if ints:
-            for a in _divisors(ints[0]):
-                for b in _divisors(ints[-1]):
-                    candidates.add(Fraction(a, b))
-                    candidates.add(Fraction(-a, b))
-        for cand in sorted(candidates):
-            if poly_degree(g) < 1:
-                break
-            if poly_eval(g, cand) == 0:
-                g, rem = poly_divmod(g, [-cand, ONE])
-                assert not rem
-                roots.append((cand, mult))
+        for cand in _float_guided_roots(g):
+            g, rem = poly_divmod(g, [-cand, ONE])
+            assert not rem
+            roots.append((cand, mult))
         if poly_degree(g) >= 1:
             leftovers.append((poly_monic(g), mult))
     return roots, leftovers
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def superfactorial(m):

@@ -94,13 +94,6 @@ def poly_degree(p, tol=0.0):
     return len(poly_trim(p, tol)) - 1
 
 
-def poly_eval(p, x):
-    p = np.asarray(p, dtype=complex)
-    if p.size == 0:
-        return np.zeros_like(np.asarray(x, dtype=complex))
-    return np.polynomial.polynomial.polyval(x, p)
-
-
 def poly_mul(p, q):
     p, q = np.asarray(p, complex), np.asarray(q, complex)
     if p.size == 0 or q.size == 0:

@@ -18,7 +18,7 @@ instead and the basis stops being a strict Jordan basis
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -97,6 +97,8 @@ class SpectralData:
     ordered by decreasing |eigenvalue| (angle breaks ties), the e_0
     convention row leads its group, and the e_N convention row is the global
     last row. ``residual`` is max |basis @ T - jordan @ basis|.
+    ``exact_fallback`` is the reason the exact path gave up when auto mode
+    fell back to floats for a rational mask, and None otherwise.
     """
 
     scale: ScaleMatrices
@@ -112,6 +114,7 @@ class SpectralData:
     is_exact: bool = False
     exact_basis: tuple[tuple[Fraction, ...], ...] | None = None
     exact_jordan: tuple[tuple[Fraction, ...], ...] | None = None
+    exact_fallback: str | None = None
 
     @property
     def n(self) -> int:
@@ -803,20 +806,26 @@ def eigen_structure(source, *, exact: bool | None = None, rtol: float = CLUSTER_
 
     ``exact=True`` demands Fraction arithmetic (rational mask with fully
     rational spectrum, zero residual); ``exact=None`` tries exact for
-    rational masks and silently falls back to floats when the spectrum has
-    irrational eigenvalues. The float path retries once with a 100x coarser
-    eigenvalue clustering before giving up with ClusteringError.
+    rational masks and falls back to floats when the exact path gives up,
+    for instance when the spectrum has irrational eigenvalues. The float
+    result then carries the reason in ``exact_fallback``. The float path
+    retries once with a 100x coarser eigenvalue clustering before giving up
+    with ClusteringError.
     """
     scale = _scale_of(source)
     if exact is None:
         if scale.mask.is_rational:
             try:
                 return _build_exact(scale)
-            except SpectralError:
-                pass
+            except SpectralError as e:
+                return replace(_build_float_escalating(scale, rtol), exact_fallback=str(e))
         exact = False
     if exact:
         return _build_exact(scale)
+    return _build_float_escalating(scale, rtol)
+
+
+def _build_float_escalating(scale: ScaleMatrices, rtol: float) -> SpectralData:
     try:
         return _build_float(scale, rtol)
     except _Retry:
@@ -924,23 +933,23 @@ def accuracy(source, *, exact: bool | None = None, rtol: float = 1e-8) -> Accura
     vec_list = []
     res_list = []
     exact_list = [] if exact else None
+    if exact:
+        t_rows = scale.exact_rows()
+        # moments[i][p] = sum_k T[k][i] k^p, shared by every degree s
+        powers = [[k**p for p in range(size)] for k in range(size)]
+        moments = [
+            [sum(t_rows[k][i] * powers[k][p] for k in range(size)) for p in range(size)]
+            for i in range(size)
+        ]
     for s in range(size):
         ks = np.arange(size)
         vander = np.array([[float(k) ** p for p in range(s + 1)] for k in ks])
         lam = 2.0 ** (-s)
-        m_s = (t - lam * np.eye(size)).T @ vander  # (N+1) x (s+1)
         found = None
         if exact:
-            t_rows = scale.exact_rows()
             lam_exact = Fraction(1, 2**s)
             m_exact = [
-                [
-                    sum(
-                        (t_rows[k][i] - (lam_exact if k == i else 0)) * Fraction(k) ** p
-                        for k in range(size)
-                    )
-                    for p in range(s + 1)
-                ]
+                [moments[i][p] - lam_exact * powers[i][p] for p in range(s + 1)]
                 for i in range(size)
             ]
             basis = xq.nullspace(m_exact)
@@ -948,7 +957,11 @@ def accuracy(source, *, exact: bool | None = None, rtol: float = 1e-8) -> Accura
             if pick is not None:
                 factor = Fraction((-1) ** s) / pick[s]
                 found = [c * factor for c in pick]
+                v_exact = [sum(c * powers[k][p] for p, c in enumerate(found)) for k in range(size)]
+                if xq.vec_mat(v_exact, t_rows) != [lam_exact * x for x in v_exact]:
+                    found = None
         else:
+            m_s = (t - lam * np.eye(size)).T @ vander  # (N+1) x (s+1)
             # Cutoff must be absolute in the scale of the factors: when the
             # product is numerically zero (the success case), a cutoff
             # relative to its own largest singular value sees only noise.
@@ -969,7 +982,9 @@ def accuracy(source, *, exact: bool | None = None, rtol: float = 1e-8) -> Accura
         a = np.array([complex(c) for c in found])
         v = vander @ a
         res = float(np.abs(v @ t - lam * v).max())
-        if res > max(rtol, 1e-7) * max(1.0, float(np.abs(v).max())):
+        # An exact solution is certified above; its float residual is only
+        # reported, since k^p makes it grow with N and s.
+        if not exact and res > max(rtol, 1e-7) * max(1.0, float(np.abs(v).max())):
             break
         coeff_list.append(a)
         vec_list.append(v)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
+from math import isqrt, lcm
 
 import numpy as np
 import pytest
 
+import refinable as rf
 import refinable.exact as xq
 
 RNG = np.random.default_rng(987654321)
@@ -21,6 +24,73 @@ def random_matrix(rows, cols, den=8, lo=-6, hi=6):
 
 def to_float(rows):
     return np.array([[float(q) for q in row] for row in rows])
+
+
+def leverrier_fraction(a):
+    """Reference charpoly: Faddeev-LeVerrier directly over the Fractions."""
+    n = len(a)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    mk = xq.identity(n)
+    for k in range(1, n + 1):
+        am = xq.mat_mul(a, mk)
+        ck = -xq.trace(am) / k
+        coeffs[n - k] = ck
+        mk = [[am[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
+    return coeffs
+
+
+def _divisors(n):
+    n = abs(n)
+    return {d for k in range(1, isqrt(n) + 1) if n % k == 0 for d in (k, n // k)}
+
+
+def rational_roots_by_enumeration(p):
+    """Reference split by the rational root theorem; small coefficients only.
+
+    Tries every +-a/b with a dividing the constant and b the leading term of
+    each squarefree factor cleared to integers, in ascending order.
+    """
+    roots, leftovers = [], []
+    for factor, mult in xq.squarefree_factors(p):
+        g = list(factor)
+        while g and g[0] == 0:
+            g = g[1:]
+            roots.append((Fraction(0), mult))
+        if xq.poly_degree(g) < 1:
+            continue
+        den = lcm(*(c.denominator for c in g))
+        ints = [int(c * den) for c in g]
+        candidates = {
+            Fraction(sign * a, b)
+            for a in _divisors(ints[0])
+            for b in _divisors(ints[-1])
+            for sign in (1, -1)
+        }
+        for cand in sorted(candidates):
+            if xq.poly_degree(g) >= 1 and xq.poly_eval(g, cand) == 0:
+                g, _ = xq.poly_divmod(g, [-cand, Fraction(1)])
+                roots.append((cand, mult))
+        if xq.poly_degree(g) >= 1:
+            leftovers.append((xq.poly_monic(g), mult))
+    return roots, leftovers
+
+
+def random_split_polynomial(rng):
+    """Random product of (x - p/q)^m factors and irreducible quadratics."""
+    p = [Fraction(int(rng.integers(1, 6)) * int(rng.choice([-1, 1])), int(rng.integers(1, 5)))]
+    for _ in range(int(rng.integers(0, 4))):
+        root = Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 7)))
+        for _ in range(int(rng.integers(1, 4))):
+            p = xq.poly_mul(p, [-root, Fraction(1)])
+    for _ in range(int(rng.integers(0, 3))):
+        a, b = int(rng.integers(-6, 7)), int(rng.integers(1, 7))
+        if rng.random() < 0.5:
+            quad = [Fraction(a * a + b * b, 4), Fraction(-a), Fraction(1)]  # roots (a +- bi) / 2
+        else:
+            quad = [Fraction(-int(rng.choice([2, 3, 5, 6, 7])), b * b), Fraction(0), Fraction(1)]
+        for _ in range(int(rng.integers(1, 3))):
+            p = xq.poly_mul(p, quad)
+    return p
 
 
 class TestBasics:
@@ -119,6 +189,12 @@ class TestCharpoly:
             vals = np.polyval([float(c) for c in reversed(cp)], eigs)
             assert np.abs(vals).max() < 1e-6 * max(1.0, np.abs(eigs).max() ** 4)
 
+    def test_equals_fraction_leverrier_up_to_12x12(self):
+        for n in range(13):
+            for _ in range(2):
+                a = random_matrix(n, n, den=17, lo=-9, hi=9)
+                assert xq.charpoly(a) == leverrier_fraction(a), n
+
     def test_cayley_hamilton(self):
         a = random_matrix(3, 3)
         cp = xq.charpoly(a)
@@ -175,3 +251,65 @@ class TestPolynomials:
 
     def test_superfactorial(self):
         assert [xq.superfactorial(m) for m in range(5)] == [1, 1, 2, 12, 288]
+
+
+HARD_N9 = ["65/16", "93/16", "7/16", "33/8", "-9/8", "-7/16", "-29/16", "-1/16", "-9/16", "-135/16"]
+
+
+class TestRationalRoots:
+    def test_agrees_with_enumeration_on_random_products(self):
+        rng = np.random.default_rng(20261018)
+        checked = 0
+        for _ in range(300):
+            p = random_split_polynomial(rng)
+            if xq.poly_degree(p) < 1:
+                continue
+            assert xq.rational_roots(p) == rational_roots_by_enumeration(p), p
+            checked += 1
+        assert checked > 250
+
+    def test_factors_reproduce_the_input(self):
+        rng = np.random.default_rng(424242)
+        for _ in range(200):
+            p = random_split_polynomial(rng)
+            if xq.poly_degree(p) < 1:
+                continue
+            roots, leftovers = xq.rational_roots(p)
+            rebuilt = [Fraction(1)]
+            for root, mult in roots:
+                for _ in range(mult):
+                    rebuilt = xq.poly_mul(rebuilt, [-root, Fraction(1)])
+            for factor, mult in leftovers:
+                for _ in range(mult):
+                    rebuilt = xq.poly_mul(rebuilt, factor)
+            assert rebuilt == xq.poly_monic(p)
+
+    def test_zero_root_and_ascending_order(self):
+        # x^2 (x - 3)(x + 1/2)(x - 2/3)
+        p = [Fraction(1)]
+        for root in (0, 0, 3, Fraction(-1, 2), Fraction(2, 3)):
+            p = xq.poly_mul(p, [-Fraction(root), Fraction(1)])
+        roots, leftovers = xq.rational_roots(p)
+        # Yun's algorithm lists the simple factor before the square x^2
+        assert roots == [(Fraction(-1, 2), 1), (Fraction(2, 3), 1), (Fraction(3), 1), (Fraction(0), 2)]
+        assert leftovers == []
+
+    def test_root_beyond_float_range_stays_a_leftover(self):
+        # the float guide cannot see this root; the split degrades, never lies
+        p = [Fraction(-(10**400)), Fraction(1)]
+        assert xq.rational_roots(p) == ([], [(p, 1)])
+
+    def test_large_constant_term_splits_fast(self):
+        # hard_n9: the characteristic polynomial cleared to integers has a
+        # constant term of about 5.7e17, so enumerating its divisors takes
+        # about 7.5e8 trial divisions
+        scale = rf.build_scale_matrices(rf.mask_from_coefficients(HARD_N9))
+        start = time.perf_counter()
+        cp = xq.charpoly(scale.exact_rows())
+        roots, leftovers = xq.rational_roots(cp)
+        elapsed = time.perf_counter() - start
+        den = lcm(*(c.denominator for c in cp))
+        assert abs(cp[0] * den) > 10**17
+        assert elapsed < 0.5
+        assert roots == [(Fraction(-135, 16), 1), (Fraction(1), 1), (Fraction(65, 16), 1)]
+        assert [(xq.poly_degree(f), m) for f, m in leftovers] == [(7, 1)]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -137,9 +138,27 @@ class TestExactMode:
         mask = rf.mask_from_coefficients(["1/2", "1/4", "1", "3/4", "1/2"], name="irr")
         with pytest.raises(SpectralError):
             rf.eigen_structure(mask, exact=True)
-        # auto mode silently falls back to float
+        # auto mode falls back to float and records why
         spectral = rf.eigen_structure(mask)
         assert not spectral.is_exact
+        assert "irreducible factor degrees" in spectral.exact_fallback
+
+    def test_fallback_reason_names_the_factor_degrees(self):
+        # a denominator-16 mask whose characteristic polynomial has a
+        # constant term of about 5.7e17 and a degree-7 irrational factor
+        mask = rf.mask_from_coefficients(
+            ["65/16", "93/16", "7/16", "33/8", "-9/8", "-7/16", "-29/16", "-1/16", "-9/16", "-135/16"]
+        )
+        spectral = rf.eigen_structure(mask)
+        assert not spectral.is_exact
+        assert spectral.exact_fallback == (
+            "exact spectral mode needs a fully rational spectrum; irreducible factor degrees [7] remain"
+        )
+
+    def test_no_fallback_reason_without_a_fallback(self):
+        assert rf.eigen_structure(make_mask("bspline3")).exact_fallback is None
+        assert rf.eigen_structure(make_mask("bspline3"), exact=False).exact_fallback is None
+        assert rf.eigen_structure(make_mask("d4")).exact_fallback is None
 
     def test_exact_mode_rejects_float_mask(self):
         with pytest.raises(SpectralError):
@@ -265,6 +284,14 @@ class TestAccuracy:
         assert acc.coefficients[1][0].real == pytest.approx(
             (3 - np.sqrt(3)) / 2, rel=1e-10
         )
+
+    def test_exact_bspline_accuracy_equals_the_order(self):
+        # the float residual of an exact solution grows with k^p; it must
+        # not veto a degree (orders 22-24 used to come out as 20, 21, 21)
+        for order in range(1, 25):
+            coeffs = [Fraction(comb(order, k), 2 ** (order - 1)) for k in range(order + 1)]
+            acc = rf.accuracy(rf.mask_from_coefficients(coeffs), exact=True)
+            assert acc.order == order
 
     def test_jordan13_and_half_order_one(self):
         assert rf.accuracy(make_mask("jordan13")).order == 1
