@@ -202,10 +202,7 @@ def charpoly(a):
     at x^(n-k).
     """
     n = len(a)
-    den = 1
-    for row in a:
-        for x in row:
-            den = lcm(den, x.denominator)
+    den = lcm(*(x.denominator for row in a for x in row))
     b = [[x.numerator * (den // x.denominator) for x in row] for row in a]
     coeffs = [ZERO] * (n + 1)
     coeffs[n] = ONE
@@ -362,9 +359,7 @@ def _float_guided_roots(g):
     theorem a root p/q is among the candidates whenever its float
     approximation lies within 1 / (2 q^2) of it.
     """
-    lead = 1
-    for c in g:
-        lead = lcm(lead, c.denominator)
+    lead = lcm(*(c.denominator for c in g))
     const = int(g[0] * lead)
     try:
         floats = np.roots([float(c) for c in reversed(g)])
