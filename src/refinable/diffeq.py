@@ -64,14 +64,6 @@ def poly_gcd(a, b, *, exact=None):
     return nm.float_poly_gcd(fa, fb)
 
 
-def poly_gcd_exact(a, b):
-    """Monic gcd over the rationals, as a Fraction list."""
-    ea, eb = _as_exact_list(a), _as_exact_list(b)
-    if ea is None or eb is None:
-        raise DifferenceEquationError("exact gcd requires rational coefficients")
-    return xq.poly_gcd(ea, eb)
-
-
 # ---------------------------------------------------------------------------
 # equations and root data
 

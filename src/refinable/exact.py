@@ -59,20 +59,6 @@ def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def mat_pow(a, k):
-    n = len(a)
-    out = identity(n)
-    base = [row[:] for row in a]
-    e = k
-    while e > 0:
-        if e & 1:
-            out = mat_mul(out, base)
-        e >>= 1
-        if e:
-            base = mat_mul(base, base)
-    return out
-
-
 def vec_mat(v, a):
     """Row vector times matrix."""
     if not a:

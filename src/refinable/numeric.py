@@ -90,25 +90,6 @@ def poly_trim(p, tol=0.0):
     return p[:n].copy()
 
 
-def poly_degree(p, tol=0.0):
-    return len(poly_trim(p, tol)) - 1
-
-
-def poly_mul(p, q):
-    p, q = np.asarray(p, complex), np.asarray(q, complex)
-    if p.size == 0 or q.size == 0:
-        return np.zeros(0, dtype=complex)
-    return np.convolve(p, q)
-
-
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    out = np.zeros(n, dtype=complex)
-    out[: len(p)] += p
-    out[: len(q)] += q
-    return out
-
-
 def poly_monic(p):
     p = poly_trim(p)
     if p.size == 0:

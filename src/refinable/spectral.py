@@ -14,6 +14,15 @@ global last row). When the forced structure of a Jordan block makes that
 regauge impossible, e_0 and e_N are inserted as standalone eigenvector rows
 instead and the basis stops being a strict Jordan basis
 (``jordan_canonical = False``); conventions win over canonical form.
+
+The chains, the corner regauge, both row layouts and the final checks are
+written once (``_build``) over an arithmetic object. ``_FloatField`` works
+in numpy: clustered eigenvalues, SVD rank decisions with tolerances, and a
+condition-number and residual check; its failures raise ``_Retry``, which
+escalates the clustering tolerance. ``_ExactField`` works with Fractions
+through ``exact``: rational roots, RREF ranks, equality tests, and the
+exact identity basis T == jordan basis; its failures raise SpectralError,
+on which auto mode falls back to floats.
 """
 
 from __future__ import annotations
@@ -25,7 +34,6 @@ import numpy as np
 
 from . import exact as xq
 from . import numeric as nm
-from .diffeq import poly_gcd
 from .errors import ClusteringError, SpectralError
 from .mask import Mask, MaskPolynomials, ScaleMatrices, build_scale_matrices, mask_polynomials
 
@@ -151,28 +159,255 @@ def _partition_from_weyr(weyr):
     return lengths
 
 
-def _conventions_for(lam, spread, scale, rtol):
-    """Which corner conventions ('e0'/'eN') live in this eigenvalue group."""
-    c0 = complex(scale.full[0, 0])
-    cn = complex(scale.full[scale.n, scale.n])
-    tol = max(spread * 4.0, rtol * max(1.0, abs(lam)))
+def _clusters(evals, rtol):
+    """(center, multiplicity, spread) of each cluster of float eigenvalues."""
+    tol = rtol * max(1.0, float(np.abs(evals).max(initial=0.0)))
     out = []
-    if abs(lam - c0) <= tol:
-        out.append("e0")
-    if abs(lam - cn) <= tol:
-        out.append("eN")
+    for idxs in nm.cluster_scalars(evals, tol):
+        members = evals[idxs]
+        center = complex(members.mean())
+        out.append((center, len(idxs), float(np.abs(members - center).max(initial=0.0))))
     return out
 
 
 # ---------------------------------------------------------------------------
-# float pipeline
+# arithmetic: the only steps of the pipeline that differ between floats
+# and Fractions. Vectors are numpy rows or Fraction lists; matrices are
+# numpy arrays or lists of Fraction rows.
 
-class _FloatChain:
+class _FloatField:
+    """numpy arithmetic: SVD rank decisions, tolerances and residual checks."""
+
+    exact = False
+    failure = _Retry
+    one = 1.0
+
+    def __init__(self, scale: ScaleMatrices, rtol: float):
+        self.t = scale.full
+        self.size = scale.n + 1
+        self.rtol = rtol
+
+    def eigenvalues(self):
+        return _clusters(np.linalg.eigvals(self.t), self.rtol)
+
+    def label(self, lam):
+        return lam, None
+
+    def is_corner(self, lam, spread, index):
+        tol = max(spread * 4.0, self.rtol * max(1.0, abs(lam)))
+        return abs(lam - complex(self.t[index, index])) <= tol
+
+    def identity(self):
+        return np.eye(self.size, dtype=complex)
+
+    def zeros(self):
+        return np.zeros((self.size, self.size), dtype=complex)
+
+    def shift(self, lam):
+        return self.t - lam * np.eye(self.size, dtype=complex)
+
+    def mat_mul(self, a, b):
+        return a @ b
+
+    def vec_mat(self, v, a):
+        return v @ a
+
+    def _cutoff(self, power, k, spread):
+        return max(nm.default_cutoff(power, STAIRCASE_REL), (4.0 * spread) ** k)
+
+    def nullity(self, power, k, spread):
+        cutoff = self._cutoff(power, k, spread)
+        smax = float(np.linalg.norm(power, 2))
+        if cutoff > 0.5 * max(smax, 1e-300):
+            raise _Retry(f"staircase cutoff swamped power {k} of the shifted matrix")
+        return self.size - nm.numerical_rank(power, cutoff)
+
+    def left_kernel(self, power, k, spread):
+        return nm.left_nullspace(power, self._cutoff(power, k, spread))
+
+    def new_tops(self, base_rows, cands, count):
+        """The count directions of cands farthest from the span of base_rows."""
+        resid = np.array(cands, dtype=complex)
+        if base_rows:
+            base = nm.orthonormal_rows(np.array(base_rows))
+            resid -= (resid @ base.conj().T) @ base
+        _, svals, vt = np.linalg.svd(resid)
+        if len(svals) < count or svals[count - 1] < 1e-8:
+            raise _Retry(f"could not separate {count} new chain tops")
+        return list(vt[:count])
+
+    def normalize(self, vectors):
+        """Scale a chain so that its bottom has unit norm and a real positive
+        largest entry."""
+        bottom = vectors[0]
+        norm = float(np.linalg.norm(bottom))
+        if norm == 0.0:
+            raise SpectralError("degenerate zero chain bottom")
+        idx = int(np.argmax(np.abs(bottom)))
+        phase = bottom[idx] / abs(bottom[idx])
+        factor = 1.0 / (norm * phase)
+        return [v * factor for v in vectors]
+
+    def regauge_coefficients(self, bottoms, target):
+        """Least-squares alpha with sum alpha_i bottoms_i = target and the
+        indices of its significant entries, or None when the fit fails."""
+        bottoms = np.array(bottoms)
+        alpha, *_ = np.linalg.lstsq(bottoms.T, target, rcond=None)
+        fit = bottoms.T @ alpha - target
+        if float(np.abs(fit).max()) > max(self.rtol, 1e-7):
+            return None
+        floor = 1e-8 * max(1.0, np.abs(alpha).max())
+        return alpha, [i for i in range(len(alpha)) if abs(alpha[i]) > floor]
+
+    def combine(self, coeffs, vectors):
+        out = np.zeros(self.size, dtype=complex)
+        for a, v in zip(coeffs, vectors):
+            out += a * v
+        return out
+
+    def complete(self, preset, cands, count):
+        """Indices of cands kept greedily while the rank over preset grows."""
+        basis = nm.orthonormal_rows(np.array(preset)) if preset else None
+        rank = 0 if basis is None else basis.shape[0]
+        kept = []
+        for i, vec in enumerate(cands):
+            if len(kept) == count:
+                break
+            trial = vec[None, :] if basis is None else np.vstack([basis, vec[None, :]])
+            q = nm.orthonormal_rows(trial)
+            if q.shape[0] > rank:
+                basis, rank = q, q.shape[0]
+                kept.append(i)
+        return kept
+
+    def certify(self, basis, jordan):
+        """(jordan, residual) after the condition and residual checks; an
+        insertion layout passes jordan=None and gets basis T basis^-1."""
+        cond = np.linalg.cond(basis)
+        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+            raise _Retry(f"basis condition number {cond:.3g} too large")
+        if jordan is None:
+            jordan = basis @ self.t @ np.linalg.inv(basis)
+        residual = float(np.abs(basis @ self.t - jordan @ basis).max())
+        if residual > 1e-6 * max(1.0, float(np.abs(self.t).max())):
+            raise _Retry(f"jordan residual {residual:.3g} too large")
+        return jordan, residual
+
+    def to_complex(self, matrix):
+        return matrix
+
+
+class _ExactField:
+    """Fraction arithmetic through ``exact``: RREF ranks, equality tests and
+    the exact identity basis T == jordan basis.
+
+    The helpers are looked up on the ``exact`` module at call time, so that
+    wrappers installed there see every call.
+    """
+
+    exact = True
+    failure = SpectralError
+    one = xq.ONE
+
+    def __init__(self, scale: ScaleMatrices):
+        if scale.exact_full is None:
+            raise SpectralError("exact spectral mode needs a rational mask")
+        self.t = scale.exact_rows()
+        self.size = scale.n + 1
+
+    def eigenvalues(self):
+        roots, leftovers = xq.rational_roots(xq.charpoly(self.t))
+        if leftovers:
+            raise SpectralError(
+                "exact spectral mode needs a fully rational spectrum; "
+                f"irreducible factor degrees {[xq.poly_degree(f) for f, _ in leftovers]} remain"
+            )
+        return [(lam, algebraic, 0.0) for lam, algebraic in roots]
+
+    def label(self, lam):
+        return complex(float(lam)), lam
+
+    def is_corner(self, lam, spread, index):
+        return lam == self.t[index][index]
+
+    def identity(self):
+        return xq.identity(self.size)
+
+    def zeros(self):
+        return xq.zeros(self.size, self.size)
+
+    def shift(self, lam):
+        return [[x - (lam if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(self.t)]
+
+    def mat_mul(self, a, b):
+        return xq.mat_mul(a, b)
+
+    def vec_mat(self, v, a):
+        return xq.vec_mat(v, a)
+
+    def nullity(self, power, k, spread):
+        return self.size - xq.rank(power)
+
+    def left_kernel(self, power, k, spread):
+        return xq.left_nullspace(power)
+
+    def new_tops(self, base_rows, cands, count):
+        return [cands[i] for i in self.complete(base_rows, cands, count)]
+
+    def normalize(self, vectors):
+        """Scale a chain so that the first nonzero entry of its bottom is 1."""
+        lead = next((c for c in vectors[0] if c != 0), None)
+        if lead is None:
+            raise SpectralError("degenerate zero chain bottom")
+        inv = xq.ONE / lead
+        return [[c * inv for c in v] for v in vectors]
+
+    def regauge_coefficients(self, bottoms, target):
+        alpha = xq.solve(xq.transpose(bottoms), target)
+        if alpha is None:
+            return None
+        return alpha, [i for i, a in enumerate(alpha) if a != 0]
+
+    def combine(self, coeffs, vectors):
+        out = [xq.ZERO] * self.size
+        for a, v in zip(coeffs, vectors):
+            out = [x + a * y for x, y in zip(out, v)]
+        return out
+
+    def complete(self, preset, cands, count):
+        base = list(preset)
+        current = xq.rank(base) if base else 0
+        kept = []
+        for i, vec in enumerate(cands):
+            if len(kept) == count:
+                break
+            trial = base + [vec]
+            r = xq.rank(trial)
+            if r > current:
+                base, current = trial, r
+                kept.append(i)
+        return kept
+
+    def certify(self, basis, jordan):
+        if jordan is None:
+            jordan = xq.mat_mul(xq.mat_mul(basis, self.t), xq.inverse(basis))
+        if xq.mat_mul(basis, self.t) != xq.mat_mul(jordan, basis):
+            raise SpectralError("exact Jordan identity failed (internal error)")
+        return jordan, 0.0
+
+    def to_complex(self, matrix):
+        return np.array([[complex(float(c)) for c in row] for row in matrix])
+
+
+# ---------------------------------------------------------------------------
+# the pipeline, written once over either arithmetic
+
+class _Chain:
     __slots__ = ("vectors", "convention")
 
-    def __init__(self, vectors):
-        self.vectors = vectors  # list bottom..top
-        self.convention = None
+    def __init__(self, vectors, convention=None):
+        self.vectors = vectors  # bottom v_1 first
+        self.convention = convention
 
     @property
     def length(self):
@@ -183,81 +418,50 @@ class _FloatChain:
         return self.vectors[0]
 
 
-def _normalize_chain_float(vectors):
-    bottom = vectors[0]
-    norm = float(np.linalg.norm(bottom))
-    if norm == 0.0:
-        raise SpectralError("degenerate zero chain bottom")
-    idx = int(np.argmax(np.abs(bottom)))
-    phase = bottom[idx] / abs(bottom[idx])
-    factor = 1.0 / (norm * phase)
-    return [v * factor for v in vectors]
-
-
-def _float_chains_for_group(t, lam, algebraic, spread):
-    """Top-down left Jordan chains for one eigenvalue cluster."""
-    size = t.shape[0]
-    shift = t - lam * np.eye(size, dtype=complex)
-    pows = [np.eye(size, dtype=complex)]
+def _chains_for_group(field, lam, algebraic, spread):
+    """Top-down left Jordan chains for one eigenvalue (float: one cluster)."""
+    shift = field.shift(lam)
+    pows = [field.identity()]
     dims = [0]
     while len(dims) <= algebraic:
-        pows.append(pows[-1] @ shift)
-        k = len(pows) - 1
-        cutoff = max(nm.default_cutoff(pows[k], STAIRCASE_REL), (4.0 * spread) ** k)
-        smax = float(np.linalg.norm(pows[k], 2))
-        if cutoff > 0.5 * max(smax, 1e-300):
-            raise _Retry(f"staircase cutoff swamped the matrix for eigenvalue {lam}")
-        nullity = size - nm.numerical_rank(pows[k], cutoff)
-        dims.append(int(nullity))
+        pows.append(field.mat_mul(pows[-1], shift))
+        dims.append(field.nullity(pows[-1], len(pows) - 1, spread))
         if dims[-1] == dims[-2]:
             dims.pop()
             break
-        if dims[-1] > algebraic:
-            raise _Retry(f"nullity exceeded algebraic multiplicity for eigenvalue {lam}")
-        if dims[-1] == algebraic:
+        if dims[-1] >= algebraic:
             break
     if dims[-1] != algebraic:
-        raise _Retry(
-            f"generalized eigenspace of {lam} reached dimension {dims[-1]} < {algebraic}"
+        raise field.failure(
+            f"generalized eigenspace of {lam} has dimension {dims[-1]} != {algebraic}"
         )
     weyr = [dims[k] - dims[k - 1] for k in range(1, len(dims))]
-    lengths = _partition_from_weyr(weyr)
     deepest = len(weyr)
     kernels = {}
     for h in range(1, deepest + 1):
-        cutoff = max(nm.default_cutoff(pows[h], STAIRCASE_REL), (4.0 * spread) ** h)
-        kernels[h] = nm.left_nullspace(pows[h], cutoff)
-        if kernels[h].shape[0] != dims[h]:
-            raise _Retry(f"kernel dimension unstable for eigenvalue {lam}")
+        kernels[h] = field.left_kernel(pows[h], h, spread)
+        if len(kernels[h]) != dims[h]:
+            raise field.failure(f"kernel dimension unstable for eigenvalue {lam}")
     chains = []
     for h in range(deepest, 0, -1):
         new_tops = weyr[h - 1] - (weyr[h] if h < deepest else 0)
         if new_tops == 0:
             continue
-        base_rows = []
-        if h > 1:
-            base_rows.extend(kernels[h - 1])
-        for chain in chains:  # vectors at level h of strictly longer chains
-            base_rows.append(chain.vectors[h - 1])
-        base = nm.orthonormal_rows(np.array(base_rows)) if base_rows else np.zeros((0, size))
-        cands = kernels[h]
-        resid = cands.astype(complex).copy()
-        if base.shape[0]:
-            resid -= (resid @ base.conj().T) @ base
-        _, svals, vt = np.linalg.svd(resid)
-        if new_tops > 0 and (len(svals) < new_tops or svals[new_tops - 1] < 1e-8):
-            raise _Retry(f"could not separate {new_tops} new chain tops for eigenvalue {lam}")
-        for r in range(new_tops):
-            top = vt[r]
-            vectors = [top @ pows[h - j] for j in range(1, h + 1)]  # v_1 .. v_h
-            chains.append(_FloatChain(_normalize_chain_float(vectors)))
+        base = list(kernels[h - 1]) if h > 1 else []
+        base += [chain.vectors[h - 1] for chain in chains]  # level h of longer chains
+        tops = field.new_tops(base, kernels[h], new_tops)
+        if len(tops) != new_tops:
+            raise field.failure(f"could not build {new_tops} chain tops for eigenvalue {lam}")
+        for top in tops:
+            vectors = [field.vec_mat(top, pows[h - j]) for j in range(1, h + 1)]  # v_1 .. v_h
+            chains.append(_Chain(field.normalize(vectors)))
     chains.sort(key=lambda c: -c.length)
-    if sorted((c.length for c in chains), reverse=True) != lengths:
-        raise _Retry(f"chain partition mismatch for eigenvalue {lam}")
+    if [c.length for c in chains] != _partition_from_weyr(weyr):
+        raise field.failure(f"chain partition mismatch for eigenvalue {lam}")
     return chains, weyr
 
 
-def _regauge_float(chains, target, tag, rtol):
+def _regauge(field, chains, target, tag):
     """Replace one chain so that ``target`` becomes a chain bottom.
 
     Any vector in the eigenspace is a combination of the bottoms; replacing a
@@ -266,125 +470,81 @@ def _regauge_float(chains, target, tag, rtol):
     target. Returns False when every minimal contributing chain is protected
     (already carries the other corner convention).
     """
-    bottoms = np.array([c.bottom for c in chains])
-    alpha, res, *_ = np.linalg.lstsq(bottoms.T, target, rcond=None)
-    fit = bottoms.T @ alpha - target
-    if float(np.abs(fit).max()) > max(rtol, 1e-7):
+    fit = field.regauge_coefficients([c.bottom for c in chains], target)
+    if fit is None:
         return False
-    significant = [i for i in range(len(chains)) if abs(alpha[i]) > 1e-8 * max(1.0, np.abs(alpha).max())]
+    alpha, significant = fit
     if not significant:
         return False
     m = min(chains[i].length for i in significant)
-    victim = None
-    for i in significant:
-        if chains[i].length == m and chains[i].convention is None:
-            victim = i
-            break
+    victim = next(
+        (i for i in significant if chains[i].length == m and chains[i].convention is None),
+        None,
+    )
     if victim is None:
         return False
-    new_vectors = []
-    for k in range(m):
-        vec = np.zeros_like(target, dtype=complex)
-        for i in significant:
-            vec += alpha[i] * chains[i].vectors[k]
-        new_vectors.append(vec)
-    new_vectors[0] = target.astype(complex).copy()  # snap away the lstsq noise
-    replacement = _FloatChain(new_vectors)
-    replacement.convention = tag
-    chains[victim] = replacement
+    coeffs = [alpha[i] for i in significant]
+    vectors = [
+        field.combine(coeffs, [chains[i].vectors[k] for i in significant]) for k in range(m)
+    ]
+    vectors[0] = target  # snap away the float lstsq noise; exact sums already equal it
+    chains[victim] = _Chain(vectors, tag)
     return True
 
 
-def _unit_float(size, index):
-    e = np.zeros(size, dtype=complex)
-    e[index] = 1.0
-    return e
-
-
-def _independent_subset_float(preset, candidates, total):
-    """Greedy rank completion: keep candidates while rank grows, up to total rows."""
-    rows = [np.asarray(p, dtype=complex) for p in preset]
-    basis = nm.orthonormal_rows(np.array(rows)) if rows else None
-    rank = 0 if basis is None else basis.shape[0]
-    kept = []
-    for ident, vec in candidates:
-        if len(preset) + len(kept) == total:
-            break
-        trial = vec[None, :] if basis is None else np.vstack([basis, vec[None, :]])
-        q = nm.orthonormal_rows(trial)
-        if q.shape[0] > rank:
-            basis, rank = q, q.shape[0]
-            kept.append(ident)
-    if len(preset) + len(kept) != total:
-        raise _Retry("insertion completion found too few independent rows")
-    return kept
-
-
-def _build_float(scale: ScaleMatrices, rtol: float):
-    t = scale.full
-    size = scale.n + 1
-    evals = np.linalg.eigvals(t)
-    tol = rtol * max(1.0, float(np.abs(evals).max(initial=0.0)))
-    cluster_idx = nm.cluster_scalars(evals, tol)
-    clusters = []
-    for idxs in cluster_idx:
-        members = evals[idxs]
-        center = complex(members.mean())
-        spread = float(np.abs(members - center).max(initial=0.0))
-        clusters.append((center, len(idxs), spread))
-    clusters.sort(key=lambda c: _group_key(c[0]))
+def _build(scale: ScaleMatrices, field) -> SpectralData:
+    corners = {"e0": 0, "eN": field.size - 1}
     group_chains = []
     groups = []
-    for lam, algebraic, spread in clusters:
-        chains, weyr = _float_chains_for_group(t, lam, algebraic, spread)
-        conventions = _conventions_for(lam, spread, scale, rtol)
+    for lam, algebraic, spread in sorted(
+        field.eigenvalues(), key=lambda g: _group_key(field.label(g[0])[0])
+    ):
+        chains, weyr = _chains_for_group(field, lam, algebraic, spread)
+        conventions = [tag for tag, i in corners.items() if field.is_corner(lam, spread, i)]
         canonical = True
         for tag in conventions:
-            target = np.zeros(size, dtype=complex)
-            target[0 if tag == "e0" else size - 1] = 1.0
-            if not _regauge_float(chains, target, tag, rtol):
+            if not _regauge(field, chains, field.identity()[corners[tag]], tag):
                 canonical = False
+        eigenvalue, exact_eigenvalue = field.label(lam)
         groups.append(
             EigenvalueGroup(
-                eigenvalue=lam,
+                eigenvalue=eigenvalue,
                 algebraic=algebraic,
                 geometric=weyr[0],
                 chain_lengths=tuple(sorted((c.length for c in chains), reverse=True)),
                 spread=spread,
+                exact_eigenvalue=exact_eigenvalue,
             )
         )
         group_chains.append((lam, chains, conventions, canonical))
     jordan_canonical = all(entry[3] for entry in group_chains)
     if jordan_canonical:
-        basis, rows, chains_info, jordan = _layout_canonical_float(group_chains, size)
+        basis, rows, chains_info, jordan = _layout_canonical(field, group_chains)
     else:
-        basis, rows, chains_info, jordan = _layout_insertion_float(group_chains, size)
-    cond = np.linalg.cond(basis)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise _Retry(f"basis condition number {cond:.3g} too large")
-    if jordan is None:  # insertion mode: similarity transform instead of Jordan form
-        jordan = basis @ t @ np.linalg.inv(basis)
-    residual = float(np.abs(basis @ t - jordan @ basis).max())
-    if residual > 1e-6 * max(1.0, float(np.abs(t).max())):
-        raise _Retry(f"jordan residual {residual:.3g} too large")
-    convention_first = any(c.convention == "e0" for c in chains_info) or any(
-        r.kind == "convention" and float(np.abs(basis[r.index] - _unit_float(size, 0)).max()) == 0.0
-        for r in rows
-    )
-    convention_last = any(
-        c.convention == "eN" and c.rows[0] == size - 1 for c in chains_info
-    ) or any(r.kind == "convention" and r.index == size - 1 for r in rows)
+        basis, rows = _layout_insertion(field, group_chains)
+        chains_info, jordan = [], None
+    jordan, residual = field.certify(basis, jordan)
+    exact_basis = exact_jordan = None
+    if field.exact:
+        exact_basis = tuple(tuple(row) for row in basis)
+        exact_jordan = tuple(tuple(row) for row in jordan)
+    # Each convention is now a chain bottom (e_N's on the last row) or an
+    # inserted row (e_0 first in its group, e_N last); a layout that put
+    # either twice fails the certification above.
     return SpectralData(
         scale=scale,
         groups=tuple(groups),
         chains=tuple(chains_info),
         rows=tuple(rows),
-        basis=basis,
-        jordan=jordan,
+        basis=field.to_complex(basis),
+        jordan=field.to_complex(jordan),
         jordan_canonical=jordan_canonical,
-        convention_first=convention_first,
-        convention_last=convention_last,
+        convention_first=any("e0" in entry[2] for entry in group_chains),
+        convention_last=any("eN" in entry[2] for entry in group_chains),
         residual=residual,
+        is_exact=field.exact,
+        exact_basis=exact_basis,
+        exact_jordan=exact_jordan,
     )
 
 
@@ -421,14 +581,15 @@ def _canonical_order(group_chains):
     return ordered
 
 
-def _layout_canonical_float(group_chains, size):
-    basis = np.zeros((size, size), dtype=complex)
+def _layout_canonical(field, group_chains):
+    basis = field.zeros()
+    jordan = field.zeros()
     rows = []
     chains_info = []
     r = 0
     for lam, chain, flipped in _canonical_order(group_chains):
-        length = chain.length
-        positions = list(range(length))
+        eigenvalue, exact_eigenvalue = field.label(lam)
+        positions = list(range(chain.length))
         if flipped:
             positions.reverse()
         row_of = {}
@@ -437,365 +598,84 @@ def _layout_canonical_float(group_chains, size):
             row_of[pos] = r
             r += 1
         for pos in positions:
+            index = row_of[pos]
+            prev_row = row_of[pos - 1] if pos else None
             rows.append(
                 RowInfo(
-                    index=row_of[pos],
-                    eigenvalue=lam,
+                    index=index,
+                    eigenvalue=eigenvalue,
                     kind="chain",
                     chain=len(chains_info),
                     position=pos,
-                    prev_row=row_of[pos - 1] if pos else None,
+                    prev_row=prev_row,
+                    exact_eigenvalue=exact_eigenvalue,
                 )
             )
-        rows.sort(key=lambda info: info.index)
+            jordan[index][index] = lam
+            if prev_row is not None:
+                jordan[index][prev_row] = field.one
         chains_info.append(
             ChainInfo(
-                eigenvalue=lam,
-                length=length,
-                rows=tuple(row_of[p] for p in range(length)),
+                eigenvalue=eigenvalue,
+                length=chain.length,
+                rows=tuple(row_of[p] for p in range(chain.length)),
                 convention=chain.convention,
+                exact_eigenvalue=exact_eigenvalue,
             )
         )
-    jordan = np.zeros((size, size), dtype=complex)
-    for info in rows:
-        jordan[info.index, info.index] = info.eigenvalue
-        if info.prev_row is not None:
-            jordan[info.index, info.prev_row] = 1.0
+    rows.sort(key=lambda info: info.index)
     return basis, rows, chains_info, jordan
 
 
-def _layout_insertion_float(group_chains, size):
+def _layout_insertion(field, group_chains):
     """Basis with e_0 / e_N literally inserted; chain rows complete greedily.
 
     Each eigenvalue group keeps exactly its algebraic multiplicity of rows:
     the inserted corner eigenvectors plus a maximal independent subset of the
     group's chain vectors. The e_N row is pulled to the global last position.
     """
-    basis_rows = []
+    e0, en = field.identity()[0], field.identity()[-1]
+    vectors = []
     rows_meta = []  # (lam, kind, position)
     tail = None
     for lam, chains, conventions, _ in group_chains:
         algebraic = sum(c.length for c in chains)
-        preset = []
-        if "e0" in conventions:
-            preset.append(_unit_float(size, 0))
-        if "eN" in conventions:
-            preset.append(_unit_float(size, size - 1))
-        candidates = []
-        for chain in _ordered_chains(chains):
-            for pos, vec in enumerate(chain.vectors):
-                candidates.append((pos, vec))
-        kept = _independent_subset_float(
-            preset, [((pos, i), vec) for i, (pos, vec) in enumerate(candidates)], algebraic
-        )
-        if "e0" in conventions:
-            basis_rows.append(_unit_float(size, 0))
-            rows_meta.append((lam, "convention", 0))
-        for pos, i in kept:
-            basis_rows.append(candidates[i][1])
-            rows_meta.append((lam, "chain", pos))
-        if "eN" in conventions:
-            tail = (lam, _unit_float(size, size - 1))
-    if tail is not None:
-        basis_rows.append(tail[1])
-        rows_meta.append((tail[0], "convention", 0))
-    if len(basis_rows) != size:
-        raise _Retry(f"insertion layout produced {len(basis_rows)} rows for dimension {size}")
-    basis = np.array(basis_rows, dtype=complex)
-    rows = [
-        RowInfo(index=r, eigenvalue=lam, kind=kind, chain=None, position=pos, prev_row=None)
-        for r, (lam, kind, pos) in enumerate(rows_meta)
-    ]
-    return basis, rows, [], None
-
-
-# ---------------------------------------------------------------------------
-# exact pipeline
-
-class _ExactChain:
-    __slots__ = ("vectors", "convention")
-
-    def __init__(self, vectors):
-        self.vectors = vectors
-        self.convention = None
-
-    @property
-    def length(self):
-        return len(self.vectors)
-
-    @property
-    def bottom(self):
-        return self.vectors[0]
-
-
-def _normalize_chain_exact(vectors):
-    bottom = vectors[0]
-    lead = next((c for c in bottom if c != 0), None)
-    if lead is None:
-        raise SpectralError("degenerate zero chain bottom")
-    inv = Fraction(1) / lead
-    return [[c * inv for c in v] for v in vectors]
-
-
-def _exact_chains_for_group(t_rows, lam: Fraction, algebraic: int):
-    size = len(t_rows)
-    shift = [[t_rows[i][j] - (lam if i == j else 0) for j in range(size)] for i in range(size)]
-    pows = [xq.identity(size)]
-    dims = [0]
-    while len(dims) <= algebraic:
-        pows.append(xq.mat_mul(pows[-1], shift))
-        nullity = size - xq.rank(pows[-1])
-        dims.append(nullity)
-        if dims[-1] == dims[-2]:
-            dims.pop()
-            break
-        if dims[-1] >= algebraic:
-            break
-    if dims[-1] != algebraic:
-        raise SpectralError(
-            f"generalized eigenspace of {lam} has dimension {dims[-1]} != {algebraic}"
-        )
-    weyr = [dims[k] - dims[k - 1] for k in range(1, len(dims))]
-    deepest = len(weyr)
-    kernels = {h: xq.left_nullspace(pows[h]) for h in range(1, deepest + 1)}
-    chains = []
-    for h in range(deepest, 0, -1):
-        new_tops = weyr[h - 1] - (weyr[h] if h < deepest else 0)
-        if new_tops == 0:
-            continue
-        base = []
-        if h > 1:
-            base.extend(kernels[h - 1])
-        for chain in chains:
-            base.append(chain.vectors[h - 1])
-        current = xq.rank(base) if base else 0
-        picked = 0
-        for cand in kernels[h]:
-            if picked == new_tops:
-                break
-            trial = base + [cand]
-            r = xq.rank(trial)
-            if r > current:
-                base = trial
-                current = r
-                picked += 1
-                vectors = [xq.vec_mat(cand, pows[h - j]) for j in range(1, h + 1)]
-                chains.append(_ExactChain(_normalize_chain_exact(vectors)))
-        if picked != new_tops:
-            raise SpectralError(f"could not build {new_tops} chain tops for eigenvalue {lam}")
-    chains.sort(key=lambda c: -c.length)
-    return chains, weyr
-
-
-def _regauge_exact(chains, target, tag):
-    bottoms = [c.bottom for c in chains]
-    cols = [[bottoms[i][j] for i in range(len(bottoms))] for j in range(len(target))]
-    alpha = xq.solve(cols, list(target))
-    if alpha is None:
-        return False
-    significant = [i for i, a in enumerate(alpha) if a != 0]
-    if not significant:
-        return False
-    m = min(chains[i].length for i in significant)
-    victim = next(
-        (i for i in significant if chains[i].length == m and chains[i].convention is None),
-        None,
-    )
-    if victim is None:
-        return False
-    new_vectors = []
-    for k in range(m):
-        vec = [Fraction(0)] * len(target)
-        for i in significant:
-            vec = [a + alpha[i] * b for a, b in zip(vec, chains[i].vectors[k])]
-        new_vectors.append(vec)
-    replacement = _ExactChain(new_vectors)
-    replacement.convention = tag
-    chains[victim] = replacement
-    return True
-
-
-def _build_exact(scale: ScaleMatrices) -> SpectralData:
-    if scale.exact_full is None:
-        raise SpectralError("exact spectral mode needs a rational mask")
-    t_rows = scale.exact_rows()
-    size = scale.n + 1
-    cp = xq.charpoly(t_rows)
-    roots, leftovers = xq.rational_roots(cp)
-    if leftovers:
-        raise SpectralError(
-            "exact spectral mode needs a fully rational spectrum; "
-            f"irreducible factor degrees {[xq.poly_degree(f) for f, _ in leftovers]} remain"
-        )
-    roots.sort(key=lambda rm: _group_key(complex(float(rm[0]))))
-    groups = []
-    group_chains = []
-    for lam, algebraic in roots:
-        chains, weyr = _exact_chains_for_group(t_rows, lam, algebraic)
-        conventions = []
-        if lam == scale.mask.exact[0]:
-            conventions.append("e0")
-        if lam == scale.mask.exact[scale.n]:
-            conventions.append("eN")
-        canonical = True
-        for tag in conventions:
-            target = [Fraction(0)] * size
-            target[0 if tag == "e0" else size - 1] = Fraction(1)
-            if not _regauge_exact(chains, target, tag):
-                canonical = False
-        groups.append(
-            EigenvalueGroup(
-                eigenvalue=complex(float(lam)),
-                algebraic=algebraic,
-                geometric=weyr[0],
-                chain_lengths=tuple(sorted((c.length for c in chains), reverse=True)),
-                spread=0.0,
-                exact_eigenvalue=lam,
-            )
-        )
-        group_chains.append((lam, chains, conventions, canonical))
-    jordan_canonical = all(entry[3] for entry in group_chains)
-    if jordan_canonical:
-        basis_rows, rows, chains_info, jordan_rows = _layout_canonical_exact(group_chains, size)
-    else:
-        basis_rows, rows, chains_info, jordan_rows = _layout_insertion_exact(
-            group_chains, size, t_rows
-        )
-    # exact verification: basis @ T == jordan @ basis
-    lhs = xq.mat_mul(basis_rows, t_rows)
-    rhs = xq.mat_mul(jordan_rows, basis_rows)
-    if lhs != rhs:
-        raise SpectralError("exact Jordan identity failed (internal error)")
-    basis = np.array([[complex(float(c)) for c in row] for row in basis_rows])
-    jordan = np.array([[complex(float(c)) for c in row] for row in jordan_rows])
-    convention_first = any(c.convention == "e0" for c in chains_info) or any(
-        r.kind == "convention" and basis_rows[r.index] == _unit_exact(size, 0) for r in rows
-    )
-    convention_last = any(
-        c.convention == "eN" and c.rows[0] == size - 1 for c in chains_info
-    ) or any(r.kind == "convention" and r.index == size - 1 for r in rows)
-    return SpectralData(
-        scale=scale,
-        groups=tuple(groups),
-        chains=tuple(chains_info),
-        rows=tuple(rows),
-        basis=basis,
-        jordan=jordan,
-        jordan_canonical=jordan_canonical,
-        convention_first=convention_first,
-        convention_last=convention_last,
-        residual=0.0,
-        is_exact=True,
-        exact_basis=tuple(tuple(row) for row in basis_rows),
-        exact_jordan=tuple(tuple(row) for row in jordan_rows),
-    )
-
-
-def _layout_canonical_exact(group_chains, size):
-    basis_rows = [None] * size
-    rows = []
-    chains_info = []
-    r = 0
-    for lam, chain, flipped in _canonical_order(group_chains):
-        length = chain.length
-        positions = list(range(length))
-        if flipped:
-            positions.reverse()
-        row_of = {}
-        for pos in positions:
-            basis_rows[r] = list(chain.vectors[pos])
-            row_of[pos] = r
-            r += 1
-        for pos in positions:
-            rows.append(
-                RowInfo(
-                    index=row_of[pos],
-                    eigenvalue=complex(float(lam)),
-                    kind="chain",
-                    chain=len(chains_info),
-                    position=pos,
-                    prev_row=row_of[pos - 1] if pos else None,
-                    exact_eigenvalue=lam,
-                )
-            )
-        rows.sort(key=lambda info: info.index)
-        chains_info.append(
-            ChainInfo(
-                eigenvalue=complex(float(lam)),
-                length=length,
-                rows=tuple(row_of[p] for p in range(length)),
-                convention=chain.convention,
-                exact_eigenvalue=lam,
-            )
-        )
-    jordan_rows = xq.zeros(size, size)
-    for info in rows:
-        jordan_rows[info.index][info.index] = info.exact_eigenvalue
-        if info.prev_row is not None:
-            jordan_rows[info.index][info.prev_row] = Fraction(1)
-    return basis_rows, rows, chains_info, jordan_rows
-
-
-def _unit_exact(size, index):
-    e = [Fraction(0)] * size
-    e[index] = Fraction(1)
-    return e
-
-
-def _layout_insertion_exact(group_chains, size, t_rows):
-    basis_rows = []
-    rows_meta = []  # (lam, kind, position)
-    tail = None
-    for lam, chains, conventions, _ in group_chains:
-        algebraic = sum(c.length for c in chains)
-        preset = []
-        if "e0" in conventions:
-            preset.append(_unit_exact(size, 0))
-        if "eN" in conventions:
-            preset.append(_unit_exact(size, size - 1))
-        base = list(preset)
-        current = xq.rank(base) if base else 0
-        kept = []
-        for chain in _ordered_chains(chains):
-            for pos, vec in enumerate(chain.vectors):
-                if len(preset) + len(kept) == algebraic:
-                    break
-                trial = base + [list(vec)]
-                r = xq.rank(trial)
-                if r > current:
-                    base, current = trial, r
-                    kept.append((pos, list(vec)))
+        preset = [e for tag, e in (("e0", e0), ("eN", en)) if tag in conventions]
+        candidates = [(pos, vec) for chain in _ordered_chains(chains) for pos, vec in enumerate(chain.vectors)]
+        kept = field.complete(preset, [vec for _, vec in candidates], algebraic - len(preset))
         if len(preset) + len(kept) != algebraic:
-            raise SpectralError("exact insertion completion found too few independent rows")
+            raise field.failure("insertion completion found too few independent rows")
         if "e0" in conventions:
-            basis_rows.append(_unit_exact(size, 0))
+            vectors.append(e0)
             rows_meta.append((lam, "convention", 0))
-        for pos, vec in kept:
-            basis_rows.append(vec)
+        for i in kept:
+            pos, vec = candidates[i]
+            vectors.append(vec)
             rows_meta.append((lam, "chain", pos))
         if "eN" in conventions:
-            tail = (lam, _unit_exact(size, size - 1))
+            tail = lam
     if tail is not None:
-        basis_rows.append(tail[1])
-        rows_meta.append((tail[0], "convention", 0))
-    if len(basis_rows) != size:
-        raise SpectralError("exact insertion layout is rank deficient (internal error)")
+        vectors.append(en)
+        rows_meta.append((tail, "convention", 0))
+    if len(vectors) != field.size:
+        raise field.failure(f"insertion layout produced {len(vectors)} rows for dimension {field.size}")
+    basis = field.zeros()
     rows = []
     for r, (lam, kind, pos) in enumerate(rows_meta):
+        basis[r] = vectors[r]
+        eigenvalue, exact_eigenvalue = field.label(lam)
         rows.append(
             RowInfo(
                 index=r,
-                eigenvalue=complex(float(lam)),
+                eigenvalue=eigenvalue,
                 kind=kind,
                 chain=None,
                 position=pos,
                 prev_row=None,
-                exact_eigenvalue=lam,
+                exact_eigenvalue=exact_eigenvalue,
             )
         )
-    inv = xq.inverse(basis_rows)
-    jordan_rows = xq.mat_mul(xq.mat_mul(basis_rows, t_rows), inv)
-    return basis_rows, rows, [], jordan_rows
+    return basis, rows
 
 
 # ---------------------------------------------------------------------------
@@ -816,21 +696,21 @@ def eigen_structure(source, *, exact: bool | None = None, rtol: float = CLUSTER_
     if exact is None:
         if scale.mask.is_rational:
             try:
-                return _build_exact(scale)
+                return _build(scale, _ExactField(scale))
             except SpectralError as e:
                 return replace(_build_float_escalating(scale, rtol), exact_fallback=str(e))
         exact = False
     if exact:
-        return _build_exact(scale)
+        return _build(scale, _ExactField(scale))
     return _build_float_escalating(scale, rtol)
 
 
 def _build_float_escalating(scale: ScaleMatrices, rtol: float) -> SpectralData:
     try:
-        return _build_float(scale, rtol)
+        return _build(scale, _FloatField(scale, rtol))
     except _Retry:
         try:
-            return _build_float(scale, rtol * ESCALATION)
+            return _build(scale, _FloatField(scale, rtol * ESCALATION))
         except _Retry as e:
             raise ClusteringError(
                 f"eigenvalue clustering failed even at rtol {rtol * ESCALATION:g}: {e}",
@@ -887,11 +767,7 @@ def spectrum_of(matrix, exact_rows=None, *, rtol: float = 1e-8):
         a = np.atleast_2d(np.asarray(matrix, dtype=complex))
         if a.size == 0:
             return []
-        evals = np.linalg.eigvals(a)
-        tol = rtol * max(1.0, float(np.abs(evals).max(initial=0.0)))
-        for idxs in nm.cluster_scalars(evals, tol):
-            members = evals[idxs]
-            out.append((complex(members.mean()), len(idxs), None))
+        out.extend((lam, mult, None) for lam, mult, _ in _clusters(np.linalg.eigvals(a), rtol))
     out.sort(key=lambda e: _group_key(e[0]))
     return out
 

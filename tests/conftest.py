@@ -7,6 +7,9 @@ sums are 1) and hence a well-defined refinable function.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,19 @@ CORPUS_SPECS = {
     "half": ["1/2", "1/2", "1/2", "1/2"],
     "haar": [1, 1],
 }
+
+
+# the directory the test process imported `refinable` from; subprocesses put
+# it first on PYTHONPATH so they run the same copy, even from an installed
+# script that would otherwise import its own
+SOURCE_ROOT = Path(rf.__file__).resolve().parents[1]
+
+
+def subprocess_env(**overrides):
+    path = os.pathsep.join(
+        p for p in (str(SOURCE_ROOT), os.environ.get("PYTHONPATH")) if p
+    )
+    return dict(os.environ, PYTHONPATH=path, **overrides)
 
 
 def make_mask(name: str) -> rf.Mask:

@@ -5,7 +5,6 @@ byte-determinism of the reports across runs and kernel backends.
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -13,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-import refinable
 from refinable import __version__
 from refinable.cli import main
+
+from conftest import subprocess_env
 
 try:
     import tomllib
@@ -24,6 +24,12 @@ except ImportError:  # Python 3.10
 
 BSPLINE3 = '["1/4", "3/4", "3/4", "1/4"]'
 HALF = '["1/2", "1/2", "1/2", "1/2"]'
+
+ROOT = Path(__file__).resolve().parents[1]
+MASKS = ROOT / "masks"
+# `refinable spectrum --exact` reports of the worked masks, recorded once
+DATA = ROOT / "tests" / "data"
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def run(capsys, *argv):
@@ -67,6 +73,15 @@ class TestSpectrumCommand:
         assert out == ""
         text = (tmp_path / "spectrum.json").read_text()
         assert json.loads(text)["accuracy"]["order"] == 3
+
+    @pytest.mark.parametrize("name", ["bspline3", "jordan13", "half"])
+    def test_exact_report_matches_the_golden_file(self, name, tmp_path, capsys):
+        # Exact-mode reports are rendered from Fractions alone, so their
+        # bytes do not depend on the platform's LAPACK.
+        code, _, _ = run(capsys, "spectrum", str(MASKS / f"{name}.json"), "--exact", "--out", str(tmp_path))
+        assert code == 0
+        golden = DATA / f"spectrum_exact_{name}.json"
+        assert (tmp_path / "spectrum.json").read_bytes() == golden.read_bytes()
 
     def test_exact_flag_fails_on_irrational_mask(self, capsys):
         d4 = "[0.6830127018922193, 1.1830127018922193, 0.3169872981077807, -0.1830127018922193]"
@@ -190,21 +205,6 @@ class TestInputErrors:
     def test_zero_corner_coefficient(self, capsys):
         code, _, err = run(capsys, "spectrum", "[0, 1, 1]")
         assert code == 2
-
-
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
-
-# the directory the test process imported `refinable` from; subprocesses put
-# it first on PYTHONPATH so they run the same copy, even from an installed
-# script that would otherwise import its own
-SOURCE_ROOT = Path(refinable.__file__).resolve().parents[1]
-
-
-def subprocess_env(**overrides):
-    path = os.pathsep.join(
-        p for p in (str(SOURCE_ROOT), os.environ.get("PYTHONPATH")) if p
-    )
-    return dict(os.environ, PYTHONPATH=path, **overrides)
 
 
 @pytest.fixture(scope="module")

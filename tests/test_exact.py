@@ -105,7 +105,6 @@ class TestBasics:
             b = random_matrix(4, 2)
             np.testing.assert_allclose(to_float(xq.mat_mul(a, b)), to_float(a) @ to_float(b))
         a = random_matrix(3, 3)
-        np.testing.assert_allclose(to_float(xq.mat_pow(a, 3)), np.linalg.matrix_power(to_float(a), 3))
         v = [Fraction(1), Fraction(-2), Fraction(3)]
         np.testing.assert_allclose(
             [float(x) for x in xq.vec_mat(v, a)], np.array([1.0, -2.0, 3.0]) @ to_float(a)

@@ -6,7 +6,6 @@ environment flag must force the fallback implementations.
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 
@@ -14,6 +13,8 @@ import numpy as np
 import pytest
 
 import refinable.kernels as kernels
+
+from conftest import subprocess_env
 
 RNG = np.random.default_rng(424242)
 
@@ -169,12 +170,11 @@ class TestDispatch:
             " 'same': bool(k.refine_level is k.refine_level_numpy),"
             " 'out': [abs(v) for v in out]}))\n"
         )
-        env = dict(os.environ, REFINABLE_NO_NUMBA="1")
         proc = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env=env,
+            env=subprocess_env(REFINABLE_NO_NUMBA="1"),
             check=True,
         )
         got = json.loads(proc.stdout)

@@ -37,6 +37,30 @@ def chain_residual(spectral: rf.SpectralData, scale: rf.ScaleMatrices) -> float:
     return worst
 
 
+def bspline(order: int) -> rf.Mask:
+    coeffs = [Fraction(comb(order, k), 2 ** (order - 1)) for k in range(order + 1)]
+    return rf.mask_from_coefficients(coeffs, name=f"bspline{order}")
+
+
+def short_rational_masks() -> list[rf.Mask]:
+    """Seeded rational masks of length 2 and 3 with small numerators and
+    denominators, built without the warning for coefficients not summing to 2."""
+    rng = np.random.default_rng(7)
+    masks = []
+    for _ in range(25):
+        n = int(rng.integers(1, 3))
+        coeffs = [
+            Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 7)))
+            for _ in range(n + 1)
+        ]
+        if coeffs[0] == 0 or coeffs[-1] == 0:
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", rf.MaskSumWarning)
+            masks.append(rf.mask_from_coefficients(coeffs))
+    return masks
+
+
 class TestEigenStructure:
     def test_similarity_identity_on_whole_corpus(self, all_masks, pipeline):
         for mask in all_masks:
@@ -165,26 +189,36 @@ class TestExactMode:
             rf.eigen_structure(make_mask("d4"), exact=True)
 
     def test_random_short_rational_masks_have_zero_residual(self):
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            n = int(rng.integers(1, 3))
-            coeffs = [
-                Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 7)))
-                for _ in range(n + 1)
-            ]
-            if coeffs[0] == 0 or coeffs[-1] == 0:
-                continue
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", rf.MaskSumWarning)
-                mask = rf.mask_from_coefficients(coeffs)
+        for mask in short_rational_masks():
             spectral = rf.eigen_structure(mask, exact=True)
             assert spectral.is_exact and spectral.residual == 0.0
 
+    def test_float_and_exact_paths_agree_on_the_structure(self, corpus):
+        masks = [m for m in corpus.values() if m.is_rational]
+        masks += [bspline(order) for order in range(1, 11)] + short_rational_masks()
+        for mask in masks:
+            exact = rf.eigen_structure(mask, exact=True)
+            flt = rf.eigen_structure(mask, exact=False)
+            for attr in ("jordan_canonical", "convention_first", "convention_last"):
+                assert getattr(exact, attr) == getattr(flt, attr), (mask.name, attr)
+            assert [(g.algebraic, g.geometric, g.chain_lengths) for g in exact.groups] == [
+                (g.algebraic, g.geometric, g.chain_lengths) for g in flt.groups
+            ], mask.name
+            assert [(r.kind, r.chain, r.position, r.prev_row) for r in exact.rows] == [
+                (r.kind, r.chain, r.position, r.prev_row) for r in flt.rows
+            ], mask.name
+            for a, b in zip(exact.groups, flt.groups):
+                assert abs(a.eigenvalue - b.eigenvalue) <= 1e-8, mask.name
+            for a, b in zip(exact.rows, flt.rows):
+                assert abs(a.eigenvalue - b.eigenvalue) <= 1e-8, mask.name
 
+
+@pytest.mark.parametrize("exact", [None, False])  # exact and float insertion layouts
 class TestJordan13:
-    def test_insertion_mode_with_true_chain_lengths(self):
+    def test_insertion_mode_with_true_chain_lengths(self, exact):
         mask = make_mask("jordan13")
-        spectral = rf.eigen_structure(mask)
+        spectral = rf.eigen_structure(mask, exact=exact)
+        assert spectral.is_exact == (exact is None)
         assert not spectral.jordan_canonical
         group = next(g for g in spectral.groups if abs(g.eigenvalue - 1 / 3) < 1e-9)
         assert group.algebraic == 3
@@ -192,12 +226,12 @@ class TestJordan13:
         kinds = [r.kind for r in spectral.rows]
         assert kinds.count("convention") == 2
 
-    def test_two_chain_bottom_is_the_corner_difference(self):
+    def test_two_chain_bottom_is_the_corner_difference(self, exact):
         # the length-2 chain bottom must lie in ker(T - I/3) ∩ im(T - I/3),
         # which is spanned by e_0 - e_3; recover it from the kept chain row
         mask = make_mask("jordan13")
         scale = rf.build_scale_matrices(mask)
-        spectral = rf.eigen_structure(mask)
+        spectral = rf.eigen_structure(mask, exact=exact)
         lam = 1.0 / 3.0
         tops = [
             r
@@ -289,9 +323,7 @@ class TestAccuracy:
         # the float residual of an exact solution grows with k^p; it must
         # not veto a degree (orders 22-24 used to come out as 20, 21, 21)
         for order in range(1, 25):
-            coeffs = [Fraction(comb(order, k), 2 ** (order - 1)) for k in range(order + 1)]
-            acc = rf.accuracy(rf.mask_from_coefficients(coeffs), exact=True)
-            assert acc.order == order
+            assert rf.accuracy(bspline(order), exact=True).order == order
 
     def test_jordan13_and_half_order_one(self):
         assert rf.accuracy(make_mask("jordan13")).order == 1
