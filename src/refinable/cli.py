@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -152,7 +153,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
     if args.out is None:
         raise UsageError("basis writes several files; --out DIRECTORY is required")
     lo, hi = args.interval
-    if lo != int(lo) or hi != int(hi):
+    if not all(math.isfinite(v) and v == int(v) for v in (lo, hi)):
         raise UsageError("--interval endpoints must be integers")
     if not (lo <= 0 <= hi and lo < hi):
         raise UsageError("--interval must satisfy A <= 0 <= B with A < B")
@@ -200,6 +201,8 @@ def _check_level_arg(level: int) -> None:
 def cmd_verify(args: argparse.Namespace) -> int:
     mask = _load_mask(args.mask)
     _check_level_arg(args.level)
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise UsageError(f"--tolerance must be finite and > 0, got {args.tolerance}")
     battery = run_battery(
         mask,
         level=args.level,

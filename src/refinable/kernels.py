@@ -1,46 +1,18 @@
-"""Hot numeric kernels with a pure-numpy fallback path.
-
-The cascade refinement step, the two-sided eigen-extension recurrences, and
-the subdivision operator dominate runtime at fine grid levels. Each kernel
-has a numba-compiled variant and a numpy/python fallback; the public names
-dispatch to the compiled variant unless numba is unavailable or the
-``REFINABLE_NO_NUMBA`` environment variable is set (read once at import).
-Both variants are exported so the benchmark and the equivalence tests can
-compare them in one process.
+"""Grid kernels: the cascade refinement step, the two-sided eigen-extension
+recurrences and the subdivision operator, in numpy and plain Python.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-JIT_OPTIONS = {"nogil": True, "cache": True}
 
 OVERFLOW_LIMIT = 1e300
 
-_flag = os.environ.get("REFINABLE_NO_NUMBA", "").strip().lower()
-_DISABLED = _flag in {"1", "true", "yes", "on"}
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by REFINABLE_NO_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+# There is no compiled backend; the constant stays for callers that record it.
+USING_NUMBA = False
 
 
-def refine_level_numpy(prev, coeffs, halfstep):
+def refine_level(prev, coeffs, halfstep):
     """One cascade step: grid values at level j -> level j+1 on [0, N].
 
     ``prev`` holds N*2^j + 1 values; ``halfstep`` is 2^j. Even output indices
@@ -59,59 +31,13 @@ def refine_level_numpy(prev, coeffs, halfstep):
     return out
 
 
-@njit(**JIT_OPTIONS)
-def _refine_level_jit(prev, coeffs, halfstep):
-    p = prev.shape[0]
-    out = np.empty(2 * p - 1, dtype=np.complex128)
-    for s in range(p):
-        out[2 * s] = prev[s]
-    nmask = coeffs.shape[0] - 1
-    for t in range(1, 2 * p - 1, 2):
-        kmin = -((p - 1 - t) // halfstep)
-        if kmin < 0:
-            kmin = 0
-        kmax = t // halfstep
-        if kmax > nmask:
-            kmax = nmask
-        acc = 0.0 + 0.0j
-        for k in range(kmin, kmax + 1):
-            acc += coeffs[k] * prev[t - k * halfstep]
-        out[t] = acc
-    return out
-
-
-def extend_forward_numpy(values, lo, start, stop, coeffs, lam, prev_vals, prev_lo, limit):
-    """Fill values[n-lo] for n in [start, stop) by the forward recurrence.
-
-    Y_n = (sum_{i in [ceil(n/2), (n+N)//2]} Y_i c_{2i-n} - Y_prev_n) / lambda;
-    every referenced i is < n. Returns the first overflowing index, or
-    ``stop`` when none overflowed.
-    """
+def _extend(values, lo, indices, coeffs, lam, prev_vals, prev_lo, limit):
+    """Fill values[n-lo] for n in ``indices``, in that order, by
+    Y_n = (sum_{i in [ceil(n/2), (n+N)//2]} Y_i c_{2i-n} - Y_prev_n) / lambda.
+    Returns the first n whose value exceeds ``limit``, or None."""
     nmask = coeffs.shape[0] - 1
     has_prev = prev_vals.shape[0] > 0
-    for n in range(start, stop):
-        acc = 0.0 + 0.0j
-        for i in range((n + 1) // 2, (n + nmask) // 2 + 1):
-            acc += values[i - lo] * coeffs[2 * i - n]
-        if has_prev:
-            acc -= prev_vals[n - prev_lo]
-        y = acc / lam
-        values[n - lo] = y
-        if abs(y) > limit:
-            return n
-    return stop
-
-
-def extend_backward_numpy(values, lo, start, stop, coeffs, lam, prev_vals, prev_lo, limit):
-    """Fill values[n-lo] for n in [start, stop) descending from stop-1.
-
-    Same recurrence as the forward direction, but for n <= -1 every
-    referenced index i is > n, so filling descends. Returns the first
-    overflowing index, or ``start - 1`` when none overflowed.
-    """
-    nmask = coeffs.shape[0] - 1
-    has_prev = prev_vals.shape[0] > 0
-    for n in range(stop - 1, start - 1, -1):
+    for n in indices:
         acc = 0.0 + 0.0j
         for i in range(-((-n) // 2), (n + nmask) // 2 + 1):
             acc += values[i - lo] * coeffs[2 * i - n]
@@ -121,10 +47,24 @@ def extend_backward_numpy(values, lo, start, stop, coeffs, lam, prev_vals, prev_
         values[n - lo] = y
         if abs(y) > limit:
             return n
-    return start - 1
+    return None
 
 
-def subdivision_numpy(alpha, alpha_lo, coeffs, out_lo, out_len):
+def extend_forward(values, lo, start, stop, coeffs, lam, prev_vals, prev_lo, limit):
+    """Fill [start, stop) ascending; for n > N every referenced i is < n.
+    Returns the first overflowing index, or ``stop`` when none overflowed."""
+    n = _extend(values, lo, range(start, stop), coeffs, lam, prev_vals, prev_lo, limit)
+    return stop if n is None else n
+
+
+def extend_backward(values, lo, start, stop, coeffs, lam, prev_vals, prev_lo, limit):
+    """Fill [start, stop) descending; for n <= -1 every referenced i is > n.
+    Returns the first overflowing index, or ``start - 1`` when none overflowed."""
+    n = _extend(values, lo, range(stop - 1, start - 1, -1), coeffs, lam, prev_vals, prev_lo, limit)
+    return start - 1 if n is None else n
+
+
+def subdivision_window(alpha, alpha_lo, coeffs, out_lo, out_len):
     """out[j - out_lo] = sum_i alpha[i - alpha_lo] * c_{2i - j}.
 
     ``alpha`` is treated as zero outside its array (finitely supported
@@ -146,20 +86,3 @@ def subdivision_numpy(alpha, alpha_lo, coeffs, out_lo, out_len):
             acc += alpha[i - alpha_lo] * coeffs[2 * i - j]
         out[jj] = acc
     return out
-
-
-if HAVE_NUMBA:
-    _extend_forward_jit = njit(**JIT_OPTIONS)(extend_forward_numpy)
-    _extend_backward_jit = njit(**JIT_OPTIONS)(extend_backward_numpy)
-    _subdivision_jit = njit(**JIT_OPTIONS)(subdivision_numpy)
-    refine_level = _refine_level_jit
-    extend_forward = _extend_forward_jit
-    extend_backward = _extend_backward_jit
-    subdivision_window = _subdivision_jit
-else:
-    refine_level = refine_level_numpy
-    extend_forward = extend_forward_numpy
-    extend_backward = extend_backward_numpy
-    subdivision_window = subdivision_numpy
-
-USING_NUMBA = HAVE_NUMBA

@@ -1,10 +1,13 @@
-"""Command line interface: exit codes, input forms, report files, and
-byte-determinism of the reports across runs and kernel backends.
+"""Command line interface: exit codes, input forms, report files,
+byte-determinism of the reports across processes, and the declared
+dependencies of the package.
 """
 
 from __future__ import annotations
 
+import ast
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -27,7 +30,8 @@ HALF = '["1/2", "1/2", "1/2", "1/2"]'
 
 ROOT = Path(__file__).resolve().parents[1]
 MASKS = ROOT / "masks"
-# `refinable spectrum --exact` reports of the worked masks, recorded once
+# `refinable spectrum --exact` reports and `refinable basis --exact` samples
+# of the worked masks, recorded once
 DATA = ROOT / "tests" / "data"
 PYPROJECT = ROOT / "pyproject.toml"
 
@@ -127,24 +131,41 @@ class TestBasisCommand:
             assert row["homogeneity_residual"] <= 1e-7
         assert doc["reconstruction"]["residual"] <= 1e-7
 
+    @pytest.mark.parametrize("name", ["bspline3", "jordan13", "half"])
+    def test_exact_samples_match_the_golden_files(self, name, tmp_path, capsys):
+        # The CSVs come from exact integer samples, the cascade and the
+        # extension recurrences only; basis.json is left out because its
+        # reconstruction residual goes through LAPACK.
+        code, _, _ = run(
+            capsys, "basis", str(MASKS / f"{name}.json"), "--exact", "--level", "4",
+            "--interval", "-2", "2", "--out", str(tmp_path),
+        )
+        assert code == 0
+        golden = DATA / f"basis_exact_{name}"
+        names = sorted(p.name for p in golden.iterdir())
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == names
+        for filename in names:
+            assert (tmp_path / filename).read_bytes() == (golden / filename).read_bytes(), filename
+
     def test_requires_out_directory(self, capsys):
         code, _, err = run(capsys, "basis", BSPLINE3)
         assert code == 2
         assert "--out" in err
 
     def test_rejects_fractional_interval(self, tmp_path, capsys):
-        code, _, err = run(
-            capsys,
-            "basis",
-            BSPLINE3,
-            "--out",
-            str(tmp_path),
-            "--interval",
-            "0.5",
-            "1",
-        )
-        assert code == 2
-        assert "integer" in err
+        # nan and inf are not integers either
+        for interval in (("0.5", "1"), ("nan", "1"), ("-1", "nan"), ("0", "inf")):
+            code, _, err = run(
+                capsys,
+                "basis",
+                BSPLINE3,
+                "--out",
+                str(tmp_path),
+                "--interval",
+                *interval,
+            )
+            assert code == 2
+            assert "integer" in err
 
     def test_rejects_interval_missing_zero(self, tmp_path, capsys):
         code, _, err = run(
@@ -176,6 +197,13 @@ class TestVerifyCommand:
         names = [c["name"] for c in doc["checks"]]
         assert "dependency-witness" in names
         assert all(c["passed"] for c in doc["checks"])
+
+    @pytest.mark.parametrize("tolerance", ["-1", "0", "nan", "inf"])
+    def test_rejects_meaningless_tolerance(self, tolerance, capsys):
+        code, out, err = run(capsys, "verify", HALF, "--level", "4", "--tolerance", tolerance)
+        assert code == 2
+        assert out == ""
+        assert "error: --tolerance" in err
 
     @pytest.mark.filterwarnings("ignore::refinable.MaskSumWarning")
     def test_computational_failure_exits_one(self, capsys):
@@ -242,21 +270,37 @@ class TestConsoleScript:
         )
         assert proc.returncode == 2
 
-    def test_reports_are_byte_identical_across_backends(self, script):
-        # Without numba installed both runs use the numpy backend, and the
-        # test checks byte-determinism across two fresh processes, the
-        # trailing newline and the absence of \r; numba is compared against
-        # numpy only where numba is installed.
+    def test_reports_are_byte_identical_across_processes(self, script):
+        # byte-determinism across two fresh processes, the trailing newline
+        # and the absence of \r
         d4 = "[0.6830127018922193, 1.1830127018922193, 0.3169872981077807, -0.1830127018922193]"
         outputs = []
-        for no_numba in ("0", "1"):
+        for _ in range(2):
             proc = subprocess.run(
                 [*script, "spectrum", d4],
                 capture_output=True,
-                env=subprocess_env(REFINABLE_NO_NUMBA=no_numba),
+                env=subprocess_env(),
                 check=True,
             )
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
         assert outputs[0].endswith(b"\n")
         assert b"\r" not in outputs[0]
+
+
+class TestPackageMetadata:
+    def test_declared_dependencies_match_the_imports(self):
+        if tomllib is None:
+            pytest.skip("tomllib needs Python 3.11")
+        with PYPROJECT.open("rb") as fh:
+            declared = tomllib.load(fh)["project"]["dependencies"]
+        declared = {re.match(r"[A-Za-z0-9_.-]+", d).group() for d in declared}
+        imported = set()
+        for path in (ROOT / "src" / "refinable").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+        third_party = imported - set(sys.stdlib_module_names) - {"refinable"}
+        assert third_party == declared

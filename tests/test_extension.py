@@ -79,13 +79,6 @@ class TestSubdivision:
             want = dense_subdivision(alpha_vals, alpha_lo, coeffs, lo, hi - lo)
             np.testing.assert_allclose(got, want, atol=1e-12 * max(1, np.abs(want).max()))
 
-    def test_kernel_variants_agree(self):
-        coeffs = np.array([0.25, 0.75, 0.75, 0.25], dtype=complex)
-        alpha = RNG.normal(size=8) + 0j
-        a = kernels.subdivision_numpy(alpha, -3, coeffs, -6, 12)
-        b = kernels.subdivision_window(alpha, -3, coeffs, -6, 12)
-        np.testing.assert_allclose(a, b, atol=1e-14)
-
 
 class TestEigenExtend:
     def test_round_trip_restriction(self, corpus, pipeline):
