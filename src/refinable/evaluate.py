@@ -13,6 +13,18 @@ only the initial window v contributes. Chain vectors of eigenvalue lambda
 with order r satisfy the two-scale homogeneity
 sum_{k=0..r} C(r, k) (-lambda)^(r-k) h(x / 2^k) = 0, and the full row basis
 reconstructs phi on [0, 1] back from the h values.
+
+The grid sums run on slices. ``translate_sum`` is the one place that forms
+sum_k y_k phi(x + k): the basis rows, the dependency check and the battery's
+accuracy check all call it, and each k adds y_k times one contiguous slice
+of phi. The homogeneity residual reads h(x / 2^k) as a stride-2^(r-k) slice
+of the samples. Every product is the one an index gather would compute,
+element by element and in the same order. One numpy behaviour needs care:
+a Python complex times a temporary array of 256 KiB or more is computed in
+place as array * scalar, and the complex product is not bitwise
+commutative. So the homogeneity samples, scaled by Python complex
+coefficients, are copied into fresh arrays as ``at_index`` did; the other
+sums scale by numpy scalars, which never take that path.
 """
 
 from __future__ import annotations
@@ -144,22 +156,28 @@ def evaluate_phi(mask: Mask, level: int = DEFAULT_LEVEL) -> PhiValues:
 # ---------------------------------------------------------------------------
 # homogeneous functions from left chain vectors
 
-def _translate_combination(phi: PhiValues, window: SequenceWindow, lo: int, hi: int) -> np.ndarray:
-    """Samples of sum_k Y_k phi(x + k) on the dyadic grid over [lo, hi]."""
+def translate_sum(phi: PhiValues, coeffs, lo: int, hi: int) -> np.ndarray:
+    """Samples of sum_k coeffs[k + hi] phi(x + k) on the dyadic grid over [lo, hi].
+
+    ``coeffs`` holds one value for each k = -hi..N-lo, the translates that
+    meet [lo, hi]. Zero coefficients are skipped; every other k adds y times
+    one contiguous slice of phi, in ascending k.
+    """
     step = 2**phi.level
-    n_mask = phi.mask.n
     out_len = (hi - lo) * step + 1
+    n_phi = phi.values.shape[0]
+    if len(coeffs) != phi.mask.n + hi - lo + 1:
+        raise EvaluationError(
+            f"translate_sum needs {phi.mask.n + hi - lo + 1} coefficients, got {len(coeffs)}"
+        )
     out = np.zeros(out_len, dtype=complex)
-    k_lo, k_hi = -hi, n_mask - lo  # k with [lo,hi] + k meeting [0, N]
-    coeffs = window.values(k_lo, k_hi + 1)
-    base = np.arange(out_len) + lo * step
-    for k in range(k_lo, k_hi + 1):
-        y = coeffs[k - k_lo]
+    for i, y in enumerate(coeffs):
         if y == 0:
             continue
-        idx = base + k * step
-        ok = (idx >= 0) & (idx < len(phi.values))
-        out[ok] += y * phi.values[idx[ok]]
+        shift = (lo - hi + i) * step  # out[j] reads phi[j + shift]: x + k, k = i - hi
+        a, b = max(0, -shift), min(out_len, n_phi - shift)
+        if a < b:
+            out[a:b] += y * phi.values[a + shift : b + shift]
     return out
 
 
@@ -306,8 +324,7 @@ def build_homogeneous_basis(
         v = spectral.basis[info.index]
         order = minimal_order(v, spectral.scale, info.eigenvalue)
         window = extend_row(spectral, info.index)
-        window.ensure(-hi, mask.n - lo + 1)
-        values = _translate_combination(phi, window, lo, hi)
+        values = translate_sum(phi, window.values(-hi, mask.n - lo + 1), lo, hi)
         values.setflags(write=False)
         functions.append(
             HomogeneousFunction(
@@ -347,8 +364,18 @@ def homogeneity_residual(
     step = 2**h.level
     lo, hi = h.interval
     if test_points is None:
-        indices = np.arange(lo * step, hi * step + 1)
-        indices = indices[indices % (2**r) == 0]
+        # the multiples of 2^r on the grid; halved k times, they are every
+        # 2^(r-k)-th sample from first / 2^k on
+        first = -((-lo * step) // 2**r) * 2**r
+        count = (hi * step - first) // 2**r + 1
+
+        def samples(k):
+            start, stride = first // 2**k - lo * step, 2 ** (r - k)
+            # A fresh array, as at_index gives: numpy multiplies a Python
+            # complex into a temporary of 256 KiB or more in place, which
+            # rounds differently from the product with a view.
+            return h.values[start : start + (count - 1) * stride + 1 : stride].copy()
+
     else:
         indices = []
         for x in test_points:
@@ -359,11 +386,16 @@ def homogeneity_residual(
                 )
             indices.append(idx)
         indices = np.array(indices, dtype=int)
-    if indices.size == 0:
+        count = indices.size
+
+        def samples(k):
+            return h.at_index(indices // (2**k))
+
+    if count == 0:
         return 0.0
-    acc = np.zeros(indices.shape, dtype=complex)
+    acc = np.zeros(count, dtype=complex)
     for k in range(r + 1):
-        acc += comb(r, k) * (-lam) ** (r - k) * h.at_index(indices // (2**k))
+        acc += comb(r, k) * (-lam) ** (r - k) * samples(k)
     if np.any(np.isnan(acc)):
         raise EvaluationError("homogeneity test points left the sampled interval")
     return float(np.abs(acc).max())
@@ -456,8 +488,8 @@ def verify_dependency(
         raise EvaluationError(f"empty interval {interval}")
     if phi is None or phi.level != level:
         phi = evaluate_phi(mask, level)
-    g = _translate_combination(phi, window, lo, hi)
     y_vals = window.values(-hi, mask.n - lo + 1)
+    g = translate_sum(phi, y_vals, lo, hi)
     scale_ref = max(1.0, float(np.abs(y_vals).max(initial=0.0))) * max(
         1.0, float(np.abs(phi.values).max(initial=0.0))
     )

@@ -46,14 +46,6 @@ def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, s):
-    return [[s * x for x in row] for row in a]
-
-
 def mat_mul(a, b):
     bt = transpose(b)
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
@@ -65,10 +57,6 @@ def vec_mat(v, a):
         return []
     cols = len(a[0])
     return [sum(v[i] * a[i][j] for i in range(len(a))) for j in range(cols)]
-
-
-def trace(a):
-    return sum(a[i][i] for i in range(len(a)))
 
 
 def rref(a):
@@ -221,31 +209,9 @@ def poly_degree(p):
     return len(q) - 1
 
 
-def poly_is_zero(p):
-    return not poly_trim(p)
-
-
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    return poly_trim([(p[i] if i < len(p) else ZERO) + (q[i] if i < len(q) else ZERO) for i in range(n)])
-
-
 def poly_sub(p, q):
     n = max(len(p), len(q))
     return poly_trim([(p[i] if i < len(p) else ZERO) - (q[i] if i < len(q) else ZERO) for i in range(n)])
-
-
-def poly_mul(p, q):
-    p, q = poly_trim(p), poly_trim(q)
-    if not p or not q:
-        return []
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        if x == 0:
-            continue
-        for j, y in enumerate(q):
-            out[i + j] += x * y
-    return poly_trim(out)
 
 
 def poly_divmod(p, q):

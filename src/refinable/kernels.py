@@ -1,5 +1,10 @@
 """Grid kernels: the cascade refinement step, the two-sided eigen-extension
 recurrences and the subdivision operator, in numpy and plain Python.
+
+The cascade step adds, for each mask coefficient in turn, the coefficient
+times one stride-2 slice of the coarse grid. That is the arithmetic of the
+dense sum, element by element and in the same order, without building
+index arrays.
 """
 
 from __future__ import annotations
@@ -16,17 +21,24 @@ def refine_level(prev, coeffs, halfstep):
     """One cascade step: grid values at level j -> level j+1 on [0, N].
 
     ``prev`` holds N*2^j + 1 values; ``halfstep`` is 2^j. Even output indices
-    copy the coarse grid; odd indices t get sum_k c_k * prev[t - k*2^j].
+    copy the coarse grid; odd indices t get sum_k c_k * prev[t - k*2^j],
+    accumulated in ascending k. Odd output m reads prev[2m + 1 - k*2^j], so
+    each k adds c_k times one slice of the even- or odd-indexed half of
+    ``prev``.
     """
     p = prev.shape[0]
     out = np.empty(2 * p - 1, dtype=np.complex128)
     out[0::2] = prev
-    tt = np.arange(1, 2 * p - 1, 2)
-    acc = np.zeros(tt.shape[0], dtype=np.complex128)
+    # Views need no copy: c_k is a numpy scalar, and numpy multiplies a
+    # numpy scalar into a strided view exactly as into a gathered copy.
+    halves = (prev[0::2], prev[1::2])
+    acc = np.zeros(p - 1, dtype=np.complex128)
     for k in range(coeffs.shape[0]):
-        idx = tt - k * halfstep
-        ok = (idx >= 0) & (idx < p)
-        acc[ok] += coeffs[k] * prev[idx[ok]]
+        s = 1 - k * halfstep  # odd output m reads prev[2m + s]
+        half, off = halves[s & 1], s >> 1
+        a, b = max(0, -off), min(p - 1, half.shape[0] - off)
+        if a < b:
+            acc[a:b] += coeffs[k] * half[a + off : b + off]
     out[1::2] = acc
     return out
 

@@ -106,11 +106,20 @@ def dump_json(obj) -> str:
 
 
 def dump_csv(xs, values) -> str:
-    """Sample table: header ``x,re,im`` then one %.17g row per grid point."""
-    lines = [CSV_HEADER]
+    """Sample table: header ``x,re,im`` then one %.17g row per grid point.
+
+    The rows are formatted in one pass over an (n, 3) float table; adding
+    0.0 turns -0.0 into 0.0, as ``format_float`` does.
+    """
+    xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=complex)
-    for x, z in zip(xs, values):
-        lines.append(
-            f"{format_float(float(x))},{format_float(z.real)},{format_float(z.imag)}"
+    if xs.shape != values.shape:
+        raise ValueError(
+            f"dump_csv needs one value per grid point, got {xs.shape} and {values.shape}"
         )
-    return "\n".join(lines) + "\n"
+    table = np.empty((len(xs), 3))
+    table[:, 0] = xs
+    table[:, 1] = values.real
+    table[:, 2] = values.imag
+    table += 0.0
+    return CSV_HEADER + "\n" + "%.17g,%.17g,%.17g\n" * len(xs) % tuple(table.ravel().tolist())

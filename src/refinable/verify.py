@@ -22,6 +22,7 @@ from .evaluate import (
     extend_vector,
     homogeneity_residual,
     reconstruct_phi,
+    translate_sum,
     verify_dependency,
 )
 from .extension import kernel_of_L
@@ -216,12 +217,9 @@ def _check_accuracy(mask: Mask, spectral: SpectralData, phi, tol) -> CheckResult
     xs = np.arange(step + 1) / step
     for s in range(acc.order):
         coeffs = acc.coefficients[s]
-        g = np.zeros(step + 1, dtype=complex)
-        for k in range(-1, mask.n + 1):
-            pk = np.polynomial.polynomial.polyval(k, coeffs)
-            idx = np.arange(step + 1) + k * step
-            ok = (idx >= 0) & (idx < len(phi.values))
-            g[ok] += pk * phi.values[idx[ok]]
+        # p_s(k) for the translates k = -1..N that meet [0, 1]
+        pk = np.array([np.polynomial.polynomial.polyval(k, coeffs) for k in range(-1, mask.n + 1)])
+        g = translate_sum(phi, pk, 0, 1)
         target = xs.astype(complex) ** s
         scale_ref = max(1.0, float(np.abs(coeffs).max()))
         worst = max(worst, float(np.abs(g - target).max()) / scale_ref)

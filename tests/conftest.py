@@ -8,6 +8,8 @@ sums are 1) and hence a well-defined refinable function.
 from __future__ import annotations
 
 import os
+from functools import lru_cache
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +49,11 @@ def make_mask(name: str) -> rf.Mask:
     return rf.mask_from_coefficients(CORPUS_SPECS[name], name=name)
 
 
-def _draw_coefficients(rng: np.random.Generator, n: int) -> np.ndarray:
+def _draw_coefficients(rng: np.random.Generator, n: int, imag: bool = False) -> np.ndarray:
     while True:
         c = rng.normal(size=n + 1)
+        if imag:
+            c = c + 1j * rng.normal(size=n + 1)
         even, odd = c[0::2].sum(), c[1::2].sum()
         if min(abs(even), abs(odd)) < 0.2:
             continue
@@ -68,6 +72,35 @@ def random_masks(count: int = 50) -> list[rf.Mask]:
         coeffs = _draw_coefficients(rng, n)
         masks.append(rf.mask_from_coefficients(list(coeffs), name=f"rnd{i:02d}_n{n}"))
     return masks
+
+
+def bits(a) -> np.ndarray:
+    """The bit patterns of complex samples, for bitwise comparisons."""
+    return np.ascontiguousarray(a, dtype=complex).view(np.int64)
+
+
+GRID_MASK_NAMES = ("grid_bspline12", "grid_real12", "grid_complex12")
+
+
+@lru_cache(maxsize=None)
+def grid_masks() -> dict[str, rf.Mask]:
+    """N = 12 masks for the bitwise grid-layer oracles at level 14.
+
+    Real coefficients with real eigenvalues (the B-spline of order 12 in
+    floats), real coefficients with complex eigenvalues, and complex
+    coefficients. At level 14 the long operands exceed 16384 values
+    (256 KiB), the size from which numpy reuses a temporary array in place.
+    """
+    rng = np.random.default_rng(SEED + 12)
+    coefficients = (
+        [comb(12, k) / 2**11 for k in range(13)],
+        [float(c) for c in _draw_coefficients(rng, 12)],
+        [complex(c) for c in _draw_coefficients(rng, 12, imag=True)],
+    )
+    return {
+        name: rf.mask_from_coefficients(c, name=name)
+        for name, c in zip(GRID_MASK_NAMES, coefficients)
+    }
 
 
 @pytest.fixture(scope="session")

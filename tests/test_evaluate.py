@@ -10,14 +10,16 @@ function.
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 import pytest
 
 import refinable as rf
 from refinable.errors import EvaluationError
-from refinable.evaluate import MAX_LEVEL, extend_row
+from refinable.evaluate import MAX_LEVEL, extend_row, translate_sum
 
-from conftest import SQRT3, make_mask
+from conftest import GRID_MASK_NAMES, SQRT3, bits, grid_masks, make_mask
 
 
 def closed_form(name: str, x) -> np.ndarray:
@@ -43,6 +45,56 @@ def closed_form(name: str, x) -> np.ndarray:
 
 def hat_mask() -> rf.Mask:
     return rf.mask_from_coefficients(["1/2", "1", "1/2"], name="hat")
+
+
+# The grid loops as gathers through index arrays, the formulation the slice
+# code replaced; kept as bitwise oracles.
+
+def translate_by_index(phi, window, lo, hi):
+    step = 2**phi.level
+    out_len = (hi - lo) * step + 1
+    out = np.zeros(out_len, dtype=complex)
+    k_lo, k_hi = -hi, phi.mask.n - lo
+    coeffs = window.values(k_lo, k_hi + 1)
+    base = np.arange(out_len) + lo * step
+    for k in range(k_lo, k_hi + 1):
+        y = coeffs[k - k_lo]
+        if y == 0:
+            continue
+        idx = base + k * step
+        ok = (idx >= 0) & (idx < len(phi.values))
+        out[ok] += y * phi.values[idx[ok]]
+    return out
+
+
+def homogeneity_by_index(h):
+    lam, r = complex(h.eigenvalue), h.order
+    step = 2**h.level
+    lo, hi = h.interval
+    indices = np.arange(lo * step, hi * step + 1)
+    indices = indices[indices % (2**r) == 0]
+    acc = np.zeros(indices.shape, dtype=complex)
+    for k in range(r + 1):
+        acc += comb(r, k) * (-lam) ** (r - k) * h.at_index(indices // (2**k))
+    return float(np.abs(acc).max())
+
+
+def accuracy_sum_by_index(phi, coeffs):
+    step = 2**phi.level
+    g = np.zeros(step + 1, dtype=complex)
+    for k in range(-1, phi.mask.n + 1):
+        pk = np.polynomial.polynomial.polyval(k, coeffs)
+        idx = np.arange(step + 1) + k * step
+        ok = (idx >= 0) & (idx < len(phi.values))
+        g[ok] += pk * phi.values[idx[ok]]
+    return g
+
+
+ORACLE_MASKS = GRID_MASK_NAMES + ("jordan13",)
+
+
+def oracle_mask(name: str) -> rf.Mask:
+    return grid_masks()[name] if name in GRID_MASK_NAMES else make_mask(name)
 
 
 class TestIntegerSamples:
@@ -348,3 +400,55 @@ class TestDependency:
         kernel = rf.kernel_of_L(mask)
         with pytest.raises(EvaluationError):
             rf.verify_dependency(mask, kernel.windows[0], interval=(2, 2))
+
+
+class TestGridOracles:
+    """Translate sums and homogeneity samples equal the index gathers bit
+    for bit at level 14, where every operand exceeds 16384 values."""
+
+    @pytest.mark.parametrize("name", ORACLE_MASKS)
+    @pytest.mark.parametrize("level, interval", [(14, (-1, 1)), (10, (-2, 3))])
+    def test_translate_sum_is_the_index_gather(self, name, level, interval, pipeline):
+        _, _, phi, basis = pipeline(oracle_mask(name), level, interval)
+        for f in basis.functions:
+            want = translate_by_index(phi, f.window, *interval)
+            np.testing.assert_array_equal(bits(f.values), bits(want), err_msg=f"row {f.row}")
+
+    @pytest.mark.parametrize("name", ORACLE_MASKS)
+    def test_accuracy_sum_is_the_index_gather(self, name, pipeline):
+        _, spectral, phi, _ = pipeline(oracle_mask(name), 14)
+        acc = rf.accuracy(spectral.scale)
+        assert acc.order >= 1
+        for coeffs in acc.coefficients:
+            pk = np.array([np.polynomial.polynomial.polyval(k, coeffs) for k in range(-1, phi.mask.n + 1)])
+            got = translate_sum(phi, pk, 0, 1)
+            np.testing.assert_array_equal(bits(got), bits(accuracy_sum_by_index(phi, coeffs)))
+
+    @pytest.mark.parametrize("name", ORACLE_MASKS)
+    def test_homogeneity_residual_is_the_index_gather(self, name, pipeline):
+        _, _, _, basis = pipeline(oracle_mask(name), 14)
+        for f in basis.functions:
+            got = rf.homogeneity_residual(f)
+            assert bits([got]).tolist() == bits([homogeneity_by_index(f)]).tolist(), f.row
+
+    def test_explicit_points_match_the_default_grid(self, pipeline):
+        _, _, _, basis = pipeline(oracle_mask("grid_real12"), 14)
+        step = 2**basis.level
+        for f in basis.functions:
+            points = np.arange(-step, step + 1, 2**f.order) / step
+            assert rf.homogeneity_residual(f, test_points=points) == rf.homogeneity_residual(f)
+
+    def test_explicit_points_keep_their_errors(self, pipeline):
+        _, _, _, basis = pipeline(make_mask("jordan13"), 14)
+        f = next(g for g in basis.functions if g.order == 2)
+        with pytest.raises(EvaluationError, match="not a level-14 grid point"):
+            rf.homogeneity_residual(f, test_points=[0.1])
+        with pytest.raises(EvaluationError, match="divisible by 2"):
+            rf.homogeneity_residual(f, test_points=[f.step])
+        with pytest.raises(EvaluationError, match="left the sampled interval"):
+            rf.homogeneity_residual(f, test_points=[1.5])
+
+    def test_translate_sum_rejects_a_wrong_coefficient_count(self, pipeline):
+        _, _, phi, _ = pipeline(make_mask("bspline3"))
+        with pytest.raises(EvaluationError):
+            translate_sum(phi, np.ones(4), -1, 1)

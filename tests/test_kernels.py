@@ -1,5 +1,6 @@
 """Low-level grid kernels: each kernel must match an independent dense sum,
-and overflow must be reported through the sentinel return value.
+the cascade step must equal its index-gather formulation bit for bit, and
+overflow must be reported through the sentinel return value.
 """
 
 from __future__ import annotations
@@ -7,7 +8,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import refinable as rf
 import refinable.kernels as kernels
+
+from conftest import GRID_MASK_NAMES, bits, grid_masks
 
 RNG = np.random.default_rng(424242)
 
@@ -25,6 +29,22 @@ def dense_subdivision(alpha, alpha_lo, coeffs, out_lo, out_len):
             k = 2 * i - j
             if 0 <= k <= nmask:
                 out[jj] += alpha[i - alpha_lo] * coeffs[k]
+    return out
+
+
+def refine_level_by_index(prev, coeffs, halfstep):
+    """The cascade step as a gather through index arrays, the formulation
+    the slice kernel replaced; kept as a bitwise oracle."""
+    p = prev.shape[0]
+    out = np.empty(2 * p - 1, dtype=np.complex128)
+    out[0::2] = prev
+    tt = np.arange(1, 2 * p - 1, 2)
+    acc = np.zeros(tt.shape[0], dtype=np.complex128)
+    for k in range(coeffs.shape[0]):
+        idx = tt - k * halfstep
+        ok = (idx >= 0) & (idx < p)
+        acc[ok] += coeffs[k] * prev[idx[ok]]
+    out[1::2] = acc
     return out
 
 
@@ -52,6 +72,17 @@ class TestRefineLevel:
                         if 0 <= t - k * halfstep < prev.shape[0]
                     )
                     assert abs(got[t] - want) <= 1e-13
+
+    @pytest.mark.parametrize("name", GRID_MASK_NAMES)
+    def test_bitwise_equal_to_index_gather_through_level_14(self, name):
+        mask = grid_masks()[name]
+        prev = rf.integer_samples(mask).astype(complex)
+        for j in range(14):
+            got = kernels.refine_level(prev, mask.coefficients, 2**j)
+            want = refine_level_by_index(prev, mask.coefficients, 2**j)
+            np.testing.assert_array_equal(bits(got), bits(want), err_msg=f"level {j + 1}")
+            prev = want
+        assert prev.shape[0] == 12 * 2**14 + 1
 
     def test_even_indices_copy_previous_level(self):
         coeffs = random_complex(4)

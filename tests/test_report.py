@@ -5,6 +5,7 @@ escaping, and the CSV sample-table format.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -76,6 +77,34 @@ class TestDumpJson:
         assert json.loads(report.dump_json([])) == []
 
 
+def dump_csv_by_row(xs, values) -> str:
+    """The per-row writer the table formatter replaced; a byte oracle."""
+    lines = [report.CSV_HEADER]
+    values = np.asarray(values, dtype=complex)
+    for x, z in zip(xs, values):
+        lines.append(
+            f"{report.format_float(float(x))},{report.format_float(z.real)},{report.format_float(z.imag)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def first_difference(a: str, b: str):
+    """None when the texts are equal, else the first differing line pair
+    (keeps pytest from diffing megabyte strings)."""
+    if a == b:
+        return None
+    for pair in zip(a.split("\n"), b.split("\n")):
+        if pair[0] != pair[1]:
+            return pair
+    return (len(a), len(b))
+
+
+EDGE_FLOATS = [
+    0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, math.inf, -math.inf, math.nan,
+    -math.nan, 1 / 3, -2.5, 2.0**-52, 1e300, -1.7976931348623157e308, 12345.6789e-12,
+]
+
+
 class TestDumpCsv:
     def test_header_rows_and_line_endings(self):
         xs = [0.0, 0.5, 1.0]
@@ -95,3 +124,31 @@ class TestDumpCsv:
         xs = rng.normal(size=32)
         values = rng.normal(size=32) + 1j * rng.normal(size=32)
         assert report.dump_csv(xs, values) == report.dump_csv(xs, values)
+
+    def test_matches_the_row_writer_on_edge_values(self):
+        xs = EDGE_FLOATS
+        values = [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)] + [
+            complex(a, b) for a, b in zip(EDGE_FLOATS[3:], reversed(EDGE_FLOATS[3:]))
+        ]
+        assert len(values) == len(xs)
+        text = report.dump_csv(xs, values)
+        assert text == dump_csv_by_row(xs, values)
+        assert text.split("\n")[1:4] == ["0,0,0", "0,0,0", "1e-300,0,0"]
+
+    def test_matches_the_row_writer_on_65537_rows(self):
+        rng = np.random.default_rng(65537)
+        xs = np.arange(65537) / 2**14 - 2.0
+        values = rng.normal(size=65537) * 10.0 ** rng.integers(-300, 300, 65537)
+        values = values + 1j * rng.normal(size=65537)
+        values[::7] = -0.0
+        assert first_difference(report.dump_csv(xs, values), dump_csv_by_row(xs, values)) is None
+
+    def test_empty_input(self):
+        assert report.dump_csv([], []) == dump_csv_by_row([], []) == "x,re,im\n"
+        assert report.dump_csv(np.zeros(0), np.zeros(0, dtype=complex)) == "x,re,im\n"
+
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError, match="one value per grid point"):
+            report.dump_csv([0.0, 0.5], [1.0])
+        with pytest.raises(ValueError, match="one value per grid point"):
+            report.dump_csv([0.0], [1.0, 2.0])
