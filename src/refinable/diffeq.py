@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -102,7 +103,7 @@ class DifferenceEquation:
 
     def roots(self):
         """(complex root, multiplicity, exact root or None) triples."""
-        return _root_triples(self.coefficients, self.exact)
+        return root_triples(self.coefficients, self.exact)
 
 
 def difference_equation(coefficients) -> DifferenceEquation:
@@ -257,6 +258,17 @@ class DeterminantResult:
     exact_closed_form: Fraction | None = None
 
 
+def _casoratian(pairs, values, one):
+    """The closed form below, over complex or Fraction root values."""
+    closed = one
+    for li in range(len(pairs)):
+        for si in range(li + 1, len(pairs)):
+            closed *= (values[si] - values[li]) ** (pairs[li][1] * pairs[si][1])
+    for (_, r), d in zip(pairs, values):
+        closed *= d ** (r * (r - 1) // 2) * xq.superfactorial(r - 1)
+    return closed
+
+
 def fundamental_determinant(roots: RootData) -> DeterminantResult:
     """Determinant of the square fundamental matrix, direct and closed form.
 
@@ -271,24 +283,11 @@ def fundamental_determinant(roots: RootData) -> DeterminantResult:
         raise DifferenceEquationError("repeated roots in root data")
     a = fundamental_matrix(roots)
     direct = complex(np.linalg.det(a)) if a.size else 1.0 + 0.0j
-    closed = 1.0 + 0.0j
-    pairs = roots.pairs
-    for li in range(len(pairs)):
-        for si in range(li + 1, len(pairs)):
-            closed *= (pairs[si][0] - pairs[li][0]) ** (pairs[li][1] * pairs[si][1])
-    for d, r in pairs:
-        closed *= d ** (r * (r - 1) // 2) * xq.superfactorial(r - 1)
+    closed = _casoratian(roots.pairs, values, 1.0 + 0.0j)
     exact_direct = exact_closed = None
     if all(ex is not None for ex in roots.exact_values) and roots.count:
-        ae = fundamental_matrix_exact(roots)
-        exact_direct = xq.det(ae)
-        exact_closed = Fraction(1)
-        exs = [ex for ex in roots.exact_values]
-        for li in range(len(pairs)):
-            for si in range(li + 1, len(pairs)):
-                exact_closed *= (exs[si] - exs[li]) ** (pairs[li][1] * pairs[si][1])
-        for (d, r), ex in zip(pairs, exs):
-            exact_closed *= ex ** (r * (r - 1) // 2) * xq.superfactorial(r - 1)
+        exact_direct = xq.det(fundamental_matrix_exact(roots))
+        exact_closed = _casoratian(roots.pairs, roots.exact_values, Fraction(1))
     return DeterminantResult(
         direct=direct,
         closed_form=closed,
@@ -303,17 +302,27 @@ def fundamental_determinant(roots: RootData) -> DeterminantResult:
 
 @dataclass(frozen=True)
 class DifferenceSystem:
-    """Several equations sharing solutions: the common space is the gcd's."""
+    """Several equations sharing solutions: the common space is the gcd's.
+
+    ``gcd`` is monic. The root sets are found on first read: the gcd
+    degree alone needs no root search.
+    """
 
     equations: tuple[DifferenceEquation, ...]
     gcd: np.ndarray
     exact_gcd: tuple[Fraction, ...] | None
-    union_roots: RootData
-    gcd_roots: RootData
 
     @property
     def gcd_degree(self) -> int:
         return len(self.gcd) - 1
+
+    @cached_property
+    def gcd_roots(self) -> RootData:
+        return _roots_of_poly(self.gcd, self.exact_gcd)
+
+    @cached_property
+    def union_roots(self) -> RootData:
+        return _merge_roots([eq.roots() for eq in self.equations])
 
     @property
     def index(self) -> int:
@@ -349,11 +358,12 @@ def _merge_roots(per_equation_roots):
     return root_data([(d, m) for d, m, _ in merged], [ex for _, _, ex in merged])
 
 
-def _root_triples(coeffs_float, coeffs_exact):
+def root_triples(coeffs_float, coeffs_exact):
     """(complex root, multiplicity, exact root or None) triples of a polynomial.
 
-    With exact coefficients the rational roots are exact and only the
-    leftover factors fall back to clustered float roots.
+    With exact coefficients ``coeffs_float`` is not read: the rational
+    roots are exact and only the leftover factors fall back to clustered
+    float roots.
     """
     if coeffs_exact is None:
         return [(d, m, None) for d, m in nm.roots_with_multiplicity(coeffs_float, ROOT_CLUSTER_RTOL)]
@@ -368,7 +378,7 @@ def _root_triples(coeffs_float, coeffs_exact):
 
 
 def _roots_of_poly(coeffs_float, coeffs_exact):
-    out = _root_triples(coeffs_float, coeffs_exact)
+    out = root_triples(coeffs_float, coeffs_exact)
     out.sort(key=lambda e: (-abs(e[0]), round(float(np.angle(e[0])), 12)))
     return root_data([(d, m) for d, m, _ in out], [ex for _, _, ex in out])
 
@@ -379,29 +389,20 @@ def difference_system(equations) -> DifferenceSystem:
     )
     if not eqs:
         raise DifferenceEquationError("a system needs at least one equation")
-    all_exact = all(eq.exact is not None for eq in eqs)
-    if all_exact:
+    if all(eq.exact is not None for eq in eqs):
         g = list(eqs[0].exact)
         for eq in eqs[1:]:
             g = xq.poly_gcd(g, list(eq.exact))
-        exact_gcd = tuple(g)
-        gcd_float = np.array([float(c) for c in g], dtype=complex)
-        gcd_roots = _roots_of_poly(gcd_float, g)
+        exact_gcd = tuple(xq.poly_monic(g))
+        gcd_float = np.array([float(c) for c in exact_gcd], dtype=complex)
     else:
-        gf = eqs[0].coefficients
+        g = eqs[0].coefficients
         for eq in eqs[1:]:
-            gf = nm.float_poly_gcd(gf, eq.coefficients)
+            g = nm.float_poly_gcd(g, eq.coefficients)
+        # float_poly_gcd is monic already; a lone equation is scaled here
+        gcd_float = g if len(eqs) > 1 else nm.poly_monic(g)
         exact_gcd = None
-        gcd_float = gf
-        gcd_roots = _roots_of_poly(gcd_float, None)
-    union = _merge_roots([eq.roots() for eq in eqs])
-    return DifferenceSystem(
-        equations=eqs,
-        gcd=gcd_float,
-        exact_gcd=exact_gcd,
-        union_roots=union,
-        gcd_roots=gcd_roots,
-    )
+    return DifferenceSystem(equations=eqs, gcd=gcd_float, exact_gcd=exact_gcd)
 
 
 def solve_system(system: DifferenceSystem) -> FundamentalBasis:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .diffeq import difference_system, solve_system
+from .diffeq import DifferenceSystem, difference_system, solve_system
 from .errors import ExtensionError, ExtensionOverflowError
 from .mask import Mask, ScaleMatrices, build_scale_matrices, mask_polynomials
 
@@ -269,26 +269,29 @@ class SubdivisionKernel:
         return len(self.windows)
 
 
-def kernel_of_L(mask: Mask, initial_window=None) -> SubdivisionKernel:
-    """Solve Y L = 0: even rows give sum_t Y_{m+t} c_{2t} = 0 and odd rows
-    sum_t Y_{m+t} c_{2t+1} = 0, so the kernel is the common solution space of
-    the two difference equations — the fundamental sequences of the gcd of
-    the even and odd mask polynomials. An identically zero polynomial
-    constrains nothing and is dropped.
+def subdivision_system(mask: Mask) -> DifferenceSystem:
+    """The equations of Y L = 0.
+
+    Even rows give sum_t Y_{m+t} c_{2t} = 0 and odd rows sum_t Y_{m+t}
+    c_{2t+1} = 0, so the solutions are the common solutions of two difference
+    equations: the fundamental sequences of the gcd of the even and odd mask
+    polynomials. An identically zero polynomial constrains nothing and is
+    dropped.
     """
     polys = mask_polynomials(mask)
-    equations = []
-    for part in (polys.exact_even or polys.even, polys.exact_odd or polys.odd):
-        coeffs = list(part)
-        if any(c != 0 for c in coeffs):
-            equations.append(coeffs)
-    system = difference_system(equations)
+    parts = (polys.exact_even, polys.exact_odd) if mask.is_rational else (polys.even, polys.odd)
+    return difference_system([p for p in parts if any(c != 0 for c in p)])
+
+
+def kernel_of_L(mask: Mask) -> SubdivisionKernel:
+    """Basis of { Y : Y L = 0 }: one window on [0, N] per fundamental
+    sequence of the gcd of ``subdivision_system``."""
+    system = subdivision_system(mask)
     basis = solve_system(system)
-    lo, hi = (0, mask.n + 1) if initial_window is None else initial_window
     windows = []
     for rule in basis.rules:
         win = SequenceWindow(
-            rule.values(lo, hi), lo=lo, extender=RuleExtender(rule), name="kernel"
+            rule.values(0, mask.n + 1), lo=0, extender=RuleExtender(rule), name="kernel"
         )
         windows.append(win)
     return SubdivisionKernel(

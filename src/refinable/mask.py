@@ -211,37 +211,13 @@ def build_scale_matrices(mask: Mask) -> ScaleMatrices:
 class MaskPolynomials:
     """Even/odd coefficient split: even[k] = c_{2k}, odd[k] = c_{2k+1}.
 
-    Arrays are nominal (untrimmed); trimmed degrees drop trailing zero
-    coefficients. For odd N both nominal degrees equal (N-1)/2.
+    Arrays are nominal (untrimmed). For odd N both have (N+1)/2 entries.
     """
 
     even: np.ndarray
     odd: np.ndarray
     exact_even: tuple[Fraction, ...] | None = None
     exact_odd: tuple[Fraction, ...] | None = None
-
-    @property
-    def nominal_even_degree(self) -> int:
-        return len(self.even) - 1
-
-    @property
-    def nominal_odd_degree(self) -> int:
-        return len(self.odd) - 1
-
-    @property
-    def even_trimmed_degree(self) -> int:
-        return _trimmed_degree(self.even)
-
-    @property
-    def odd_trimmed_degree(self) -> int:
-        return _trimmed_degree(self.odd)
-
-
-def _trimmed_degree(arr) -> int:
-    n = len(arr)
-    while n > 0 and arr[n - 1] == 0:
-        n -= 1
-    return n - 1
 
 
 def mask_polynomials(mask: Mask) -> MaskPolynomials:

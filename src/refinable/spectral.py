@@ -34,8 +34,10 @@ import numpy as np
 
 from . import exact as xq
 from . import numeric as nm
+from .diffeq import root_triples
 from .errors import ClusteringError, SpectralError
-from .mask import Mask, MaskPolynomials, ScaleMatrices, build_scale_matrices, mask_polynomials
+from .extension import subdivision_system
+from .mask import Mask, ScaleMatrices, build_scale_matrices
 
 CLUSTER_RTOL = 1e-8
 ESCALATION = 100.0
@@ -127,16 +129,6 @@ class SpectralData:
     @property
     def n(self) -> int:
         return self.scale.n
-
-    def row_vector(self, index: int) -> np.ndarray:
-        return self.basis[index].copy()
-
-    def group_of_row(self, index: int) -> EigenvalueGroup:
-        lam = self.rows[index].eigenvalue
-        for g in self.groups:
-            if g.eigenvalue == lam:
-                return g
-        raise SpectralError(f"row {index} has no matching eigenvalue group")
 
 
 class _Retry(Exception):
@@ -751,23 +743,15 @@ def spectrum_of(matrix, exact_rows=None, *, rtol: float = 1e-8):
     With exact rational rows the rational part of the spectrum is exact and
     only irrational factors fall back to float roots.
     """
-    out = []
     if exact_rows is not None:
         if len(exact_rows) == 0:
             return []
-        cp = xq.charpoly(exact_rows)
-        roots, leftovers = xq.rational_roots(cp)
-        for lam, mult in roots:
-            out.append((complex(float(lam)), mult, lam))
-        for factor, mult in leftovers:
-            arr = np.array([float(c) for c in factor], dtype=complex)
-            for lam, m in nm.roots_with_multiplicity(arr):
-                out.append((lam, m * mult, None))
+        out = root_triples(None, xq.charpoly(exact_rows))
     else:
         a = np.atleast_2d(np.asarray(matrix, dtype=complex))
         if a.size == 0:
             return []
-        out.extend((lam, mult, None) for lam, mult, _ in _clusters(np.linalg.eigvals(a), rtol))
+        out = [(lam, mult, None) for lam, mult, _ in _clusters(np.linalg.eigvals(a), rtol)]
     out.sort(key=lambda e: _group_key(e[0]))
     return out
 
@@ -883,8 +867,11 @@ def accuracy(source, *, exact: bool | None = None, rtol: float = 1e-8) -> Accura
 class IndependenceResult:
     """Core-invertibility vs even/odd-gcd view of translate independence.
 
-    The two views agree in theory (dim ker M equals the gcd degree); float
-    roundoff can split them, which is reported as a diagnostic, not an error.
+    ``kernel_dimension`` is dim ker M, measured on the core; ``gcd_degree``
+    and the monic ``gcd`` come from the even/odd difference system of
+    ``extension.subdivision_system``. The two views agree in theory (dim ker
+    M equals the gcd degree); float roundoff can split them, which is
+    reported as a diagnostic, not an error.
     """
 
     core_invertible: bool
@@ -896,56 +883,33 @@ class IndependenceResult:
     diagnostic: str | None = None
 
 
-def independence_test(source, polynomials: MaskPolynomials | None = None, *, rtol: float = 1e-8) -> IndependenceResult:
+def independence_test(source) -> IndependenceResult:
     """Check whether the integer translates of phi can be locally dependent."""
     scale = _scale_of(source)
-    if polynomials is None:
-        polynomials = mask_polynomials(scale.mask)
-    if polynomials.exact_even is not None and polynomials.exact_odd is not None:
-        even = list(polynomials.exact_even)
-        odd = list(polynomials.exact_odd)
-        if all(c == 0 for c in odd):
-            g = xq.poly_monic(even)
-        elif all(c == 0 for c in even):
-            g = xq.poly_monic(odd)
-        else:
-            g = xq.poly_gcd(even, odd)
-        gcd_arr = np.array([float(c) for c in g], dtype=complex)
-        gcd_degree = xq.poly_degree(g)
-    else:
-        even = polynomials.even
-        odd = polynomials.odd
-        if not np.any(odd):
-            gcd_arr = nm.poly_monic(nm.poly_trim(even, 0.0))
-        elif not np.any(even):
-            gcd_arr = nm.poly_monic(nm.poly_trim(odd, 0.0))
-        else:
-            gcd_arr = nm.float_poly_gcd(even, odd)
-        gcd_degree = len(gcd_arr) - 1
-    core_rows = scale.exact_core_rows() if scale.mask.is_rational else None
     if scale.n < 2:
-        core_invertible = True  # empty core
-    elif core_rows is not None:
-        core_invertible = xq.det(core_rows) != 0
+        kernel_dimension = 0  # empty core
+    elif scale.mask.is_rational:
+        core_rows = scale.exact_core_rows()
+        kernel_dimension = 0 if xq.det(core_rows) != 0 else len(core_rows) - xq.rank(core_rows)
     else:
         core = scale.core
         cutoff = nm.default_cutoff(core, 1e-10)
-        core_invertible = nm.numerical_rank(core, cutoff) == core.shape[0]
-    verdict = VERDICT_DEPENDENT if gcd_degree > 0 else VERDICT_INDEPENDENT
-    consistent = core_invertible == (gcd_degree == 0)
+        kernel_dimension = core.shape[0] - nm.numerical_rank(core, cutoff)
+    system = subdivision_system(scale.mask)
+    gcd_degree = system.gcd_degree
+    consistent = kernel_dimension == gcd_degree
     diagnostic = None
     if not consistent:
         diagnostic = (
-            f"core invertibility ({core_invertible}) disagrees with gcd degree "
-            f"({gcd_degree}); expected dim ker(core) == gcd degree — "
+            f"dim ker(core) {kernel_dimension} differs from the gcd degree {gcd_degree}; "
             "borderline roundoff, prefer the exact path"
         )
     return IndependenceResult(
-        core_invertible=core_invertible,
+        core_invertible=kernel_dimension == 0,
         gcd_degree=gcd_degree,
-        kernel_dimension=gcd_degree,
-        gcd=gcd_arr,
-        verdict=verdict,
+        kernel_dimension=kernel_dimension,
+        gcd=system.gcd,
+        verdict=VERDICT_DEPENDENT if gcd_degree > 0 else VERDICT_INDEPENDENT,
         consistent=consistent,
         diagnostic=diagnostic,
     )

@@ -26,7 +26,7 @@ from .evaluate import (
     verify_dependency,
 )
 from .extension import kernel_of_L
-from .mask import Mask, build_scale_matrices, mask_polynomials
+from .mask import Mask, build_scale_matrices
 from .spectral import (
     SpectralData,
     accuracy,
@@ -233,7 +233,7 @@ def _check_accuracy(mask: Mask, spectral: SpectralData, phi, tol) -> CheckResult
 
 
 def _check_independence(mask: Mask, spectral: SpectralData, phi, level, tol):
-    result = independence_test(spectral.scale, mask_polynomials(mask))
+    result = independence_test(spectral.scale)
     checks = [
         CheckResult(
             name="independence-consistency",

@@ -193,6 +193,27 @@ class TestDifferenceSystem:
         union = {complex(np.round(r, 8)): m for r, m in system.union_roots.pairs}
         assert union == {(2 + 0j): 2, (5 + 0j): 1}
 
+    def test_roots_are_found_on_first_read(self, monkeypatch):
+        calls = []
+        real = dq.root_triples
+        monkeypatch.setattr(dq, "root_triples", lambda *a: calls.append(a) or real(*a))
+        e1 = dq.difference_equation([Fraction(-6), Fraction(1), Fraction(1)])  # roots 2, -3
+        e2 = dq.difference_equation([Fraction(-2), Fraction(1)])  # root 2
+        system = dq.difference_system([e1, e2])
+        assert system.gcd_degree == 1
+        assert calls == []
+        assert [d for d, _ in system.gcd_roots.pairs] == [2]
+        assert len(calls) == 1
+        assert system.index == 2  # union of {2, -3} and {2}
+        assert len(calls) == 3
+        assert system.gcd_roots is system.gcd_roots
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("coeffs", [[2, 4], [2.0, 4.0]])
+    def test_lone_equation_gives_a_monic_gcd(self, coeffs):
+        system = dq.difference_system([coeffs])
+        np.testing.assert_array_equal(system.gcd, [0.5, 1.0])
+
 
 class TestExtendFiniteSolution:
     def test_round_trip_through_the_gcd_span(self):

@@ -365,6 +365,49 @@ class TestIndependence:
         assert result.core_invertible  # vacuously: the core is 0 x 0
         assert result.gcd_degree == 0
 
+    @pytest.mark.parametrize(
+        "coeffs, degree, gcd",
+        [
+            ([1, 0, 1], 1, [1, 1]),
+            ([1.0, 0.0, 1.0], 1, [1, 1]),
+            (["1/2", 0, "1", "1/2"], 0, [1]),
+            ([0.5, 0.0, 1.0, 0.5], 0, [1]),
+            ([1, 0, 0, 0, 1], 2, [1, 0, 1]),
+            (["1/2"] * 6, 2, [1, 1, 1]),
+        ],
+    )
+    def test_gcd_and_kernel_of_L(self, coeffs, degree, gcd):
+        # an identically zero odd part, rational and float input, and a
+        # common factor of degree two
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", rf.MaskSumWarning)
+            mask = rf.mask_from_coefficients(coeffs)
+        result = rf.independence_test(mask)
+        assert result.gcd_degree == degree
+        assert result.gcd[-1] == 1  # monic
+        np.testing.assert_allclose(result.gcd, gcd, atol=1e-12)
+        assert result.kernel_dimension == degree
+        assert result.consistent
+        assert rf.kernel_of_L(mask).dimension == degree
+
+    def test_kernel_dimension_is_measured_on_the_core(self):
+        # even roots {-1/2, -2}, odd roots {-1/2, -2 + 1e-8}: the float gcd
+        # keeps both roots at its Sylvester cutoff, while the core has only
+        # one numerically singular direction at its cutoff
+        poly = np.polynomial.polynomial
+        coeffs = np.empty(6)
+        coeffs[0::2] = poly.polyfromroots([-0.5, -2.0])
+        coeffs[1::2] = poly.polyfromroots([-0.5, -2.0 + 1e-8])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", rf.MaskSumWarning)
+            mask = rf.mask_from_coefficients(list(coeffs * 2 / coeffs.sum()))
+        result = rf.independence_test(mask)
+        assert result.gcd_degree == 2
+        assert result.kernel_dimension == 1
+        assert not result.core_invertible
+        assert not result.consistent
+        assert "dim ker(core) 1" in result.diagnostic
+
 
 class TestKernelTransferAndLift:
     def _simple_noncorner_rows(self, mask, scale, spectral):
@@ -415,6 +458,27 @@ class TestKernelTransferAndLift:
 
 
 class TestClusteringEscalation:
+    def test_float_bspline_structure_matches_exact_or_raises(self):
+        # at the default rtol the float path resolves orders 1-17 and
+        # refuses 18-24; a coarser clustering would merge distinct
+        # eigenvalues without an error, so a refusal is the right answer
+        def structure(spectral):
+            return [
+                (g.algebraic, g.geometric, sorted(g.chain_lengths)) for g in spectral.groups
+            ]
+
+        for order in range(1, 25):
+            try:
+                flt = rf.eigen_structure(bspline(order), exact=False)
+            except rf.ClusteringError:
+                assert order >= 18, order
+                continue
+            ref = rf.eigen_structure(bspline(order), exact=True)
+            assert structure(flt) == structure(ref), order
+            got = np.array([g.eigenvalue for g in flt.groups])
+            want = np.array([g.eigenvalue for g in ref.groups])
+            np.testing.assert_allclose(got, want, atol=1e-6)
+
     def test_tight_cluster_still_resolves(self):
         # eigenvalues within ~1e-9 of each other: escalation must either
         # merge them into one group or keep them separate consistently,

@@ -3,7 +3,7 @@
 Usage::
 
     python3 tools/compare_outputs.py hash --src SRC --out HASHES.json \\
-        [--workload verify basis]
+        [--workload spectrum verify basis]
     python3 tools/compare_outputs.py diff A.json B.json
 
 ``hash`` imports ``refinable`` from ``SRC`` (default: this repository's
@@ -40,7 +40,7 @@ import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_WORKLOADS = ("verify", "basis")
+DEFAULT_WORKLOADS = ("spectrum", "verify", "basis")
 
 
 def _sha(data: bytes) -> str:
