@@ -14,6 +14,7 @@ usage or unreadable input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -281,9 +282,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call and kept for the process.
+
+    Parsing leaves a parser as it was, so one serves every call; a parser is
+    a reference cycle, and a new one per call waits for the cycle collector.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

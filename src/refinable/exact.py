@@ -5,12 +5,19 @@ ascending coefficient lists. The scale matrix of a degree-N mask is
 (N+1)x(N+1) with no fixed bound on N, so the spectral steps stay polynomial
 in N: the characteristic polynomial is computed over the integers and
 rational roots are found from float roots checked by exact evaluation.
+
+The matrix routines take and return Fractions but do their arithmetic on
+Python integers: products clear each operand to one common denominator,
+and the RREF and the determinant eliminate without fractions. The RREF
+and every product are unique, so the results are the ones Fraction
+arithmetic gives; only the number of gcds taken on the way changes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
+from operator import mul
 
 import numpy as np
 
@@ -46,24 +53,48 @@ def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
+def integer_rows(a):
+    """(integer rows, d) with a == rows / d, d the lcm of all denominators."""
+    den = lcm(*(x.denominator for row in a for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
+
+
 def mat_mul(a, b):
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    ai, da = integer_rows(a)
+    bt, db = integer_rows(transpose(b))
+    den = da * db
+    return [[Fraction(sum(map(mul, row, col)), den) for col in bt] for row in ai]
 
 
 def vec_mat(v, a):
     """Row vector times matrix."""
     if not a:
         return []
-    cols = len(a[0])
-    return [sum(v[i] * a[i][j] for i in range(len(a))) for j in range(cols)]
+    (vi,), dv = integer_rows([v])
+    at, da = integer_rows(transpose(a))
+    den = dv * da
+    return [Fraction(sum(map(mul, vi, col)), den) for col in at]
+
+
+def _primitive(row):
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return row if g in (0, 1) else [x // g for x in row]
 
 
 def rref(a):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    m = [row[:] for row in a]
-    if not m:
-        return m, []
+    """Reduced row echelon form; returns (rows, pivot_columns).
+
+    The rows are cleared to integers and every elimination step replaces a
+    row by ``p * row - f * pivot_row`` divided by its content, with p the
+    pivot and f the row's entry in the pivot column. That is a nonzero
+    multiple of the row that Fraction elimination would produce, so the
+    zero pattern, and with it the choice of every pivot, is the same; the
+    pivot rows are divided by their pivots once at the end.
+    """
+    if not a:
+        return [], []
+    m = [_primitive(row) for row in integer_rows(a)[0]]
     rows, cols = len(m), len(m[0])
     pivots = []
     r = 0
@@ -76,17 +107,21 @@ def rref(a):
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        prow = m[r]
+        p = prow[c]
         for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f != 0:
+                m[i] = _primitive([p * x - f * y for x, y in zip(m[i], prow)])
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return m, pivots
+    out = [
+        [Fraction(x, m[i][c]) if x else ZERO for x in m[i]] for i, c in enumerate(pivots)
+    ]
+    out += [[ZERO] * cols for _ in range(rows - r)]
+    return out, pivots
 
 
 def rank(a):
@@ -131,30 +166,30 @@ def solve(a, b):
 
 
 def det(a):
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
+    """Exact determinant by Bareiss elimination over the integers.
+
+    With a == m / den for an integer matrix m, det(a) == det(m) / den^n;
+    every division of the Bareiss recursion on m is exact.
+    """
     n = len(a)
     if n == 0:
         return ONE
-    m = [row[:] for row in a]
-    out = ONE
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
+    m, den = integer_rows(a)
+    sign = 1
+    prev = 1
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if m[i][k] != 0), None)
         if pivot_row is None:
             return ZERO
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            out = -out
-        out *= m[c][c]
-        inv = ONE / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return out
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        p = m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k]
+            m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], m[k])]
+        prev = p
+    return Fraction(sign * m[n - 1][n - 1], den**n)
 
 
 def inverse(a):
@@ -176,8 +211,7 @@ def charpoly(a):
     at x^(n-k).
     """
     n = len(a)
-    den = lcm(*(x.denominator for row in a for x in row))
-    b = [[x.numerator * (den // x.denominator) for x in row] for row in a]
+    b, den = integer_rows(a)
     coeffs = [ZERO] * (n + 1)
     coeffs[n] = ONE
     mk = [[int(i == j) for j in range(n)] for i in range(n)]

@@ -416,7 +416,7 @@ def _chains_for_group(field, lam, algebraic, spread):
     pows = [field.identity()]
     dims = [0]
     while len(dims) <= algebraic:
-        pows.append(field.mat_mul(pows[-1], shift))
+        pows.append(field.mat_mul(pows[-1], shift) if len(pows) > 1 else shift)
         dims.append(field.nullity(pows[-1], len(pows) - 1, spread))
         if dims[-1] == dims[-2]:
             dims.pop()
@@ -795,10 +795,12 @@ def accuracy(source, *, exact: bool | None = None, rtol: float = 1e-8) -> Accura
     exact_list = [] if exact else None
     if exact:
         t_rows = scale.exact_rows()
-        # moments[i][p] = sum_k T[k][i] k^p, shared by every degree s
+        # T = t_int / den; moments[i][p] = sum_k t_int[k][i] k^p, shared by
+        # every degree s
+        t_int, den = xq.integer_rows(t_rows)
         powers = [[k**p for p in range(size)] for k in range(size)]
         moments = [
-            [sum(t_rows[k][i] * powers[k][p] for k in range(size)) for p in range(size)]
+            [sum(t_int[k][i] * powers[k][p] for k in range(size)) for p in range(size)]
             for i in range(size)
         ]
     for s in range(size):
@@ -808,8 +810,10 @@ def accuracy(source, *, exact: bool | None = None, rtol: float = 1e-8) -> Accura
         found = None
         if exact:
             lam_exact = Fraction(1, 2**s)
+            # (T - 2^-s I)^T V_s times den 2^s: an integer matrix with the
+            # same null space
             m_exact = [
-                [moments[i][p] - lam_exact * powers[i][p] for p in range(s + 1)]
+                [(moments[i][p] << s) - den * powers[i][p] for p in range(s + 1)]
                 for i in range(size)
             ]
             basis = xq.nullspace(m_exact)

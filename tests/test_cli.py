@@ -28,10 +28,22 @@ except ImportError:  # Python 3.10
 BSPLINE3 = '["1/4", "3/4", "3/4", "1/4"]'
 HALF = '["1/2", "1/2", "1/2", "1/2"]'
 
+# N = 11, large enough that integer and Fraction elimination take
+# different intermediate steps
+BSPLINE11 = json.dumps(
+    {
+        "name": "bspline11",
+        "coefficients": [
+            "1/1024", "11/1024", "55/1024", "165/1024", "165/512", "231/512",
+            "231/512", "165/512", "165/1024", "55/1024", "11/1024", "1/1024",
+        ],
+    }
+)
+
 ROOT = Path(__file__).resolve().parents[1]
 MASKS = ROOT / "masks"
-# `refinable spectrum --exact` reports and `refinable basis --exact` samples
-# of the worked masks, recorded once
+# `refinable spectrum --exact` reports of the worked masks and of bspline11,
+# and `refinable basis --exact` samples of the worked masks, recorded once
 DATA = ROOT / "tests" / "data"
 PYPROJECT = ROOT / "pyproject.toml"
 
@@ -78,11 +90,12 @@ class TestSpectrumCommand:
         text = (tmp_path / "spectrum.json").read_text()
         assert json.loads(text)["accuracy"]["order"] == 3
 
-    @pytest.mark.parametrize("name", ["bspline3", "jordan13", "half"])
+    @pytest.mark.parametrize("name", ["bspline3", "jordan13", "half", "bspline11"])
     def test_exact_report_matches_the_golden_file(self, name, tmp_path, capsys):
         # Exact-mode reports are rendered from Fractions alone, so their
         # bytes do not depend on the platform's LAPACK.
-        code, _, _ = run(capsys, "spectrum", str(MASKS / f"{name}.json"), "--exact", "--out", str(tmp_path))
+        mask = BSPLINE11 if name == "bspline11" else str(MASKS / f"{name}.json")
+        code, _, _ = run(capsys, "spectrum", mask, "--exact", "--out", str(tmp_path))
         assert code == 0
         golden = DATA / f"spectrum_exact_{name}.json"
         assert (tmp_path / "spectrum.json").read_bytes() == golden.read_bytes()
@@ -286,6 +299,39 @@ class TestConsoleScript:
         assert outputs[0] == outputs[1]
         assert outputs[0].endswith(b"\n")
         assert b"\r" not in outputs[0]
+
+    def test_repeated_calls_in_one_process_match_fresh_processes(self, script, tmp_path, capsys):
+        # main keeps one parser for the process; a usage error and then
+        # each subcommand must print and write what a fresh process does
+        runs = [
+            ("usage", ["basis", BSPLINE3, "--level", "x", "--out", "{out}"]),
+            ("spectrum", ["spectrum", BSPLINE3]),
+            ("verify", ["verify", BSPLINE3, "--level", "6"]),
+            ("basis", ["basis", BSPLINE3, "--level", "4", "--out", "{out}"]),
+        ]
+
+        def argv(args, out):
+            return [str(out) if a == "{out}" else a for a in args]
+
+        def files(out):
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
+
+        codes = []
+        for name, args in runs:
+            out = tmp_path / "in_process" / name
+            try:
+                code = main(argv(args, out))
+            except SystemExit as exc:
+                code = exc.code
+            codes.append(code)
+            captured = capsys.readouterr()
+            fresh_out = tmp_path / "fresh" / name
+            proc = subprocess.run(
+                [*script, *argv(args, fresh_out)], capture_output=True, text=True, env=subprocess_env()
+            )
+            assert (code, captured.out, captured.err) == (proc.returncode, proc.stdout, proc.stderr), name
+            assert files(out) == files(fresh_out), name
+        assert codes == [2, 0, 0, 0]
 
 
 class TestPackageMetadata:

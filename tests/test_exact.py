@@ -52,6 +52,66 @@ def poly_mul(p, q):
     return xq.poly_trim(out)
 
 
+# The Fraction versions of the arithmetic that ``exact`` now does on
+# integers, kept as oracles: the results must be equal Fractions.
+
+def mat_mul_fraction(a, b):
+    bt = xq.transpose(b)
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def vec_mat_fraction(v, a):
+    if not a:
+        return []
+    cols = len(a[0])
+    return [sum(v[i] * a[i][j] for i in range(len(a))) for j in range(cols)]
+
+
+def rref_fraction(a):
+    m = [row[:] for row in a]
+    if not m:
+        return m, []
+    rows, cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def det_fraction(a):
+    n = len(a)
+    m = [row[:] for row in a]
+    out = Fraction(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            m[c], m[pivot_row] = m[pivot_row], m[c]
+            out = -out
+        out *= m[c][c]
+        inv = Fraction(1) / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] * inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return out
+
+
 def random_matrix(rows, cols, den=8, lo=-6, hi=6):
     return [
         [Fraction(int(RNG.integers(lo, hi + 1)), int(RNG.integers(1, den))) for _ in range(cols)]
@@ -214,6 +274,109 @@ class TestNullspaceSolveDet:
         for _ in range(15):
             a = random_matrix(4, 4)
             assert abs(float(xq.det(a)) - np.linalg.det(to_float(a))) < 1e-8
+
+
+def oracle_cases(seed, count=60):
+    """Seeded rational matrices: every shape from 0x0 to 6x6, sparse and
+    dense, rank-deficient products, zero rows and columns, negative entries
+    only, and bit-exact floats in +-[1, 2) (denominators up to 2^52)."""
+    rng = np.random.default_rng(seed)
+
+    def entry(kind):
+        if kind == "float":
+            return Fraction(float(rng.uniform(1.0, 2.0)) * float(rng.choice([-1.0, 1.0])))
+        num = int(rng.integers(-9, 10))
+        return Fraction(-abs(num) if kind == "negative" else num, int(rng.integers(1, 13)))
+
+    def draw(rows, cols, kind, zero):
+        return [
+            [Fraction(0) if rng.random() < zero else entry(kind) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+
+    cases = []
+    for _ in range(count):
+        rows, cols = int(rng.integers(0, 7)), int(rng.integers(0, 7))
+        kind = str(rng.choice(["small", "negative", "float"]))
+        a = draw(rows, cols, kind, float(rng.choice([0.0, 0.3, 0.7])))
+        if rows and cols and rng.random() < 0.4:
+            inner = int(rng.integers(1, 3))
+            a = mat_mul_fraction(draw(rows, inner, kind, 0.0), draw(inner, cols, kind, 0.0))
+        if rows and rng.random() < 0.2:
+            a[int(rng.integers(rows))] = [Fraction(0)] * cols
+        if cols and rng.random() < 0.2:
+            j = int(rng.integers(cols))
+            for row in a:
+                row[j] = Fraction(0)
+        cases.append((kind, a))
+    return cases
+
+
+def all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+class TestIntegerLayerAgainstFractionOracles:
+    """``exact`` clears denominators and eliminates over the integers; its
+    results must equal the Fraction arithmetic it replaced."""
+
+    def test_mat_mul_and_vec_mat(self):
+        cases = oracle_cases(11)
+        for (_, a), (_, b) in zip(cases, cases[1:]):
+            # a a^T, a^T a and a times a matrix of the next case's entries
+            b = [(b[i % len(b)] if b else []) for i in range(len(a[0]) if a else 0)]
+            for x, y in ((a, xq.transpose(a)), (xq.transpose(a), a), (a, b)):
+                got = xq.mat_mul(x, y)
+                assert got == mat_mul_fraction(x, y) and all_fractions(got)
+        for _, a in cases:
+            v = [Fraction(int(x), 7) for x in np.arange(len(a)) - 3]
+            got = xq.vec_mat(v, a)
+            assert got == vec_mat_fraction(v, a) and all_fractions([got])
+
+    def test_rref_rows_and_pivots(self):
+        for kind, a in oracle_cases(12, count=300):
+            rows, pivots = xq.rref(a)
+            want_rows, want_pivots = rref_fraction(a)
+            assert pivots == want_pivots, (kind, a)
+            assert rows == want_rows, (kind, a)
+            assert all_fractions(rows)
+
+    def test_rref_shapes(self):
+        assert xq.rref([]) == ([], [])
+        assert xq.rref([[]]) == ([[]], [])
+        assert xq.rref([[Fraction(-3, 7)]]) == ([[Fraction(1)]], [0])
+        assert xq.rref([[Fraction(0)]]) == ([[Fraction(0)]], [])
+        wide = [[Fraction(0), Fraction(-2), Fraction(4), Fraction(1, 3)]]
+        assert xq.rref(wide) == ([[0, 1, -2, Fraction(-1, 6)]], [1])
+        tall = [[Fraction(0)], [Fraction(-5)], [Fraction(2)]]
+        assert xq.rref(tall) == ([[1], [0], [0]], [0])
+
+    def test_det(self):
+        for kind, a in oracle_cases(13, count=300):
+            a = [row[: len(a)] + [Fraction(0)] * (len(a) - len(row)) for row in a]
+            got = xq.det(a)
+            assert got == det_fraction(a), (kind, a)
+            assert type(got) is Fraction
+        assert xq.det([]) == 1
+        assert xq.det([[Fraction(-2, 3)]]) == Fraction(-2, 3)
+
+    def test_nullspace_solve_and_inverse_through_the_oracle(self):
+        for _, a in oracle_cases(14, count=100):
+            if not a or not a[0]:
+                continue
+            cols = len(a[0])
+            red, pivots = rref_fraction(a)
+            want = []
+            for fc in (c for c in range(cols) if c not in pivots):
+                vec = [Fraction(0)] * cols
+                vec[fc] = Fraction(1)
+                for r, pc in enumerate(pivots):
+                    vec[pc] = -red[r][fc]
+                want.append(vec)
+            assert xq.nullspace(a) == want
+            if len(a) == cols and len(pivots) == cols:
+                inv = xq.inverse(a)
+                assert mat_mul_fraction(a, inv) == xq.identity(cols)
 
 
 class TestCharpoly:

@@ -42,6 +42,94 @@ def bspline(order: int) -> rf.Mask:
     return rf.mask_from_coefficients(coeffs, name=f"bspline{order}")
 
 
+# (exact eigenvalue, algebraic multiplicity, chain lengths) of each group of
+# eigen_structure(bspline(order), exact=True), recorded with the Fraction
+# elimination that the integer elimination of `exact` replaced
+BSPLINE_EXACT_GROUPS = {
+    1: [("1", 2, (1, 1))],
+    2: [("1", 1, (1,)), ("1/2", 2, (1, 1))],
+    3: [("1", 1, (1,)), ("1/2", 1, (1,)), ("1/4", 2, (1, 1))],
+    4: [("1", 1, (1,)), ("1/2", 1, (1,)), ("1/4", 1, (1,)), ("1/8", 2, (1, 1))],
+    5: [("1", 1, (1,)), ("1/2", 1, (1,)), ("1/4", 1, (1,)), ("1/8", 1, (1,)), ("1/16", 2, (1, 1))],
+    6: [("1", 1, (1,)), ("1/2", 1, (1,)), ("1/4", 1, (1,)), ("1/8", 1, (1,)), ("1/16", 1, (1,)),
+        ("1/32", 2, (1, 1))],
+    7: [("1", 1, (1,)), ("1/2", 1, (1,)), ("1/4", 1, (1,)), ("1/8", 1, (1,)), ("1/16", 1, (1,)),
+        ("1/32", 1, (1,)), ("1/64", 2, (1, 1))],
+    8: [("1", 1, (1,)), ("1/2", 1, (1,)), ("1/4", 1, (1,)), ("1/8", 1, (1,)), ("1/16", 1, (1,)),
+        ("1/32", 1, (1,)), ("1/64", 1, (1,)), ("1/128", 2, (1, 1))],
+    9: [("1", 1, (1,)), ("1/2", 1, (1,)), ("1/4", 1, (1,)), ("1/8", 1, (1,)), ("1/16", 1, (1,)),
+        ("1/32", 1, (1,)), ("1/64", 1, (1,)), ("1/128", 1, (1,)), ("1/256", 2, (1, 1))],
+    10: [("1", 1, (1,)), ("1/2", 1, (1,)), ("1/4", 1, (1,)), ("1/8", 1, (1,)), ("1/16", 1, (1,)),
+        ("1/32", 1, (1,)), ("1/64", 1, (1,)), ("1/128", 1, (1,)), ("1/256", 1, (1,)),
+        ("1/512", 2, (1, 1))],
+    11: [("1", 1, (1,)), ("1/2", 1, (1,)), ("1/4", 1, (1,)), ("1/8", 1, (1,)), ("1/16", 1, (1,)),
+        ("1/32", 1, (1,)), ("1/64", 1, (1,)), ("1/128", 1, (1,)), ("1/256", 1, (1,)),
+        ("1/512", 1, (1,)), ("1/1024", 2, (1, 1))],
+    12: [("1", 1, (1,)), ("1/2", 1, (1,)), ("1/4", 1, (1,)), ("1/8", 1, (1,)), ("1/16", 1, (1,)),
+        ("1/32", 1, (1,)), ("1/64", 1, (1,)), ("1/128", 1, (1,)), ("1/256", 1, (1,)),
+        ("1/512", 1, (1,)), ("1/1024", 1, (1,)), ("1/2048", 2, (1, 1))],
+    13: [("1", 1, (1,)), ("1/2", 1, (1,)), ("1/4", 1, (1,)), ("1/8", 1, (1,)), ("1/16", 1, (1,)),
+        ("1/32", 1, (1,)), ("1/64", 1, (1,)), ("1/128", 1, (1,)), ("1/256", 1, (1,)),
+        ("1/512", 1, (1,)), ("1/1024", 1, (1,)), ("1/2048", 1, (1,)), ("1/4096", 2, (1, 1))],
+    14: [("1", 1, (1,)), ("1/2", 1, (1,)), ("1/4", 1, (1,)), ("1/8", 1, (1,)), ("1/16", 1, (1,)),
+        ("1/32", 1, (1,)), ("1/64", 1, (1,)), ("1/128", 1, (1,)), ("1/256", 1, (1,)),
+        ("1/512", 1, (1,)), ("1/1024", 1, (1,)), ("1/2048", 1, (1,)), ("1/4096", 1, (1,)),
+        ("1/8192", 2, (1, 1))],
+    15: [("1", 1, (1,)), ("1/2", 1, (1,)), ("1/4", 1, (1,)), ("1/8", 1, (1,)), ("1/16", 1, (1,)),
+        ("1/32", 1, (1,)), ("1/64", 1, (1,)), ("1/128", 1, (1,)), ("1/256", 1, (1,)),
+        ("1/512", 1, (1,)), ("1/1024", 1, (1,)), ("1/2048", 1, (1,)), ("1/4096", 1, (1,)),
+        ("1/8192", 1, (1,)), ("1/16384", 2, (1, 1))],
+    16: [("1", 1, (1,)), ("1/2", 1, (1,)), ("1/4", 1, (1,)), ("1/8", 1, (1,)), ("1/16", 1, (1,)),
+        ("1/32", 1, (1,)), ("1/64", 1, (1,)), ("1/128", 1, (1,)), ("1/256", 1, (1,)),
+        ("1/512", 1, (1,)), ("1/1024", 1, (1,)), ("1/2048", 1, (1,)), ("1/4096", 1, (1,)),
+        ("1/8192", 1, (1,)), ("1/16384", 1, (1,)), ("1/32768", 2, (1, 1))],
+    17: [("1", 1, (1,)), ("1/2", 1, (1,)), ("1/4", 1, (1,)), ("1/8", 1, (1,)), ("1/16", 1, (1,)),
+        ("1/32", 1, (1,)), ("1/64", 1, (1,)), ("1/128", 1, (1,)), ("1/256", 1, (1,)),
+        ("1/512", 1, (1,)), ("1/1024", 1, (1,)), ("1/2048", 1, (1,)), ("1/4096", 1, (1,)),
+        ("1/8192", 1, (1,)), ("1/16384", 1, (1,)), ("1/32768", 1, (1,)), ("1/65536", 2, (1, 1))],
+    18: [("1", 1, (1,)), ("1/2", 1, (1,)), ("1/4", 1, (1,)), ("1/8", 1, (1,)), ("1/16", 1, (1,)),
+        ("1/32", 1, (1,)), ("1/64", 1, (1,)), ("1/128", 1, (1,)), ("1/256", 1, (1,)),
+        ("1/512", 1, (1,)), ("1/1024", 1, (1,)), ("1/2048", 1, (1,)), ("1/4096", 1, (1,)),
+        ("1/8192", 1, (1,)), ("1/16384", 1, (1,)), ("1/32768", 1, (1,)), ("1/65536", 1, (1,)),
+        ("1/131072", 2, (1, 1))],
+    19: [("1", 1, (1,)), ("1/2", 1, (1,)), ("1/4", 1, (1,)), ("1/8", 1, (1,)), ("1/16", 1, (1,)),
+        ("1/32", 1, (1,)), ("1/64", 1, (1,)), ("1/128", 1, (1,)), ("1/256", 1, (1,)),
+        ("1/512", 1, (1,)), ("1/1024", 1, (1,)), ("1/2048", 1, (1,)), ("1/4096", 1, (1,)),
+        ("1/8192", 1, (1,)), ("1/16384", 1, (1,)), ("1/32768", 1, (1,)), ("1/65536", 1, (1,)),
+        ("1/131072", 1, (1,)), ("1/262144", 2, (1, 1))],
+    20: [("1", 1, (1,)), ("1/2", 1, (1,)), ("1/4", 1, (1,)), ("1/8", 1, (1,)), ("1/16", 1, (1,)),
+        ("1/32", 1, (1,)), ("1/64", 1, (1,)), ("1/128", 1, (1,)), ("1/256", 1, (1,)),
+        ("1/512", 1, (1,)), ("1/1024", 1, (1,)), ("1/2048", 1, (1,)), ("1/4096", 1, (1,)),
+        ("1/8192", 1, (1,)), ("1/16384", 1, (1,)), ("1/32768", 1, (1,)), ("1/65536", 1, (1,)),
+        ("1/131072", 1, (1,)), ("1/262144", 1, (1,)), ("1/524288", 2, (1, 1))],
+    21: [("1", 1, (1,)), ("1/2", 1, (1,)), ("1/4", 1, (1,)), ("1/8", 1, (1,)), ("1/16", 1, (1,)),
+        ("1/32", 1, (1,)), ("1/64", 1, (1,)), ("1/128", 1, (1,)), ("1/256", 1, (1,)),
+        ("1/512", 1, (1,)), ("1/1024", 1, (1,)), ("1/2048", 1, (1,)), ("1/4096", 1, (1,)),
+        ("1/8192", 1, (1,)), ("1/16384", 1, (1,)), ("1/32768", 1, (1,)), ("1/65536", 1, (1,)),
+        ("1/131072", 1, (1,)), ("1/262144", 1, (1,)), ("1/524288", 1, (1,)),
+        ("1/1048576", 2, (1, 1))],
+    22: [("1", 1, (1,)), ("1/2", 1, (1,)), ("1/4", 1, (1,)), ("1/8", 1, (1,)), ("1/16", 1, (1,)),
+        ("1/32", 1, (1,)), ("1/64", 1, (1,)), ("1/128", 1, (1,)), ("1/256", 1, (1,)),
+        ("1/512", 1, (1,)), ("1/1024", 1, (1,)), ("1/2048", 1, (1,)), ("1/4096", 1, (1,)),
+        ("1/8192", 1, (1,)), ("1/16384", 1, (1,)), ("1/32768", 1, (1,)), ("1/65536", 1, (1,)),
+        ("1/131072", 1, (1,)), ("1/262144", 1, (1,)), ("1/524288", 1, (1,)),
+        ("1/1048576", 1, (1,)), ("1/2097152", 2, (1, 1))],
+    23: [("1", 1, (1,)), ("1/2", 1, (1,)), ("1/4", 1, (1,)), ("1/8", 1, (1,)), ("1/16", 1, (1,)),
+        ("1/32", 1, (1,)), ("1/64", 1, (1,)), ("1/128", 1, (1,)), ("1/256", 1, (1,)),
+        ("1/512", 1, (1,)), ("1/1024", 1, (1,)), ("1/2048", 1, (1,)), ("1/4096", 1, (1,)),
+        ("1/8192", 1, (1,)), ("1/16384", 1, (1,)), ("1/32768", 1, (1,)), ("1/65536", 1, (1,)),
+        ("1/131072", 1, (1,)), ("1/262144", 1, (1,)), ("1/524288", 1, (1,)),
+        ("1/1048576", 1, (1,)), ("1/2097152", 1, (1,)), ("1/4194304", 2, (1, 1))],
+    24: [("1", 1, (1,)), ("1/2", 1, (1,)), ("1/4", 1, (1,)), ("1/8", 1, (1,)), ("1/16", 1, (1,)),
+        ("1/32", 1, (1,)), ("1/64", 1, (1,)), ("1/128", 1, (1,)), ("1/256", 1, (1,)),
+        ("1/512", 1, (1,)), ("1/1024", 1, (1,)), ("1/2048", 1, (1,)), ("1/4096", 1, (1,)),
+        ("1/8192", 1, (1,)), ("1/16384", 1, (1,)), ("1/32768", 1, (1,)), ("1/65536", 1, (1,)),
+        ("1/131072", 1, (1,)), ("1/262144", 1, (1,)), ("1/524288", 1, (1,)),
+        ("1/1048576", 1, (1,)), ("1/2097152", 1, (1,)), ("1/4194304", 1, (1,)),
+        ("1/8388608", 2, (1, 1))],
+}
+
+
 def short_rational_masks() -> list[rf.Mask]:
     """Seeded rational masks of length 2 and 3 with small numerators and
     denominators, built without the warning for coefficients not summing to 2."""
@@ -183,6 +271,13 @@ class TestExactMode:
         assert rf.eigen_structure(make_mask("bspline3")).exact_fallback is None
         assert rf.eigen_structure(make_mask("bspline3"), exact=False).exact_fallback is None
         assert rf.eigen_structure(make_mask("d4")).exact_fallback is None
+
+    def test_bspline_orders_1_to_24_match_the_recorded_structure(self):
+        for order in range(1, 25):
+            spectral = rf.eigen_structure(bspline(order), exact=True)
+            assert spectral.is_exact and spectral.residual == 0.0, order
+            groups = [(str(g.exact_eigenvalue), g.algebraic, g.chain_lengths) for g in spectral.groups]
+            assert groups == BSPLINE_EXACT_GROUPS[order], order
 
     def test_exact_mode_rejects_float_mask(self):
         with pytest.raises(SpectralError):

@@ -9,8 +9,11 @@ Usage::
 ``hash`` imports ``refinable`` from ``SRC`` (default: this repository's
 ``src``) and runs ``refinable.cli.main`` in process on every mask of the
 benchmark pools (``perfbench.corpus.pool``, imported read-only), with each
-job's own arguments.  For every job it records the SHA-256 of standard
-output, of standard error and of every file written, plus the exit code.
+job's own arguments.  The ``spectrum-exact`` workload runs ``spectrum MASK
+--exact`` on every rational mask of the ``spectrum`` pool, so that the
+forced exact path and its failures are compared too.  For every job it
+records the SHA-256 of standard output, of standard error and of every
+file written, plus the exit code.
 ``diff`` prints each job whose record differs between two hash files and
 exits 1 if there is one, 0 otherwise.
 
@@ -29,6 +32,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUME
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import importlib  # noqa: E402
 import io  # noqa: E402
@@ -40,7 +44,7 @@ import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_WORKLOADS = ("spectrum", "verify", "basis")
+DEFAULT_WORKLOADS = ("spectrum", "spectrum-exact", "verify", "basis")
 
 
 def _sha(data: bytes) -> str:
@@ -68,6 +72,18 @@ def run_job(cli, job, out: Path, src: Path) -> dict:
     return {"rc": rc, "stdout": _sha(text(stdout.getvalue())), "stderr": _sha(text(stderr.getvalue())), "files": files}
 
 
+def pool(corpus, workload: str):
+    """The jobs of one workload; ``spectrum-exact`` is derived from ``spectrum``."""
+    if workload != "spectrum-exact":
+        return corpus.pool(workload)
+    return [
+        dataclasses.replace(job, key=f"spectrum-exact/{job.key.split('/', 1)[1]}", argv=job.argv + ("--exact",))
+        for job in corpus.pool("spectrum")
+        # rational masks are written as "p/q" strings
+        if all(isinstance(c, str) for c in job.mask["coefficients"])
+    ]
+
+
 def hash_tree(src: Path, workloads) -> dict:
     sys.path.insert(0, str(src))
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -79,7 +95,7 @@ def hash_tree(src: Path, workloads) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         for workload in workloads:
-            for job in corpus.pool(workload):
+            for job in pool(corpus, workload):
                 shutil.rmtree(out, ignore_errors=True)
                 jobs[job.key] = run_job(cli, job, out, src)
     return {"src": str(src), "workloads": list(workloads), "jobs": jobs}
@@ -106,7 +122,7 @@ def main(argv=None) -> int:
     p_hash = sub.add_parser("hash", help="hash the outputs of every pool mask for one source tree")
     p_hash.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the refinable package")
     p_hash.add_argument("--out", type=Path, required=True, help="hash file to write (JSON)")
-    p_hash.add_argument("--workload", nargs="+", default=DEFAULT_WORKLOADS, choices=("spectrum", "basis", "verify"))
+    p_hash.add_argument("--workload", nargs="+", default=DEFAULT_WORKLOADS, choices=DEFAULT_WORKLOADS)
     p_diff = sub.add_parser("diff", help="list the jobs whose outputs differ between two hash files")
     p_diff.add_argument("first", type=Path)
     p_diff.add_argument("second", type=Path)
