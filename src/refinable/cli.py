@@ -67,13 +67,27 @@ def _load_mask(spec: str) -> Mask:
         raise UsageError(f"{source}: {exc}") from exc
 
 
-def _write(text: str, out: str | None, filename: str) -> None:
+def _out_dir(out: str | None) -> Path | None:
+    """The ``--out`` directory, created with its parents; None for stdout."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        directory = Path(out)
+        return None
+    directory = Path(out)
+    try:
         directory.mkdir(parents=True, exist_ok=True)
-        (directory / filename).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
+    return directory
+
+
+def _write(text: str, directory: Path | None, filename: str) -> None:
+    if directory is None:
+        sys.stdout.write(text)
+        return
+    path = directory / filename
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _mask_doc(mask: Mask) -> dict:
@@ -145,7 +159,7 @@ def _spectrum_doc(mask: Mask, *, exact: bool | None) -> dict:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     mask = _load_mask(args.mask)
     doc = _spectrum_doc(mask, exact=True if args.exact else None)
-    _write(dump_json(doc), args.out, "spectrum.json")
+    _write(dump_json(doc), _out_dir(args.out), "spectrum.json")
     return 0
 
 
@@ -166,11 +180,12 @@ def cmd_basis(args: argparse.Namespace) -> int:
     )
     rec = reconstruct_phi(basis)
     width = max(2, len(str(spectral.n)))
-    _write(dump_csv(phi.grid, phi.values), args.out, "phi.csv")
+    out = _out_dir(args.out)
+    _write(dump_csv(phi.grid, phi.values), out, "phi.csv")
     rows = []
     for f in basis.functions:
         filename = f"h_{f.row:0{width}d}.csv"
-        _write(dump_csv(f.grid, f.values), args.out, filename)
+        _write(dump_csv(f.grid, f.values), out, filename)
         rows.append(
             {
                 "row": f.row,
@@ -190,7 +205,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
             "condition": rec.condition,
         },
     }
-    _write(dump_json(summary), args.out, "basis.json")
+    _write(dump_json(summary), out, "basis.json")
     return 0
 
 
@@ -226,7 +241,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for c in battery.checks
         ],
     }
-    _write(dump_json(doc), args.out, "verify.json")
+    _write(dump_json(doc), _out_dir(args.out), "verify.json")
     return 0 if battery.passed else 1
 
 

@@ -218,7 +218,7 @@ def charpoly(a):
     scale = 1
     for k in range(1, n + 1):
         cols = list(zip(*mk))
-        bm = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in b]
+        bm = [[sum(map(mul, row, col)) for col in cols] for row in b]
         ck = -sum(bm[i][i] for i in range(n)) // k
         scale *= den
         coeffs[n - k] = Fraction(ck, scale)

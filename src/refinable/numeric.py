@@ -15,6 +15,13 @@ def default_cutoff(a, rel=1e-10):
     return rel * max(smax, 1e-300)
 
 
+def singular_values(a):
+    """Singular values of ``a`` as the complex matrix that ``default_cutoff``
+    and ``numerical_rank`` factor; one SVD serves both (its largest value is
+    ``norm(a, 2)``)."""
+    return np.linalg.svd(np.atleast_2d(np.asarray(a, dtype=complex)), compute_uv=False)
+
+
 def numerical_rank(a, cutoff):
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     if a.size == 0:

@@ -208,11 +208,14 @@ class _FloatField:
         return max(nm.default_cutoff(power, STAIRCASE_REL), (4.0 * spread) ** k)
 
     def nullity(self, power, k, spread):
-        cutoff = self._cutoff(power, k, spread)
-        smax = float(np.linalg.norm(power, 2))
-        if cutoff > 0.5 * max(smax, 1e-300):
+        # one SVD gives the cutoff, the swamp check and the rank, with the
+        # values of _cutoff, norm(power, 2) and nm.numerical_rank
+        s = nm.singular_values(power)
+        smax = max(s.max(), 1e-300)
+        cutoff = max(STAIRCASE_REL * smax, (4.0 * spread) ** k)
+        if cutoff > 0.5 * smax:
             raise _Retry(f"staircase cutoff swamped power {k} of the shifted matrix")
-        return self.size - nm.numerical_rank(power, cutoff)
+        return self.size - int(np.sum(s > cutoff))
 
     def left_kernel(self, power, k, spread):
         return nm.left_nullspace(power, self._cutoff(power, k, spread))
@@ -896,9 +899,9 @@ def independence_test(source) -> IndependenceResult:
         core_rows = scale.exact_core_rows()
         kernel_dimension = 0 if xq.det(core_rows) != 0 else len(core_rows) - xq.rank(core_rows)
     else:
-        core = scale.core
-        cutoff = nm.default_cutoff(core, 1e-10)
-        kernel_dimension = core.shape[0] - nm.numerical_rank(core, cutoff)
+        s = nm.singular_values(scale.core)
+        cutoff = 1e-10 * max(s.max(), 1e-300)
+        kernel_dimension = len(s) - int(np.sum(s > cutoff))
     system = subdivision_system(scale.mask)
     gcd_degree = system.gcd_degree
     consistent = kernel_dimension == gcd_degree

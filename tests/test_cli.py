@@ -100,6 +100,15 @@ class TestSpectrumCommand:
         golden = DATA / f"spectrum_exact_{name}.json"
         assert (tmp_path / "spectrum.json").read_bytes() == golden.read_bytes()
 
+    def test_out_at_an_existing_file_is_a_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "file"
+        target.write_text("kept")
+        code, out, err = run(capsys, "spectrum", str(MASKS / "bspline3.json"), "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert "error: cannot write" in err and "Traceback" not in err
+        assert target.read_text() == "kept"
+
     def test_exact_flag_fails_on_irrational_mask(self, capsys):
         d4 = "[0.6830127018922193, 1.1830127018922193, 0.3169872981077807, -0.1830127018922193]"
         code, _, err = run(capsys, "spectrum", d4, "--exact")
@@ -159,6 +168,34 @@ class TestBasisCommand:
         assert sorted(p.name for p in tmp_path.glob("*.csv")) == names
         for filename in names:
             assert (tmp_path / filename).read_bytes() == (golden / filename).read_bytes(), filename
+
+    def test_out_below_an_existing_file_is_a_usage_error(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("kept")
+        code, _, err = run(
+            capsys, "basis", BSPLINE3, "--level", "3", "--out", str(tmp_path / "file" / "sub")
+        )
+        assert code == 2
+        assert "error: cannot write" in err and "Traceback" not in err
+
+    def test_several_calls_in_one_process_match_the_golden_files(self, tmp_path, capsys):
+        # consecutive basis calls on equal and on different grids, in one
+        # process as the benchmark and tools/compare_outputs.py run them
+        calls = ["bspline3", "d4", "jordan13", "half", "bspline3"]
+        for i, name in enumerate(calls):
+            out = tmp_path / f"{i}_{name}"
+            if name == "d4":
+                argv = ["--level", "4", "--interval", "-1", "1"]
+            else:
+                argv = ["--exact", "--level", "4", "--interval", "-2", "2"]
+            code, _, _ = run(capsys, "basis", str(MASKS / f"{name}.json"), *argv, "--out", str(out))
+            assert code == 0, name
+            if name == "d4":
+                continue
+            golden = DATA / f"basis_exact_{name}"
+            names = sorted(p.name for p in golden.iterdir())
+            assert sorted(p.name for p in out.glob("*.csv")) == names
+            for filename in names:
+                assert (out / filename).read_bytes() == (golden / filename).read_bytes(), (i, filename)
 
     def test_requires_out_directory(self, capsys):
         code, _, err = run(capsys, "basis", BSPLINE3)

@@ -1,5 +1,5 @@
 """Deterministic serialization: stable float rendering, sorted keys,
-escaping, and the CSV sample-table format.
+escaping, and the CSV sample-table format; byte oracles for both writers.
 """
 
 from __future__ import annotations
@@ -7,11 +7,13 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
 
-from refinable import report
+import refinable as rf
+from refinable import cli, report
 
 
 class TestFormatFloat:
@@ -26,6 +28,81 @@ class TestFormatFloat:
     def test_integral_floats(self):
         assert report.format_float(2.0) == "2"
         assert report.format_float(-2.5) == "-2.5"
+
+
+def dump_json_recursive(obj) -> str:
+    """The recursive writer the templated one replaced, which renders each
+    complex value as the dict {"im": ..., "re": ...}; a byte oracle."""
+    out: list[str] = []
+    _dump_recursive(obj, out, 0)
+    out.append("\n")
+    return "".join(out)
+
+
+def _dump_recursive(obj, out: list, indent: int) -> None:
+    pad = "  " * indent
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, str):
+        out.append(_escape_by_char(obj))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(report.format_float(float(obj)))
+    elif isinstance(obj, (complex, np.complexfloating)):
+        z = complex(obj)
+        _dump_recursive({"im": z.imag, "re": z.real}, out, indent)
+    elif isinstance(obj, Fraction):
+        out.append(_escape_by_char(report.fraction_str(obj)))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        keys = sorted(obj.keys())
+        for i, k in enumerate(keys):
+            out.append(f"{pad}  {_escape_by_char(str(k))}: ")
+            _dump_recursive(obj[k], out, indent + 1)
+            out.append(",\n" if i + 1 < len(keys) else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        items = list(obj)
+        if not items:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, item in enumerate(items):
+            out.append(pad + "  ")
+            _dump_recursive(item, out, indent + 1)
+            out.append(",\n" if i + 1 < len(items) else "\n")
+        out.append(pad + "]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r} deterministically")
+
+
+def _escape_by_char(s: str) -> str:
+    out = ['"']
+    for ch in s:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ch == "\n":
+            out.append("\\n")
+        elif ch == "\t":
+            out.append("\\t")
+        elif ch == "\r":
+            out.append("\\r")
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    out.append('"')
+    return "".join(out)
 
 
 class TestDumpJson:
@@ -152,3 +229,130 @@ class TestDumpCsv:
             report.dump_csv([0.0, 0.5], [1.0])
         with pytest.raises(ValueError, match="one value per grid point"):
             report.dump_csv([0.0], [1.0, 2.0])
+
+
+EDGE_COMPLEX = [
+    complex(a, b)
+    for a in (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300)
+    for b in (0.0, -0.0, math.inf, -math.inf, math.nan, -5e-324, -1e300)
+]
+
+
+def nested(value, depth: int):
+    """value inside depth layers of lists and dicts, innermost a one-item list."""
+    for level in range(depth):
+        value = {"k": [value]} if level % 2 == 0 else [value, "x"]
+    return value
+
+
+class TestDumpJsonOracle:
+    """The templated writer gives the bytes of the recursive one."""
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_complex_edge_values(self, depth):
+        for doc in (EDGE_COMPLEX[5], EDGE_COMPLEX, {"z": EDGE_COMPLEX, "w": EDGE_COMPLEX[-1]}):
+            doc = nested(doc, depth)
+            assert report.dump_json(doc) == dump_json_recursive(doc)
+
+    def test_complex_scalars_at_depths_zero_to_three(self):
+        for z in EDGE_COMPLEX:
+            for depth in range(4):
+                doc = nested(z, depth)
+                assert report.dump_json(doc) == dump_json_recursive(doc)
+
+    def test_numpy_complex_lists_arrays_and_tuples(self):
+        values = np.array(EDGE_COMPLEX)
+        for doc in (
+            [np.complex128(z) for z in EDGE_COMPLEX],
+            values,
+            np.array([1.5 - 2j, -0.0 + 0.25j, -0.0j], dtype=np.complex64),
+            tuple(EDGE_COMPLEX),
+            [values, values[:1], tuple(values[:3])],
+            values.reshape(7, 7),
+        ):
+            assert report.dump_json(doc) == dump_json_recursive(doc)
+            assert report.dump_json({"v": doc}) == dump_json_recursive({"v": doc})
+
+    @pytest.mark.parametrize(
+        "other", [0.5, -0.0, None, Fraction(-3, 4), 2, "s", [1j], np.float64(1.0)]
+    )
+    def test_mixed_lists_take_the_generic_path(self, other):
+        for doc in ([1 + 2j, other], [other, -0.0j], [1j, other, -1j]):
+            assert report.dump_json(doc) == dump_json_recursive(doc)
+            assert report.dump_json({"a": [doc]}) == dump_json_recursive({"a": [doc]})
+
+    def test_empty_lists(self):
+        for doc in ([], (), np.zeros(0, dtype=complex), {"a": []}, [[], [1j]]):
+            assert report.dump_json(doc) == dump_json_recursive(doc)
+
+    @pytest.mark.parametrize(
+        "text",
+        ['"', "\\", "\n", "\t", "\r", "\b", "\f", "\x00", "\x1f", "\x7f", "é λ ∞", "\xa0",
+         "", "plain", 'a "quoted" \\ path\n', "tab\there"],
+    )
+    def test_strings(self, text):
+        doc = {text: [text, Fraction(1, 3)], "k": text}
+        assert report.dump_json(doc) == dump_json_recursive(doc)
+        assert json.loads(report.dump_json(doc))["k"] == text
+
+    @pytest.mark.parametrize("exact", [None, False])
+    def test_spectrum_documents_of_the_worked_masks(self, corpus, exact):
+        for name in ("bspline3", "d4", "jordan13", "half"):
+            doc = cli._spectrum_doc(corpus[name], exact=exact)
+            assert report.dump_json(doc) == dump_json_recursive(doc), name
+
+    def test_spectrum_documents_of_bsplines(self):
+        for order in range(2, 12):
+            coefficients = [f"{comb(order, k)}/{2 ** (order - 1)}" for k in range(order + 1)]
+            mask = rf.mask_from_coefficients(coefficients, name=f"bspline{order}")
+            doc = cli._spectrum_doc(mask, exact=None)
+            assert report.dump_json(doc) == dump_json_recursive(doc), order
+
+
+class TestDumpCsvOracle:
+    """The grid-column cache and the value templates give the bytes of the
+    per-row writer."""
+
+    def test_alternating_grids_of_equal_length(self):
+        rng = np.random.default_rng(7)
+        a = np.arange(257) / 64 - 2.0
+        b = a + 1 / 128
+        values = rng.normal(size=257) + 1j * rng.normal(size=257)
+        for xs in (a, b, a, b, b[::-1], a):
+            assert first_difference(report.dump_csv(xs, values), dump_csv_by_row(xs, values)) is None
+
+    def test_repeated_calls_on_one_grid(self):
+        rng = np.random.default_rng(8)
+        xs = np.arange(-128, 129) / 64
+        for _ in range(4):
+            values = rng.normal(size=257) + 1j * rng.normal(size=257)
+            assert report.dump_csv(xs, values) == dump_csv_by_row(xs, values)
+            assert report.dump_csv(list(xs), values.real) == dump_csv_by_row(xs, values.real)
+
+    def test_grids_that_differ_only_in_the_sign_of_zero(self):
+        xs = np.array([-0.0, 0.5, 1.0])
+        values = np.array([1j, 2.0, -3j])
+        for grid in (xs, np.abs(xs), xs):
+            assert report.dump_csv(grid, values) == dump_csv_by_row(grid, values)
+
+    def test_imag_column_all_negative_zero(self):
+        xs = np.arange(9) / 8
+        values = np.array([complex(v, -0.0) for v in (-0.0, 1.0, -2.5, 0.0, 1e-300, -1e300, 3.0, 4.0, 5.0)])
+        text = report.dump_csv(xs, values)
+        assert text == dump_csv_by_row(xs, values)
+        assert text.split("\n")[1] == "0,0,0"
+
+    def test_single_nonzero_imag_entry(self):
+        xs = np.arange(9) / 8
+        for i in (0, 4, 8):
+            values = np.linspace(-1.0, 1.0, 9).astype(complex)
+            values[i] += 5e-324j
+            assert report.dump_csv(xs, values) == dump_csv_by_row(xs, values)
+
+    def test_nan_imag_entry(self):
+        xs = np.arange(9) / 8
+        values = np.ones(9, dtype=complex)
+        values[3] = complex(1.0, math.nan)
+        text = report.dump_csv(xs, values)
+        assert text == dump_csv_by_row(xs, values)
+        assert text.split("\n")[4] == "0.375,1,nan"
