@@ -170,8 +170,9 @@ def cmd_basis(args: argparse.Namespace) -> int:
     lo, hi = args.interval
     if not all(math.isfinite(v) and v == int(v) for v in (lo, hi)):
         raise UsageError("--interval endpoints must be integers")
-    if not (lo <= 0 <= hi and lo < hi):
-        raise UsageError("--interval must satisfy A <= 0 <= B with A < B")
+    if not lo <= 0 < hi:
+        # reconstruct_phi reads the basis on [0, 1]
+        raise UsageError("--interval must satisfy A <= 0 < B")
     _check_level_arg(args.level)
     spectral = eigen_structure(build_scale_matrices(mask), exact=True if args.exact else None)
     phi = evaluate_phi(mask, args.level)
@@ -311,10 +312,7 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MaskError as exc:
+    except (UsageError, MaskError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RefinableError as exc:

@@ -91,7 +91,7 @@ class DifferenceEquation:
     def characteristic(self) -> np.ndarray:
         return self.coefficients
 
-    def residual_on(self, z, start=0) -> float:
+    def residual_on(self, z) -> float:
         """Max |sum_k u_k z_{n+k}| over all shifts n fitting inside z."""
         z = np.asarray(z, dtype=complex)
         r = self.order
@@ -366,13 +366,12 @@ def root_triples(coeffs_float, coeffs_exact):
     float roots.
     """
     if coeffs_exact is None:
-        return [(d, m, None) for d, m in nm.roots_with_multiplicity(coeffs_float, ROOT_CLUSTER_RTOL)]
+        return [(d, m, None) for d, m, _ in nm.clusters(nm.poly_roots(coeffs_float), ROOT_CLUSTER_RTOL)]
     rational, leftovers = xq.rational_roots(list(coeffs_exact))
     out = [(complex(d), m, d) for d, m in rational]
     for factor, mult in leftovers:
-        for d, m in nm.roots_with_multiplicity(
-            np.array([float(c) for c in factor], dtype=complex), ROOT_CLUSTER_RTOL
-        ):
+        roots = nm.poly_roots(np.array([float(c) for c in factor], dtype=complex))
+        for d, m, _ in nm.clusters(roots, ROOT_CLUSTER_RTOL):
             out.append((d, m * mult, None))
     return out
 

@@ -79,7 +79,7 @@ def integer_samples(mask: Mask, *, rtol: float = 1e-8) -> np.ndarray:
         )
     else:
         shifted = scale.full - np.eye(size, dtype=complex)
-        candidates = nm.nullspace(shifted, nm.default_cutoff(shifted))
+        candidates = nm.nullspace(shifted)
     if candidates.shape[0] == 0:
         raise EvaluationError(
             "the scale matrix has no eigenvalue 1: integer samples of phi all vanish",
@@ -181,23 +181,13 @@ def translate_sum(phi: PhiValues, coeffs, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def extend_row(spectral: SpectralData, index: int, *, rtol: float = 1e-8) -> SequenceWindow:
-    """Two-sided extension of basis row ``index`` along its Jordan chain.
-
-    The chain predecessors are recomputed as v (T - lam I)^j, so this works
-    for any generalized eigenvector row, including insertion-mode rows whose
-    predecessors are not themselves rows of the basis.
-    """
-    info = spectral.rows[index]
-    v = spectral.basis[index]
-    return extend_vector(v, spectral, info.eigenvalue, rtol=rtol)
-
-
 def extend_vector(v, spectral_or_scale, eigenvalue, *, rtol: float = 1e-8) -> SequenceWindow:
     """Extension of a generalized left eigenvector, recursing down its chain.
 
     ``minimal_order`` bounds the recursion (and rejects vectors that are not
-    generalized eigenvectors for the eigenvalue).
+    generalized eigenvectors for the eigenvalue). The predecessors are
+    recomputed as v (T - lam I)^j, so insertion-mode basis rows, whose
+    predecessors are not rows of the basis, extend too.
     """
     if isinstance(spectral_or_scale, SpectralData):
         scale = spectral_or_scale.scale
@@ -323,7 +313,7 @@ def build_homogeneous_basis(
     for info in spectral.rows:
         v = spectral.basis[info.index]
         order = minimal_order(v, spectral.scale, info.eigenvalue)
-        window = extend_row(spectral, info.index)
+        window = extend_vector(v, spectral, info.eigenvalue)
         values = translate_sum(phi, window.values(-hi, mask.n - lo + 1), lo, hi)
         values.setflags(write=False)
         functions.append(

@@ -3,61 +3,48 @@ and polynomial utilities on ascending complex coefficient arrays."""
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 
-def default_cutoff(a, rel=1e-10):
-    """Absolute singular-value cutoff ``rel * sigma_max`` (with a tiny floor)."""
+class SvdRank(NamedTuple):
+    """One SVD of a matrix and the rank decision made on its own values."""
+
+    rank: int
+    cutoff: float  # max(rel * smax, floor)
+    smax: float  # largest singular value, at least 1e-300
+    vh: np.ndarray | None  # right factor, rows spanning row space then kernel
+
+
+def svd_rank(a, rel=1e-10, floor=0.0, *, vectors=True) -> SvdRank:
+    """Rank of ``a``: the number of singular values above
+    ``max(rel * smax, floor)``, where smax is the largest of them. Every
+    float rank decision of the package goes through this one SVD."""
     a = np.atleast_2d(np.asarray(a, dtype=complex))
-    if a.size == 0:
-        return rel
-    smax = np.linalg.norm(a, 2)
-    return rel * max(smax, 1e-300)
+    if vectors:
+        _, s, vh = np.linalg.svd(a)
+    else:
+        s, vh = np.linalg.svd(a, compute_uv=False), None
+    smax = max(s[0] if len(s) else 0.0, 1e-300)
+    cutoff = max(rel * smax, floor)
+    return SvdRank(int(np.sum(s > cutoff)), cutoff, smax, vh)
 
 
-def singular_values(a):
-    """Singular values of ``a`` as the complex matrix that ``default_cutoff``
-    and ``numerical_rank`` factor; one SVD serves both (its largest value is
-    ``norm(a, 2)``)."""
-    return np.linalg.svd(np.atleast_2d(np.asarray(a, dtype=complex)), compute_uv=False)
+def nullspace(a, rel=1e-10, floor=0.0):
+    """Orthonormal rows spanning {x : a x = 0}."""
+    r = svd_rank(a, rel, floor)
+    return r.vh[r.rank :].conj()
 
 
-def numerical_rank(a, cutoff):
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(s > cutoff))
-
-
-def nullspace(a, cutoff):
-    """Rows spanning {x : a x = 0} (orthonormal, from the SVD)."""
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    if a.size == 0:
-        n = a.shape[1]
-        return np.eye(n, dtype=complex)
-    _, s, vt = np.linalg.svd(a)
-    r = int(np.sum(s > cutoff))
-    return vt[r:].conj()
-
-
-def left_nullspace(a, cutoff):
-    """Rows v with v a = 0."""
-    return nullspace(np.asarray(a, dtype=complex).T, cutoff)
-
-
-def orthonormal_rows(rows, cutoff=1e-12):
+def orthonormal_rows(rows, rel=1e-12):
     """Orthonormal spanning set for the row span of the stacked vectors.
 
     Rows of A = U S V^H lie in the span of the leading rows of V^H (no
     conjugation: a_i = sum_k U_ik s_k (V^H)_k).
     """
-    m = np.atleast_2d(np.asarray(rows, dtype=complex))
-    if m.size == 0:
-        return m.reshape(0, m.shape[1] if m.ndim == 2 else 0)
-    _, s, vt = np.linalg.svd(m)
-    r = int(np.sum(s > cutoff * max(s[0] if len(s) else 1.0, 1e-300)))
-    return vt[:r]
+    r = svd_rank(rows, rel)
+    return r.vh[: r.rank]
 
 
 def cluster_scalars(values, tol):
@@ -82,6 +69,20 @@ def cluster_scalars(values, tol):
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
+
+
+def clusters(values, rtol):
+    """(center, multiplicity, spread) of each cluster of eigenvalues or
+    roots, at tolerance ``rtol`` relative to the largest magnitude (at
+    least 1); centers are the cluster means."""
+    values = np.asarray(values, dtype=complex)
+    tol = rtol * max(1.0, float(np.abs(values).max(initial=0.0)))
+    out = []
+    for idxs in cluster_scalars(values, tol):
+        members = values[idxs]
+        center = complex(members.mean())
+        out.append((center, len(idxs), float(np.abs(members - center).max(initial=0.0))))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -109,24 +110,6 @@ def poly_roots(p):
     if len(p) <= 1:
         return np.zeros(0, dtype=complex)
     return np.roots(p[::-1])
-
-
-def roots_with_multiplicity(p, rtol=1e-7):
-    """Roots of p clustered into (root, multiplicity) pairs.
-
-    Cluster tolerance is relative to the largest root magnitude (with a floor
-    of 1), per the companion-matrix + clustering design.
-    """
-    rts = poly_roots(p)
-    if len(rts) == 0:
-        return []
-    scale = max(np.abs(rts).max(), 1.0)
-    out = []
-    for idx in cluster_scalars(rts, rtol * scale):
-        center = rts[idx].mean()
-        out.append((complex(center), len(idx)))
-    out.sort(key=lambda rm: (-abs(rm[0]), np.angle(rm[0]).round(12)))
-    return out
 
 
 def sylvester(a, b):
@@ -160,10 +143,7 @@ def float_poly_gcd(a, b, rel_cutoff=1e-8):
     m, n = len(a) - 1, len(b) - 1
     if m == 0 or n == 0:
         return np.ones(1, dtype=complex)
-    s = sylvester(a, b)
-    smax = np.linalg.norm(s, 2)
-    srank = numerical_rank(s, rel_cutoff * max(smax, 1e-300))
-    ell = m + n - srank
+    ell = m + n - svd_rank(sylvester(a, b), rel_cutoff, vectors=False).rank
     if ell == 0:
         return np.ones(1, dtype=complex)
     if ell == min(m, n) and m == n:

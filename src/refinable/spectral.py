@@ -151,17 +151,6 @@ def _partition_from_weyr(weyr):
     return lengths
 
 
-def _clusters(evals, rtol):
-    """(center, multiplicity, spread) of each cluster of float eigenvalues."""
-    tol = rtol * max(1.0, float(np.abs(evals).max(initial=0.0)))
-    out = []
-    for idxs in nm.cluster_scalars(evals, tol):
-        members = evals[idxs]
-        center = complex(members.mean())
-        out.append((center, len(idxs), float(np.abs(members - center).max(initial=0.0))))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # arithmetic: the only steps of the pipeline that differ between floats
 # and Fractions. Vectors are numpy rows or Fraction lists; matrices are
@@ -180,7 +169,7 @@ class _FloatField:
         self.rtol = rtol
 
     def eigenvalues(self):
-        return _clusters(np.linalg.eigvals(self.t), self.rtol)
+        return nm.clusters(np.linalg.eigvals(self.t), self.rtol)
 
     def label(self, lam):
         return lam, None
@@ -204,21 +193,12 @@ class _FloatField:
     def vec_mat(self, v, a):
         return v @ a
 
-    def _cutoff(self, power, k, spread):
-        return max(nm.default_cutoff(power, STAIRCASE_REL), (4.0 * spread) ** k)
-
-    def nullity(self, power, k, spread):
-        # one SVD gives the cutoff, the swamp check and the rank, with the
-        # values of _cutoff, norm(power, 2) and nm.numerical_rank
-        s = nm.singular_values(power)
-        smax = max(s.max(), 1e-300)
-        cutoff = max(STAIRCASE_REL * smax, (4.0 * spread) ** k)
-        if cutoff > 0.5 * smax:
-            raise _Retry(f"staircase cutoff swamped power {k} of the shifted matrix")
-        return self.size - int(np.sum(s > cutoff))
-
     def left_kernel(self, power, k, spread):
-        return nm.left_nullspace(power, self._cutoff(power, k, spread))
+        # the cluster spread, raised to the power, floors the cutoff
+        svd = nm.svd_rank(power.T, STAIRCASE_REL, (4.0 * spread) ** k)
+        if svd.cutoff > 0.5 * svd.smax:
+            raise _Retry(f"staircase cutoff swamped power {k} of the shifted matrix")
+        return svd.vh[svd.rank :].conj()
 
     def new_tops(self, base_rows, cands, count):
         """The count directions of cands farthest from the span of base_rows."""
@@ -340,9 +320,6 @@ class _ExactField:
     def vec_mat(self, v, a):
         return xq.vec_mat(v, a)
 
-    def nullity(self, power, k, spread):
-        return self.size - xq.rank(power)
-
     def left_kernel(self, power, k, spread):
         return xq.left_nullspace(power)
 
@@ -417,32 +394,27 @@ def _chains_for_group(field, lam, algebraic, spread):
     """Top-down left Jordan chains for one eigenvalue (float: one cluster)."""
     shift = field.shift(lam)
     pows = [field.identity()]
-    dims = [0]
-    while len(dims) <= algebraic:
+    kernels = [[]]  # left kernel of each power; the nullity is its length
+    while len(kernels) <= algebraic:
         pows.append(field.mat_mul(pows[-1], shift) if len(pows) > 1 else shift)
-        dims.append(field.nullity(pows[-1], len(pows) - 1, spread))
-        if dims[-1] == dims[-2]:
-            dims.pop()
+        kernel = field.left_kernel(pows[-1], len(pows) - 1, spread)
+        if len(kernel) == len(kernels[-1]):
             break
-        if dims[-1] >= algebraic:
+        kernels.append(kernel)
+        if len(kernel) >= algebraic:
             break
-    if dims[-1] != algebraic:
+    if len(kernels[-1]) != algebraic:
         raise field.failure(
-            f"generalized eigenspace of {lam} has dimension {dims[-1]} != {algebraic}"
+            f"generalized eigenspace of {lam} has dimension {len(kernels[-1])} != {algebraic}"
         )
-    weyr = [dims[k] - dims[k - 1] for k in range(1, len(dims))]
+    weyr = [len(kernels[k]) - len(kernels[k - 1]) for k in range(1, len(kernels))]
     deepest = len(weyr)
-    kernels = {}
-    for h in range(1, deepest + 1):
-        kernels[h] = field.left_kernel(pows[h], h, spread)
-        if len(kernels[h]) != dims[h]:
-            raise field.failure(f"kernel dimension unstable for eigenvalue {lam}")
     chains = []
     for h in range(deepest, 0, -1):
         new_tops = weyr[h - 1] - (weyr[h] if h < deepest else 0)
         if new_tops == 0:
             continue
-        base = list(kernels[h - 1]) if h > 1 else []
+        base = list(kernels[h - 1])
         base += [chain.vectors[h - 1] for chain in chains]  # level h of longer chains
         tops = field.new_tops(base, kernels[h], new_tops)
         if len(tops) != new_tops:
@@ -754,7 +726,7 @@ def spectrum_of(matrix, exact_rows=None, *, rtol: float = 1e-8):
         a = np.atleast_2d(np.asarray(matrix, dtype=complex))
         if a.size == 0:
             return []
-        out = [(lam, mult, None) for lam, mult, _ in _clusters(np.linalg.eigvals(a), rtol)]
+        out = [(lam, mult, None) for lam, mult, _ in nm.clusters(np.linalg.eigvals(a), rtol)]
     out.sort(key=lambda e: _group_key(e[0]))
     return out
 
@@ -837,7 +809,7 @@ def accuracy(source, *, exact: bool | None = None, rtol: float = 1e-8) -> Accura
                 * max(1.0, float(np.abs(t - lam * np.eye(size)).max()))
                 * max(1.0, float(vander.max()))
             )
-            q = nm.nullspace(m_s, max(nm.default_cutoff(m_s), floor))
+            q = nm.nullspace(m_s, floor=floor)
             if q.shape[0]:
                 proj = np.zeros(s + 1, dtype=complex)
                 for row in q:
@@ -897,11 +869,9 @@ def independence_test(source) -> IndependenceResult:
         kernel_dimension = 0  # empty core
     elif scale.mask.is_rational:
         core_rows = scale.exact_core_rows()
-        kernel_dimension = 0 if xq.det(core_rows) != 0 else len(core_rows) - xq.rank(core_rows)
+        kernel_dimension = len(core_rows) - xq.rank(core_rows)
     else:
-        s = nm.singular_values(scale.core)
-        cutoff = 1e-10 * max(s.max(), 1e-300)
-        kernel_dimension = len(s) - int(np.sum(s > cutoff))
+        kernel_dimension = len(scale.core) - nm.svd_rank(scale.core, vectors=False).rank
     system = subdivision_system(scale.mask)
     gcd_degree = system.gcd_degree
     consistent = kernel_dimension == gcd_degree

@@ -230,6 +230,17 @@ class TestBasisCommand:
         )
         assert code == 2
 
+    def test_rejects_interval_ending_at_zero(self, tmp_path, capsys):
+        # the reconstruction reads the basis on [0, 1], so B = 0 is refused
+        # before any work, and no file is written
+        out = tmp_path / "out"
+        code, _, err = run(
+            capsys, "basis", BSPLINE3, "--out", str(out), "--interval", "-3", "0"
+        )
+        assert code == 2
+        assert "--interval" in err
+        assert not out.exists()
+
     def test_rejects_out_of_range_level(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "basis", BSPLINE3, "--out", str(tmp_path), "--level", "40"

@@ -17,7 +17,7 @@ import pytest
 
 import refinable as rf
 from refinable.errors import EvaluationError
-from refinable.evaluate import MAX_LEVEL, extend_row, translate_sum
+from refinable.evaluate import MAX_LEVEL, translate_sum
 
 from conftest import GRID_MASK_NAMES, SQRT3, bits, grid_masks, make_mask
 
@@ -306,18 +306,6 @@ class TestHomogeneousBasis:
         with pytest.raises(EvaluationError):
             rf.build_homogeneous_basis(mask, interval=(-1, 1), level=-2)
 
-    def test_extend_row_matches_extend_vector(self):
-        mask = make_mask("bspline3")
-        spectral = rf.eigen_structure(mask)
-        for info in spectral.rows:
-            a = extend_row(spectral, info.index)
-            b = rf.extend_vector(
-                spectral.basis[info.index], spectral, info.eigenvalue
-            )
-            np.testing.assert_allclose(
-                a.values(-6, 12), b.values(-6, 12), atol=1e-12
-            )
-
     def test_nilpotent_chain_vector_is_rejected(self):
         # core [[0,1,0],[0,0,0],[0,1,0]] is nilpotent of index 2: the
         # eigen recurrence divides by the eigenvalue, so a second-order
@@ -336,7 +324,7 @@ class TestHomogeneousBasis:
         assert sorted(orders.values()) == [1, 1, 2]
         top = next(i for i, r in orders.items() if r == 2)
         with pytest.raises(EvaluationError):
-            extend_row(spectral, top)
+            rf.extend_vector(spectral.basis[top], spectral, spectral.rows[top].eigenvalue)
 
 
 class TestReconstruction:
@@ -390,7 +378,7 @@ class TestDependency:
         mask = make_mask("bspline3")
         spectral = rf.eigen_structure(mask)
         info = next(r for r in spectral.rows if abs(r.eigenvalue - 1) < 1e-9)
-        window = extend_row(spectral, info.index)
+        window = rf.extend_vector(spectral.basis[info.index], spectral, info.eigenvalue)
         report = rf.verify_dependency(mask, window, level=6)
         assert not report.dependent
         assert report.max_residual > 1e-2

@@ -3,7 +3,7 @@
 Usage::
 
     python3 tools/compare_outputs.py hash --src SRC --out HASHES.json \\
-        [--workload spectrum verify basis]
+        [--workload spectrum spectrum-exact verify verify-exact basis]
     python3 tools/compare_outputs.py diff A.json B.json
 
 ``hash`` imports ``refinable`` from ``SRC`` (default: this repository's
@@ -11,7 +11,10 @@ Usage::
 benchmark pools (``perfbench.corpus.pool``, imported read-only), with each
 job's own arguments.  The ``spectrum-exact`` workload runs ``spectrum MASK
 --exact`` on every rational mask of the ``spectrum`` pool, so that the
-forced exact path and its failures are compared too.  For every job it
+forced exact path and its failures are compared too; ``verify-exact``
+runs ``verify MASK --exact --level 8`` on the same masks, which brings the
+exact staircase, integer samples and battery under the check.  For every
+job it
 records the SHA-256 of standard output, of standard error and of every
 file written, plus the exit code.
 ``diff`` prints each job whose record differs between two hash files and
@@ -44,7 +47,12 @@ import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_WORKLOADS = ("spectrum", "spectrum-exact", "verify", "basis")
+DEFAULT_WORKLOADS = ("spectrum", "spectrum-exact", "verify", "verify-exact", "basis")
+# workloads derived from the rational masks of the spectrum pool
+EXACT_ARGV = {
+    "spectrum-exact": ("spectrum", "{mask}", "--out", "{out}", "--exact"),
+    "verify-exact": ("verify", "{mask}", "--exact", "--level", "8"),
+}
 
 
 def _sha(data: bytes) -> str:
@@ -73,11 +81,11 @@ def run_job(cli, job, out: Path, src: Path) -> dict:
 
 
 def pool(corpus, workload: str):
-    """The jobs of one workload; ``spectrum-exact`` is derived from ``spectrum``."""
-    if workload != "spectrum-exact":
+    """The jobs of one workload; the ``EXACT_ARGV`` ones derive from ``spectrum``."""
+    if workload not in EXACT_ARGV:
         return corpus.pool(workload)
     return [
-        dataclasses.replace(job, key=f"spectrum-exact/{job.key.split('/', 1)[1]}", argv=job.argv + ("--exact",))
+        dataclasses.replace(job, key=f"{workload}/{job.key.split('/', 1)[1]}", argv=EXACT_ARGV[workload])
         for job in corpus.pool("spectrum")
         # rational masks are written as "p/q" strings
         if all(isinstance(c, str) for c in job.mask["coefficients"])
