@@ -22,6 +22,7 @@ from . import numeric as nm
 from .errors import DifferenceEquationError
 
 ROOT_CLUSTER_RTOL = 1e-7
+SOLUTION_RTOL = 1e-10  # relative residual accepted by extend_finite_solution
 
 
 def _as_exact_list(p):
@@ -435,7 +436,7 @@ class CombinationRule:
         )
 
 
-def extend_finite_solution(z, system: DifferenceSystem, *, rtol=1e-10) -> CombinationRule:
+def extend_finite_solution(z, system: DifferenceSystem) -> CombinationRule:
     """Extend finite samples z (window k = 0..len(z)-1) to a full solution.
 
     Solves the fundamental-matrix system for the coordinates of z, checks
@@ -450,14 +451,14 @@ def extend_finite_solution(z, system: DifferenceSystem, *, rtol=1e-10) -> Combin
     scale = max(1.0, float(np.abs(zf).max()))
     for eq in system.equations:
         worst = eq.residual_on(zf)
-        if worst > rtol * scale:
+        if worst > SOLUTION_RTOL * scale:
             raise DifferenceEquationError(
                 f"samples do not satisfy the system on their window (residual {worst:.3g})"
             )
     basis = fundamental_basis(system.union_roots)
     t = basis.order
     if t == 0:
-        if float(np.abs(zf).max()) > rtol * scale:
+        if float(np.abs(zf).max()) > SOLUTION_RTOL * scale:
             raise DifferenceEquationError("system admits only the zero solution")
         return CombinationRule(rules=(), coefficients=(), exact_coefficients=())
     exact_ok = (
@@ -477,7 +478,7 @@ def extend_finite_solution(z, system: DifferenceSystem, *, rtol=1e-10) -> Combin
         f = fundamental_matrix(system.union_roots, ncols=len(zf)).T
         alpha, *_ = np.linalg.lstsq(f, zf, rcond=None)
         resid = np.abs(f @ alpha - zf).max()
-        if resid > rtol * scale * 1e2:
+        if resid > SOLUTION_RTOL * scale * 1e2:
             raise DifferenceEquationError(
                 f"samples are inconsistent with the fundamental system (residual {resid:.3g})"
             )
@@ -491,7 +492,7 @@ def extend_finite_solution(z, system: DifferenceSystem, *, rtol=1e-10) -> Combin
         supported.append(j < m_in_gcd)
     amax = max(1.0, float(np.abs(alpha).max()))
     for i, ok in enumerate(supported):
-        if not ok and abs(alpha[i]) > max(rtol * amax, 1e-9 * scale):
+        if not ok and abs(alpha[i]) > max(SOLUTION_RTOL * amax, 1e-9 * scale):
             raise DifferenceEquationError(
                 "samples are not in the solution space of the system "
                 f"(component {abs(alpha[i]):.3g} outside the gcd span)"

@@ -16,8 +16,9 @@ class SpectralError(RefinableError):
 class ClusteringError(SpectralError):
     """Eigenvalue clusters and rank tests disagree.
 
-    Raised when the nullity staircase of a cluster cannot account for its
-    algebraic multiplicity even after merging nearby clusters.
+    Raised when a check of the float Jordan structure fails, for instance
+    when the nullity staircase of a cluster cannot account for its algebraic
+    multiplicity. ``values`` holds the eigenvalues of the scale matrix.
     """
 
     def __init__(self, message, values=()):

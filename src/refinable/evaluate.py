@@ -19,12 +19,9 @@ sum_k y_k phi(x + k): the basis rows, the dependency check and the battery's
 accuracy check all call it, and each k adds y_k times one contiguous slice
 of phi. The homogeneity residual reads h(x / 2^k) as a stride-2^(r-k) slice
 of the samples. Every product is the one an index gather would compute,
-element by element and in the same order. One numpy behaviour needs care:
-a Python complex times a temporary array of 256 KiB or more is computed in
-place as array * scalar, and the complex product is not bitwise
-commutative. So the homogeneity samples, scaled by Python complex
-coefficients, are copied into fresh arrays as ``at_index`` did; the other
-sums scale by numpy scalars, which never take that path.
+element by element and in the same order. Each factor is a numpy scalar,
+so the operand order of the complex product, which is not bitwise
+commutative, does not depend on whether numpy reuses a temporary array.
 """
 
 from __future__ import annotations
@@ -44,6 +41,7 @@ from .mask import Mask, build_scale_matrices
 from .spectral import SpectralData, eigen_structure, minimal_order
 
 ZERO_EIGENVALUE_TOL = 1e-10
+FIT_RTOL = 1e-8  # zero-sum test and least-squares fits of the extensions and samples
 
 MAX_LEVEL = 24
 DEFAULT_LEVEL = 12
@@ -59,7 +57,7 @@ def _check_level(level: int) -> int:
 # ---------------------------------------------------------------------------
 # integer samples and the cascade
 
-def integer_samples(mask: Mask, *, rtol: float = 1e-8) -> np.ndarray:
+def integer_samples(mask: Mask) -> np.ndarray:
     """(phi(0), ..., phi(N)): right 1-eigenvector of T with sum 1.
 
     A non-simple eigenvalue 1 is disambiguated by phi(N) = 0 (the
@@ -88,7 +86,7 @@ def integer_samples(mask: Mask, *, rtol: float = 1e-8) -> np.ndarray:
     if candidates.shape[0] == 1:
         u = candidates[0]
         total = complex(u.sum())
-        if abs(total) <= rtol * float(np.abs(u).max()):
+        if abs(total) <= FIT_RTOL * float(np.abs(u).max()):
             raise EvaluationError(
                 "the eigenvector for eigenvalue 1 has zero sum and cannot be "
                 "normalized to sum 1",
@@ -99,7 +97,7 @@ def integer_samples(mask: Mask, *, rtol: float = 1e-8) -> np.ndarray:
     a = np.vstack([candidates.sum(axis=1), candidates[:, -1]]).T  # rows: (sum_i, last_i)
     gamma, *_ = np.linalg.lstsq(a.T, np.array([1.0, 0.0], dtype=complex), rcond=None)
     fit = a.T @ gamma - np.array([1.0, 0.0])
-    if float(np.abs(fit).max()) > max(rtol, 1e-8):
+    if float(np.abs(fit).max()) > FIT_RTOL:
         raise EvaluationError(
             "no eigenvector for the non-simple eigenvalue 1 satisfies sum = 1 "
             "with phi(N) = 0",
@@ -181,7 +179,7 @@ def translate_sum(phi: PhiValues, coeffs, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def extend_vector(v, spectral_or_scale, eigenvalue, *, rtol: float = 1e-8) -> SequenceWindow:
+def extend_vector(v, spectral_or_scale, eigenvalue) -> SequenceWindow:
     """Extension of a generalized left eigenvector, recursing down its chain.
 
     ``minimal_order`` bounds the recursion (and rejects vectors that are not
@@ -194,22 +192,22 @@ def extend_vector(v, spectral_or_scale, eigenvalue, *, rtol: float = 1e-8) -> Se
     else:
         scale = spectral_or_scale
     v = np.asarray(v, dtype=complex)
-    order = minimal_order(v, scale, eigenvalue, rtol=max(rtol, 1e-7))
+    order = minimal_order(v, scale, eigenvalue)
     if abs(complex(eigenvalue)) <= ZERO_EIGENVALUE_TOL:
         if order > 1:
             raise EvaluationError(
                 "extension of nilpotent chain vectors of order >= 2 is not supported "
                 "(the eigen recurrence divides by the eigenvalue)"
             )
-        return _kernel_extension(v, scale, rtol=rtol)
+        return _kernel_extension(v, scale)
     prev = None
     if order > 1:
         w = v @ scale.shifted(complex(eigenvalue))
-        prev = extend_vector(w, scale, eigenvalue, rtol=rtol)
-    return eigen_extend(v, prev, scale.mask, eigenvalue, scale=scale, rtol=max(rtol, 1e-7))
+        prev = extend_vector(w, scale, eigenvalue)
+    return eigen_extend(v, prev, scale.mask, eigenvalue, scale=scale)
 
 
-def _kernel_extension(v, scale, *, rtol: float = 1e-8) -> SequenceWindow:
+def _kernel_extension(v, scale) -> SequenceWindow:
     """Extension of an eigenvalue-0 left eigenvector through ker L.
 
     A two-sided Y with Y L = 0 restricts on [0, N] to a left kernel vector of
@@ -227,7 +225,7 @@ def _kernel_extension(v, scale, *, rtol: float = 1e-8) -> SequenceWindow:
     f = np.array([w.values(0, n + 1) for w in kernel.windows])
     gamma, *_ = np.linalg.lstsq(f.T, v, rcond=None)
     fit = f.T @ gamma - v
-    if float(np.abs(fit).max()) > max(rtol, 1e-8) * max(1.0, float(np.abs(v).max(initial=0.0))):
+    if float(np.abs(fit).max()) > FIT_RTOL * max(1.0, float(np.abs(v).max(initial=0.0))):
         raise EvaluationError(
             "eigenvalue-0 vector is not the restriction of any subdivision kernel sequence"
         )
@@ -361,10 +359,7 @@ def homogeneity_residual(
 
         def samples(k):
             start, stride = first // 2**k - lo * step, 2 ** (r - k)
-            # A fresh array, as at_index gives: numpy multiplies a Python
-            # complex into a temporary of 256 KiB or more in place, which
-            # rounds differently from the product with a view.
-            return h.values[start : start + (count - 1) * stride + 1 : stride].copy()
+            return h.values[start : start + (count - 1) * stride + 1 : stride]
 
     else:
         indices = []
@@ -385,7 +380,7 @@ def homogeneity_residual(
         return 0.0
     acc = np.zeros(count, dtype=complex)
     for k in range(r + 1):
-        acc += comb(r, k) * (-lam) ** (r - k) * samples(k)
+        acc += np.complex128(comb(r, k) * (-lam) ** (r - k)) * samples(k)
     if np.any(np.isnan(acc)):
         raise EvaluationError("homogeneity test points left the sampled interval")
     return float(np.abs(acc).max())

@@ -21,7 +21,7 @@ from .diffeq import DifferenceSystem, difference_system, solve_system
 from .errors import ExtensionError, ExtensionOverflowError
 from .mask import Mask, ScaleMatrices, build_scale_matrices, mask_polynomials
 
-PRECONDITION_RTOL = 1e-8
+PRECONDITION_RTOL = 1e-7
 
 
 class ZeroExtender:
@@ -211,7 +211,6 @@ def eigen_extend(
     out_window=None,
     *,
     scale: ScaleMatrices | None = None,
-    rtol: float = PRECONDITION_RTOL,
 ) -> SequenceWindow:
     """Extend scale-matrix chain data v to a two-sided Y with Y L = lam Y + Y_prev.
 
@@ -219,7 +218,8 @@ def eigen_extend(
     the restriction of ``chain_prev`` to [0, N] (the zero sequence for an
     eigenvector). On that window the recurrence *is* the matrix identity, so
     the precondition is exactly what makes the extension exist; it is then
-    unique because every outside entry is forced.
+    unique because every outside entry is forced. The precondition holds to
+    ``PRECONDITION_RTOL`` relative to the largest entry of v and prev.
     """
     lam = complex(eigenvalue)
     if lam == 0:
@@ -235,7 +235,7 @@ def eigen_extend(
     else:
         prev_block = chain_prev.values(0, n + 1)
     residual = v @ scale.shifted(lam) - prev_block
-    tol = rtol * max(
+    tol = PRECONDITION_RTOL * max(
         1.0,
         float(np.abs(v).max(initial=0.0)),
         float(np.abs(prev_block).max(initial=0.0)),

@@ -7,6 +7,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+GCD_REL = 1e-8
+
 
 class SvdRank(NamedTuple):
     """One SVD of a matrix and the rank decision made on its own values."""
@@ -126,11 +128,11 @@ def sylvester(a, b):
     return s
 
 
-def float_poly_gcd(a, b, rel_cutoff=1e-8):
+def float_poly_gcd(a, b):
     """Approximate monic gcd: Sylvester-rank degree decision, cofactor solve.
 
     The gcd degree is the rank deficiency of the Sylvester matrix at the
-    ``rel_cutoff * ||S||`` threshold; the cofactors come from its null vector
+    ``GCD_REL * ||S||`` threshold; the cofactors come from its null vector
     and the gcd itself from a least-squares deconvolution.
     """
     a, b = poly_trim(a, 1e-14), poly_trim(b, 1e-14)
@@ -143,13 +145,13 @@ def float_poly_gcd(a, b, rel_cutoff=1e-8):
     m, n = len(a) - 1, len(b) - 1
     if m == 0 or n == 0:
         return np.ones(1, dtype=complex)
-    ell = m + n - svd_rank(sylvester(a, b), rel_cutoff, vectors=False).rank
+    ell = m + n - svd_rank(sylvester(a, b), GCD_REL, vectors=False).rank
     if ell == 0:
         return np.ones(1, dtype=complex)
     if ell == min(m, n) and m == n:
         # quick exit: proportional polynomials
         ratio = a[-1] / b[-1]
-        if np.abs(a - ratio * b).max() <= rel_cutoff * np.abs(a).max():
+        if np.abs(a - ratio * b).max() <= GCD_REL * np.abs(a).max():
             return poly_monic(a)
     # cofactors p (deg m-ell), q (deg n-ell) with a*q - b*p = 0
     rows = m + n - ell + 1

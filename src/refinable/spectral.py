@@ -17,12 +17,14 @@ instead and the basis stops being a strict Jordan basis
 
 The chains, the corner regauge, both row layouts and the final checks are
 written once (``_build``) over an arithmetic object. ``_FloatField`` works
-in numpy: clustered eigenvalues, SVD rank decisions with tolerances, and a
-condition-number and residual check; its failures raise ``_Retry``, which
-escalates the clustering tolerance. ``_ExactField`` works with Fractions
-through ``exact``: rational roots, RREF ranks, equality tests, and the
-exact identity basis T == jordan basis; its failures raise SpectralError,
-on which auto mode falls back to floats.
+in numpy: eigenvalues clustered at ``CLUSTER_RTOL``, SVD rank decisions,
+and a condition-number and residual check; its failures raise ``_Retry``,
+which ``eigen_structure`` reports as ClusteringError with no second try (a
+coarser clustering can merge eigenvalues into a wrong structure that passes
+the checks). ``_ExactField`` works with Fractions through ``exact``:
+rational roots, RREF ranks, equality tests, and the exact identity basis T
+== jordan basis; its failures raise SpectralError, on which auto mode falls
+back to floats.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from .extension import subdivision_system
 from .mask import Mask, ScaleMatrices, build_scale_matrices
 
 CLUSTER_RTOL = 1e-8
-ESCALATION = 100.0
+RESIDUAL_RTOL = 1e-7  # minimal_order's zero test; regauge, accuracy and lift residuals
+KERNEL_RTOL = 1e-8  # kernel-membership and corner tests of kernel_transfer / kernel_lift
 STAIRCASE_REL = 1e-10
 CONDITION_LIMIT = 1e10
 
@@ -132,7 +135,7 @@ class SpectralData:
 
 
 class _Retry(Exception):
-    """Internal: the float pipeline wants a coarser eigenvalue clustering."""
+    """Internal: a float check failed; the clustering is not trusted."""
 
 
 # ---------------------------------------------------------------------------
@@ -163,19 +166,18 @@ class _FloatField:
     failure = _Retry
     one = 1.0
 
-    def __init__(self, scale: ScaleMatrices, rtol: float):
+    def __init__(self, scale: ScaleMatrices):
         self.t = scale.full
         self.size = scale.n + 1
-        self.rtol = rtol
 
     def eigenvalues(self):
-        return nm.clusters(np.linalg.eigvals(self.t), self.rtol)
+        return nm.clusters(np.linalg.eigvals(self.t), CLUSTER_RTOL)
 
     def label(self, lam):
         return lam, None
 
     def is_corner(self, lam, spread, index):
-        tol = max(spread * 4.0, self.rtol * max(1.0, abs(lam)))
+        tol = max(spread * 4.0, CLUSTER_RTOL * max(1.0, abs(lam)))
         return abs(lam - complex(self.t[index, index])) <= tol
 
     def identity(self):
@@ -229,7 +231,7 @@ class _FloatField:
         bottoms = np.array(bottoms)
         alpha, *_ = np.linalg.lstsq(bottoms.T, target, rcond=None)
         fit = bottoms.T @ alpha - target
-        if float(np.abs(fit).max()) > max(self.rtol, 1e-7):
+        if float(np.abs(fit).max()) > RESIDUAL_RTOL:
             return None
         floor = 1e-8 * max(1.0, np.abs(alpha).max())
         return alpha, [i for i in range(len(alpha)) if abs(alpha[i]) > floor]
@@ -648,7 +650,7 @@ def _layout_insertion(field, group_chains):
 # ---------------------------------------------------------------------------
 # entry point
 
-def eigen_structure(source, *, exact: bool | None = None, rtol: float = CLUSTER_RTOL) -> SpectralData:
+def eigen_structure(source, *, exact: bool | None = None) -> SpectralData:
     """Left Jordan basis of the scale matrix with corner-row conventions.
 
     ``exact=True`` demands Fraction arithmetic (rational mask with fully
@@ -656,37 +658,31 @@ def eigen_structure(source, *, exact: bool | None = None, rtol: float = CLUSTER_
     rational masks and falls back to floats when the exact path gives up,
     for instance when the spectrum has irrational eigenvalues. The float
     result then carries the reason in ``exact_fallback``. The float path
-    retries once with a 100x coarser eigenvalue clustering before giving up
-    with ClusteringError.
+    makes one attempt, at clustering tolerance ``CLUSTER_RTOL``; when one
+    of its checks fails it raises ClusteringError, whose ``values`` are the
+    eigenvalues.
     """
     scale = _scale_of(source)
-    if exact is None:
-        if scale.mask.is_rational:
-            try:
-                return _build(scale, _ExactField(scale))
-            except SpectralError as e:
-                return replace(_build_float_escalating(scale, rtol), exact_fallback=str(e))
-        exact = False
-    if exact:
-        return _build(scale, _ExactField(scale))
-    return _build_float_escalating(scale, rtol)
-
-
-def _build_float_escalating(scale: ScaleMatrices, rtol: float) -> SpectralData:
-    try:
-        return _build(scale, _FloatField(scale, rtol))
-    except _Retry:
+    fallback = None
+    if exact or (exact is None and scale.mask.is_rational):
         try:
-            return _build(scale, _FloatField(scale, rtol * ESCALATION))
-        except _Retry as e:
-            raise ClusteringError(
-                f"eigenvalue clustering failed even at rtol {rtol * ESCALATION:g}: {e}",
-                values=np.linalg.eigvals(scale.full),
-            ) from e
+            return _build(scale, _ExactField(scale))
+        except SpectralError as e:
+            if exact:
+                raise
+            fallback = str(e)
+    try:
+        spectral = _build(scale, _FloatField(scale))
+    except _Retry as e:
+        raise ClusteringError(
+            f"eigenvalue clustering at rtol {CLUSTER_RTOL:g} failed: {e}",
+            values=np.linalg.eigvals(scale.full),
+        ) from e
+    return replace(spectral, exact_fallback=fallback) if fallback else spectral
 
 
-def minimal_order(v, source, eigenvalue, *, rtol: float = 1e-8) -> int:
-    """Smallest r with v (T - lam I)^r = 0; 0 for the zero vector.
+def minimal_order(v, source, eigenvalue) -> int:
+    """Smallest r with v (T - lam I)^r = 0 (to ``RESIDUAL_RTOL``); 0 for v = 0.
 
     Raises SpectralError when v is not a generalized left eigenvector for the
     eigenvalue (no r up to the matrix dimension works).
@@ -700,7 +696,7 @@ def minimal_order(v, source, eigenvalue, *, rtol: float = 1e-8) -> int:
     scale_ref = max(1.0, float(np.abs(w).max(initial=0.0)))
     shift = t - complex(eigenvalue) * np.eye(size, dtype=complex)
     for r in range(size + 1):
-        if float(np.abs(w).max(initial=0.0)) <= rtol * scale_ref:
+        if float(np.abs(w).max(initial=0.0)) <= RESIDUAL_RTOL * scale_ref:
             return r
         w = w @ shift
     raise SpectralError(
@@ -711,12 +707,13 @@ def minimal_order(v, source, eigenvalue, *, rtol: float = 1e-8) -> int:
 # ---------------------------------------------------------------------------
 # spectra of the submatrices
 
-def spectrum_of(matrix, exact_rows=None, *, rtol: float = 1e-8):
+def spectrum_of(matrix, exact_rows=None):
     """Eigenvalues with multiplicities, sorted by (-|lam|, angle).
 
     Returns (eigenvalue, multiplicity, exact eigenvalue or None) triples.
     With exact rational rows the rational part of the spectrum is exact and
-    only irrational factors fall back to float roots.
+    only irrational factors fall back to float roots; float eigenvalues are
+    clustered at ``CLUSTER_RTOL``.
     """
     if exact_rows is not None:
         if len(exact_rows) == 0:
@@ -726,7 +723,7 @@ def spectrum_of(matrix, exact_rows=None, *, rtol: float = 1e-8):
         a = np.atleast_2d(np.asarray(matrix, dtype=complex))
         if a.size == 0:
             return []
-        out = [(lam, mult, None) for lam, mult, _ in nm.clusters(np.linalg.eigvals(a), rtol)]
+        out = [(lam, mult, None) for lam, mult, _ in nm.clusters(np.linalg.eigvals(a), CLUSTER_RTOL)]
     out.sort(key=lambda e: _group_key(e[0]))
     return out
 
@@ -755,7 +752,7 @@ class AccuracyResult:
         return tuple(range(self.order))
 
 
-def accuracy(source, *, exact: bool | None = None, rtol: float = 1e-8) -> AccuracyResult:
+def accuracy(source, *, exact: bool | None = None) -> AccuracyResult:
     """Polynomial reproduction order of the mask's refinable function."""
     scale = _scale_of(source)
     if exact is None:
@@ -823,7 +820,7 @@ def accuracy(source, *, exact: bool | None = None, rtol: float = 1e-8) -> Accura
         res = float(np.abs(v @ t - lam * v).max())
         # An exact solution is certified above; its float residual is only
         # reported, since k^p makes it grow with N and s.
-        if not exact and res > max(rtol, 1e-7) * max(1.0, float(np.abs(v).max())):
+        if not exact and res > RESIDUAL_RTOL * max(1.0, float(np.abs(v).max())):
             break
         coeff_list.append(a)
         vec_list.append(v)
@@ -895,7 +892,7 @@ def independence_test(source) -> IndependenceResult:
 # ---------------------------------------------------------------------------
 # kernel transfer between the full matrix and the core
 
-def kernel_transfer(v0, source, eigenvalue, order: int, *, rtol: float = 1e-8) -> np.ndarray:
+def kernel_transfer(v0, source, eigenvalue, order: int) -> np.ndarray:
     """Middle slice of a generalized left kernel vector of the full matrix.
 
     For lam != 0 the middle block of (T - lam I)^r is exactly (M - lam I)^r
@@ -914,7 +911,7 @@ def kernel_transfer(v0, source, eigenvalue, order: int, *, rtol: float = 1e-8) -
     shift = scale.shifted(lam)
     power = np.linalg.matrix_power(shift, order)
     resid = float(np.abs(v0 @ power).max(initial=0.0))
-    if resid > rtol * max(1.0, float(np.abs(v0).max(initial=0.0))):
+    if resid > KERNEL_RTOL * max(1.0, float(np.abs(v0).max(initial=0.0))):
         raise SpectralError(
             f"vector is not in ker (T - lam I)^{order} (residual {resid:.3g})"
         )
@@ -922,8 +919,8 @@ def kernel_transfer(v0, source, eigenvalue, order: int, *, rtol: float = 1e-8) -
     vmax = float(np.abs(v0).max(initial=0.0))
     c0 = complex(scale.full[0, 0])
     cn = complex(scale.full[size - 1, size - 1])
-    away_from_corners = min(abs(lam - c0), abs(lam - cn)) > rtol * max(1.0, abs(lam))
-    if vmax > 0 and away_from_corners and float(np.abs(middle).max(initial=0.0)) <= rtol * vmax:
+    away_from_corners = min(abs(lam - c0), abs(lam - cn)) > KERNEL_RTOL * max(1.0, abs(lam))
+    if vmax > 0 and away_from_corners and float(np.abs(middle).max(initial=0.0)) <= KERNEL_RTOL * vmax:
         raise SpectralError(
             "transfer unexpectedly vanished: away from the corner eigenvalues the "
             "middle restriction of a nonzero kernel vector cannot be zero"
@@ -931,7 +928,7 @@ def kernel_transfer(v0, source, eigenvalue, order: int, *, rtol: float = 1e-8) -
     return middle
 
 
-def kernel_lift(v_core, source, eigenvalue, order: int, *, rtol: float = 1e-8) -> np.ndarray:
+def kernel_lift(v_core, source, eigenvalue, order: int) -> np.ndarray:
     """Lift a generalized left kernel vector of the core back to the full matrix.
 
     The corner entries are forced by columns 0 and N of (T - lam I)^r:
@@ -946,7 +943,7 @@ def kernel_lift(v_core, source, eigenvalue, order: int, *, rtol: float = 1e-8) -
     cn = complex(scale.full[size - 1, size - 1])
     if lam == 0:
         raise SpectralError("kernel lift requires a nonzero eigenvalue")
-    if abs(lam - c0) <= rtol * max(1.0, abs(lam)) or abs(lam - cn) <= rtol * max(1.0, abs(lam)):
+    if min(abs(lam - c0), abs(lam - cn)) <= KERNEL_RTOL * max(1.0, abs(lam)):
         raise SpectralError("kernel lift is undefined at the corner eigenvalues c_0 and c_N")
     v_core = np.asarray(v_core, dtype=complex)
     if v_core.shape != (size - 2,):
@@ -956,7 +953,7 @@ def kernel_lift(v_core, source, eigenvalue, order: int, *, rtol: float = 1e-8) -
     core_shift = scale.core - lam * np.eye(size - 2, dtype=complex)
     core_power = np.linalg.matrix_power(core_shift, order)
     resid = float(np.abs(v_core @ core_power).max(initial=0.0))
-    if resid > rtol * max(1.0, float(np.abs(v_core).max(initial=0.0))):
+    if resid > KERNEL_RTOL * max(1.0, float(np.abs(v_core).max(initial=0.0))):
         raise SpectralError(
             f"vector is not in ker (M - lam I)^{order} (residual {resid:.3g})"
         )
@@ -967,6 +964,6 @@ def kernel_lift(v_core, source, eigenvalue, order: int, *, rtol: float = 1e-8) -
     v[0] = -(v_core @ g0) / (c0 - lam) ** order
     v[size - 1] = -(v_core @ gn) / (cn - lam) ** order
     check = float(np.abs(v @ power).max())
-    if check > max(rtol, 1e-7) * max(1.0, float(np.abs(v).max())):
+    if check > RESIDUAL_RTOL * max(1.0, float(np.abs(v).max())):
         raise SpectralError(f"lift failed to land in ker (T - lam I)^{order} (residual {check:.3g})")
     return v

@@ -75,7 +75,7 @@ def homogeneity_by_index(h):
     indices = indices[indices % (2**r) == 0]
     acc = np.zeros(indices.shape, dtype=complex)
     for k in range(r + 1):
-        acc += comb(r, k) * (-lam) ** (r - k) * h.at_index(indices // (2**k))
+        acc += np.complex128(comb(r, k) * (-lam) ** (r - k)) * h.at_index(indices // (2**k))
     return float(np.abs(acc).max())
 
 

@@ -552,16 +552,15 @@ class TestKernelTransferAndLift:
         assert np.abs(middle @ core_shift).max() < 1e-10
 
 
-class TestClusteringEscalation:
+def jordan_structure(spectral):
+    return [(g.algebraic, g.geometric, sorted(g.chain_lengths)) for g in spectral.groups]
+
+
+class TestFloatSingleAttempt:
     def test_float_bspline_structure_matches_exact_or_raises(self):
         # at the default rtol the float path resolves orders 1-17 and
         # refuses 18-24; a coarser clustering would merge distinct
         # eigenvalues without an error, so a refusal is the right answer
-        def structure(spectral):
-            return [
-                (g.algebraic, g.geometric, sorted(g.chain_lengths)) for g in spectral.groups
-            ]
-
         for order in range(1, 25):
             try:
                 flt = rf.eigen_structure(bspline(order), exact=False)
@@ -569,15 +568,38 @@ class TestClusteringEscalation:
                 assert order >= 18, order
                 continue
             ref = rf.eigen_structure(bspline(order), exact=True)
-            assert structure(flt) == structure(ref), order
+            assert jordan_structure(flt) == jordan_structure(ref), order
             got = np.array([g.eigenvalue for g in flt.groups])
             want = np.array([g.eigenvalue for g in ref.groups])
             np.testing.assert_allclose(got, want, atol=1e-6)
 
-    def test_tight_cluster_still_resolves(self):
-        # eigenvalues within ~1e-9 of each other: escalation must either
-        # merge them into one group or keep them separate consistently,
-        # without raising
+    def test_jordan_pair_given_as_floats_matches_exact_or_raises(self):
+        # 3/128 is a double eigenvalue with one chain of length 2; a
+        # clustering 100x coarser than CLUSTER_RTOL splits it into two
+        # chains of length 1 whose Jordan residual, 2.5e-8, passes the
+        # float checks
+        coeffs = ["-5/128", "-37/128", "-113/128", "-43/32", "-49/64", "49/64",
+                  "119/64", "53/32", "103/128", "27/128", "3/128"]
+        ref = rf.eigen_structure(rf.mask_from_coefficients(coeffs), exact=True)
+        pair = next(g for g in ref.groups if g.exact_eigenvalue == Fraction(3, 128))
+        assert pair.chain_lengths == (2,)
+        floats = rf.mask_from_coefficients([float(Fraction(c)) for c in coeffs])
+        try:
+            flt = rf.eigen_structure(floats, exact=False)
+        except rf.ClusteringError:
+            return
+        assert jordan_structure(flt) == jordan_structure(ref)
+
+    def test_refusal_carries_the_eigenvalues(self):
+        with pytest.raises(rf.ClusteringError, match="rtol 1e-08") as info:
+            rf.eigen_structure(bspline(18), exact=False)
+        assert len(info.value.values) == 19
+        want = sorted(2.0**-s for s in range(18)) + [2.0**-17]
+        np.testing.assert_allclose(sorted(v.real for v in info.value.values), sorted(want), atol=1e-3)
+
+    def test_tight_cluster_resolves_on_the_first_attempt(self):
+        # eigenvalues within ~1e-9 of each other: the single float attempt
+        # builds a basis that passes its checks, merged or not
         eps = 1e-9
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", rf.MaskSumWarning)

@@ -3,7 +3,7 @@
 Usage::
 
     python3 tools/compare_outputs.py hash --src SRC --out HASHES.json \\
-        [--workload spectrum spectrum-exact verify verify-exact basis]
+        [--workload spectrum spectrum-exact spectrum-float verify verify-exact basis]
     python3 tools/compare_outputs.py diff A.json B.json
 
 ``hash`` imports ``refinable`` from ``SRC`` (default: this repository's
@@ -13,10 +13,13 @@ job's own arguments.  The ``spectrum-exact`` workload runs ``spectrum MASK
 --exact`` on every rational mask of the ``spectrum`` pool, so that the
 forced exact path and its failures are compared too; ``verify-exact``
 runs ``verify MASK --exact --level 8`` on the same masks, which brings the
-exact staircase, integer samples and battery under the check.  For every
-job it
-records the SHA-256 of standard output, of standard error and of every
-file written, plus the exit code.
+exact staircase, integer samples and battery under the check.
+``spectrum-float`` runs ``spectrum MASK --out OUT`` on the same masks with
+each ``"p/q"`` written as a float (exact, but for the thirds of
+``jordan13``), so that the float clustering, staircase and corner regauge
+meet repeated eigenvalues and Jordan blocks.  For every job it records
+the SHA-256 of standard output, of standard error and of every file
+written, plus the exit code.
 ``diff`` prints each job whose record differs between two hash files and
 exits 1 if there is one, 0 otherwise.
 
@@ -44,14 +47,17 @@ import shutil  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import warnings  # noqa: E402
+from fractions import Fraction  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_WORKLOADS = ("spectrum", "spectrum-exact", "verify", "verify-exact", "basis")
-# workloads derived from the rational masks of the spectrum pool
-EXACT_ARGV = {
-    "spectrum-exact": ("spectrum", "{mask}", "--out", "{out}", "--exact"),
-    "verify-exact": ("verify", "{mask}", "--exact", "--level", "8"),
+DEFAULT_WORKLOADS = ("spectrum", "spectrum-exact", "spectrum-float", "verify", "verify-exact", "basis")
+# workloads derived from the rational masks of the spectrum pool: argv, and
+# whether the "p/q" coefficients are written as floats
+DERIVED = {
+    "spectrum-exact": (("spectrum", "{mask}", "--out", "{out}", "--exact"), False),
+    "spectrum-float": (("spectrum", "{mask}", "--out", "{out}"), True),
+    "verify-exact": (("verify", "{mask}", "--exact", "--level", "8"), False),
 }
 
 
@@ -81,15 +87,19 @@ def run_job(cli, job, out: Path, src: Path) -> dict:
 
 
 def pool(corpus, workload: str):
-    """The jobs of one workload; the ``EXACT_ARGV`` ones derive from ``spectrum``."""
-    if workload not in EXACT_ARGV:
+    """The jobs of one workload; the ``DERIVED`` ones derive from ``spectrum``."""
+    if workload not in DERIVED:
         return corpus.pool(workload)
-    return [
-        dataclasses.replace(job, key=f"{workload}/{job.key.split('/', 1)[1]}", argv=EXACT_ARGV[workload])
-        for job in corpus.pool("spectrum")
+    argv, as_float = DERIVED[workload]
+    jobs = []
+    for job in corpus.pool("spectrum"):
+        coeffs = job.mask["coefficients"]
         # rational masks are written as "p/q" strings
-        if all(isinstance(c, str) for c in job.mask["coefficients"])
-    ]
+        if not all(isinstance(c, str) for c in coeffs):
+            continue
+        mask = {**job.mask, "coefficients": [float(Fraction(c)) for c in coeffs]} if as_float else job.mask
+        jobs.append(dataclasses.replace(job, key=f"{workload}/{job.key.split('/', 1)[1]}", mask=mask, argv=argv))
+    return jobs
 
 
 def hash_tree(src: Path, workloads) -> dict:
