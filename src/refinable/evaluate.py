@@ -38,7 +38,7 @@ from .diffeq import CombinationRule
 from .errors import EvaluationError
 from .extension import RuleExtender, SequenceWindow, eigen_extend, kernel_of_L
 from .mask import Mask, build_scale_matrices
-from .spectral import SpectralData, eigen_structure, minimal_order
+from .spectral import SpectralData, eigen_structure, power_chain
 
 ZERO_EIGENVALUE_TOL = 1e-10
 FIT_RTOL = 1e-8  # zero-sum test and least-squares fits of the extensions and samples
@@ -180,31 +180,35 @@ def translate_sum(phi: PhiValues, coeffs, lo: int, hi: int) -> np.ndarray:
 
 
 def extend_vector(v, spectral_or_scale, eigenvalue) -> SequenceWindow:
-    """Extension of a generalized left eigenvector, recursing down its chain.
+    """Extension of a generalized left eigenvector, bottom-up along its chain.
 
-    ``minimal_order`` bounds the recursion (and rejects vectors that are not
-    generalized eigenvectors for the eigenvalue). The predecessors are
-    recomputed as v (T - lam I)^j, so insertion-mode basis rows, whose
-    predecessors are not rows of the basis, extend too.
+    The predecessors are recomputed as v (T - lam I)^j, so insertion-mode
+    basis rows, whose predecessors are not rows of the basis, extend too.
     """
     if isinstance(spectral_or_scale, SpectralData):
         scale = spectral_or_scale.scale
     else:
         scale = spectral_or_scale
+    return _extension(v, scale, eigenvalue)[1]
+
+
+def _extension(v, scale, eigenvalue) -> tuple[int, SequenceWindow]:
+    """(minimal order of v, extension of v) from one ``power_chain`` pass:
+    each v (T - lam I)^j is extended with the window of the next as its
+    predecessor, the last one alone."""
     v = np.asarray(v, dtype=complex)
-    order = minimal_order(v, scale, eigenvalue)
+    chain = power_chain(v, scale, eigenvalue)
     if abs(complex(eigenvalue)) <= ZERO_EIGENVALUE_TOL:
-        if order > 1:
+        if len(chain) > 1:
             raise EvaluationError(
                 "extension of nilpotent chain vectors of order >= 2 is not supported "
                 "(the eigen recurrence divides by the eigenvalue)"
             )
-        return _kernel_extension(v, scale)
-    prev = None
-    if order > 1:
-        w = v @ scale.shifted(complex(eigenvalue))
-        prev = extend_vector(w, scale, eigenvalue)
-    return eigen_extend(v, prev, scale.mask, eigenvalue, scale=scale)
+        return len(chain), _kernel_extension(v, scale)
+    window = None
+    for w in reversed(chain[1:]):
+        window = eigen_extend(w, window, scale.mask, eigenvalue, scale=scale)
+    return len(chain), eigen_extend(v, window, scale.mask, eigenvalue, scale=scale)
 
 
 def _kernel_extension(v, scale) -> SequenceWindow:
@@ -310,8 +314,7 @@ def build_homogeneous_basis(
     functions = []
     for info in spectral.rows:
         v = spectral.basis[info.index]
-        order = minimal_order(v, spectral.scale, info.eigenvalue)
-        window = extend_vector(v, spectral, info.eigenvalue)
+        order, window = _extension(v, spectral.scale, info.eigenvalue)
         values = translate_sum(phi, window.values(-hi, mask.n - lo + 1), lo, hi)
         values.setflags(write=False)
         functions.append(

@@ -292,7 +292,8 @@ def poly_derivative(p):
 
 
 def poly_eval(p, x):
-    out = ZERO if isinstance(x, (int, Fraction)) else 0.0
+    """p(x) by Horner, in the arithmetic of the coefficients and of x."""
+    out = 0
     for c in reversed(list(p)):
         out = out * x + c
     return out

@@ -72,26 +72,19 @@ def mask_from_coefficients(values, name=None) -> Mask:
     for i, v in enumerate(values):
         if isinstance(v, bool):
             raise MaskError(f"coefficient {i} is a boolean, not a number")
-        if isinstance(v, (int, Fraction)):
-            f = Fraction(v)
-            floats[i] = float(f)
-            if exacts is not None:
-                exacts.append(f)
-        elif isinstance(v, str):
+        if isinstance(v, (int, Fraction, str)):
             try:
                 f = Fraction(v)
             except (ValueError, ZeroDivisionError) as e:
                 raise MaskError(f"coefficient {i}: malformed rational string {v!r}") from e
-            floats[i] = float(f)
+            try:
+                floats[i] = float(f)
+            except OverflowError as e:
+                raise MaskError(f"coefficient {i} is too large for floating point") from e
             if exacts is not None:
                 exacts.append(f)
-        elif isinstance(v, float):
+        elif isinstance(v, (float, complex)):
             if not np.isfinite(v):
-                raise MaskError(f"coefficient {i} is not finite")
-            floats[i] = v
-            exacts = None
-        elif isinstance(v, complex):
-            if not (np.isfinite(v.real) and np.isfinite(v.imag)):
                 raise MaskError(f"coefficient {i} is not finite")
             floats[i] = v
             exacts = None

@@ -33,9 +33,9 @@ def svd_rank(a, rel=1e-10, floor=0.0, *, vectors=True) -> SvdRank:
     return SvdRank(int(np.sum(s > cutoff)), cutoff, smax, vh)
 
 
-def nullspace(a, rel=1e-10, floor=0.0):
-    """Orthonormal rows spanning {x : a x = 0}."""
-    r = svd_rank(a, rel, floor)
+def nullspace(a):
+    """Orthonormal rows spanning {x : a x = 0}, at ``svd_rank``'s default cutoff."""
+    r = svd_rank(a)
     return r.vh[r.rank :].conj()
 
 

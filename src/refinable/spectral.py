@@ -25,12 +25,17 @@ the checks). ``_ExactField`` works with Fractions through ``exact``:
 rational roots, RREF ranks, equality tests, and the exact identity basis T
 == jordan basis; its failures raise SpectralError, on which auto mode falls
 back to floats.
+
+``accuracy`` is one routine over Fractions or complex values: the sum rules
+counted by synthetic division of the symbol, one triangular solve per
+reproduced polynomial, and v T = 2^-s v as the certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -43,6 +48,7 @@ from .mask import Mask, ScaleMatrices, build_scale_matrices
 
 CLUSTER_RTOL = 1e-8
 RESIDUAL_RTOL = 1e-7  # minimal_order's zero test; regauge, accuracy and lift residuals
+SUM_RULE_RTOL = 1e-8  # float remainder of each division of the symbol by (1 + z)
 KERNEL_RTOL = 1e-8  # kernel-membership and corner tests of kernel_transfer / kernel_lift
 STAIRCASE_REL = 1e-10
 CONDITION_LIMIT = 1e10
@@ -687,17 +693,23 @@ def minimal_order(v, source, eigenvalue) -> int:
     Raises SpectralError when v is not a generalized left eigenvector for the
     eigenvalue (no r up to the matrix dimension works).
     """
+    return len(power_chain(v, source, eigenvalue))
+
+
+def power_chain(v, source, eigenvalue) -> list[np.ndarray]:
+    """[v, v S, ..., v S^(r-1)] with S = T - lam I and r = ``minimal_order``."""
     scale = _scale_of(source)
-    t = scale.full
     size = scale.n + 1
     w = np.asarray(v, dtype=complex)
     if w.shape != (size,):
         raise SpectralError(f"vector must have length {size}")
-    scale_ref = max(1.0, float(np.abs(w).max(initial=0.0)))
-    shift = t - complex(eigenvalue) * np.eye(size, dtype=complex)
-    for r in range(size + 1):
-        if float(np.abs(w).max(initial=0.0)) <= RESIDUAL_RTOL * scale_ref:
-            return r
+    tol = RESIDUAL_RTOL * max(1.0, float(np.abs(w).max(initial=0.0)))
+    shift = scale.shifted(complex(eigenvalue))
+    chain = []
+    for _ in range(size + 1):
+        if float(np.abs(w).max(initial=0.0)) <= tol:
+            return chain
+        chain.append(w)
         w = w @ shift
     raise SpectralError(
         f"vector is not a generalized left eigenvector for eigenvalue {eigenvalue}"
@@ -753,87 +765,76 @@ class AccuracyResult:
 
 
 def accuracy(source, *, exact: bool | None = None) -> AccuracyResult:
-    """Polynomial reproduction order of the mask's refinable function."""
+    """Polynomial reproduction order of the mask's refinable function.
+
+    One routine for Fractions and complex values; a quantity is zero when it
+    is 0 exactly, or in floats when within a tolerance of what it sums.
+    - Order: the number k of factors (1 + z) of the symbol c(z), each one
+      synthetic division, once sum c = 2 (else 0). The float remainder is
+      held against ``SUM_RULE_RTOL`` times the running sum of |terms|.
+    - Coefficients: T acts on polynomials of degree s < k by the upper
+      triangular A[q][p] = 2^-p C(p, q) mu_{p-q}, mu_r = 1/2 sum_l c_l l^r,
+      so p_s with leading coefficient (-1)^s is one back-substitution.
+    - Certificate: v T = 2^-s v for v_k = p_s(k), in floats entrywise within
+      ``RESIDUAL_RTOL`` (|V||a|)|T| + 2^-s |V||a|; the order stops at the
+      first degree that fails it.
+    """
     scale = _scale_of(source)
     if exact is None:
         exact = scale.mask.is_rational
-    if exact and scale.exact_full is None:
-        raise SpectralError("exact accuracy needs a rational mask")
-    size = scale.n + 1
-    t = scale.full
-    coeff_list = []
-    vec_list = []
-    res_list = []
-    exact_list = [] if exact else None
     if exact:
-        t_rows = scale.exact_rows()
-        # T = t_int / den; moments[i][p] = sum_k t_int[k][i] k^p, shared by
-        # every degree s
-        t_int, den = xq.integer_rows(t_rows)
-        powers = [[k**p for p in range(size)] for k in range(size)]
-        moments = [
-            [sum(t_int[k][i] * powers[k][p] for k in range(size)) for p in range(size)]
-            for i in range(size)
-        ]
-    for s in range(size):
-        ks = np.arange(size)
-        vander = np.array([[float(k) ** p for p in range(s + 1)] for k in ks])
-        lam = 2.0 ** (-s)
-        found = None
-        if exact:
-            lam_exact = Fraction(1, 2**s)
-            # (T - 2^-s I)^T V_s times den 2^s: an integer matrix with the
-            # same null space
-            m_exact = [
-                [(moments[i][p] << s) - den * powers[i][p] for p in range(s + 1)]
-                for i in range(size)
-            ]
-            basis = xq.nullspace(m_exact)
-            pick = next((b for b in basis if b[s] != 0), None)
-            if pick is not None:
-                factor = Fraction((-1) ** s) / pick[s]
-                found = [c * factor for c in pick]
-                v_exact = [sum(c * powers[k][p] for p, c in enumerate(found)) for k in range(size)]
-                if xq.vec_mat(v_exact, t_rows) != [lam_exact * x for x in v_exact]:
-                    found = None
-        else:
-            m_s = (t - lam * np.eye(size)).T @ vander  # (N+1) x (s+1)
-            # Cutoff must be absolute in the scale of the factors: when the
-            # product is numerically zero (the success case), a cutoff
-            # relative to its own largest singular value sees only noise.
-            floor = (
-                1e-10
-                * max(1.0, float(np.abs(t - lam * np.eye(size)).max()))
-                * max(1.0, float(vander.max()))
-            )
-            q = nm.nullspace(m_s, floor=floor)
-            if q.shape[0]:
-                proj = np.zeros(s + 1, dtype=complex)
-                for row in q:
-                    proj += np.conj(row[s]) * row
-                if abs(proj[s]) > 1e-10:
-                    found = list(proj * ((-1.0) ** s / proj[s]))
-        if found is None:
+        field, c, one = _ExactField(scale), list(scale.mask.exact), xq.ONE
+        division_rtol = residual_rtol = 0
+    else:
+        field, c, one = _FloatField(scale), [complex(x) for x in scale.mask.coefficients], 1.0
+        division_rtol, residual_rtol = SUM_RULE_RTOL, RESIDUAL_RTOL
+    half = one / 2
+    k = _sum_rules(c, division_rtol)
+    mu = [half * sum(x * l**r for l, x in enumerate(c)) for r in range(k)]
+    pow2 = [half**p for p in range(k)]
+    # A[q][p] for p > q: the action of T on the monomial x^p, coefficient of x^q
+    action = [[pow2[p] * comb(p, q) * mu[p - q] if p > q else 0 for p in range(k)] for q in range(k)]
+    samples, t_mag = range(scale.n + 1), np.abs(scale.full)
+    polys, vectors, residuals = [], [], []
+    for s in range(k):
+        a = [0] * s + [one * (-1) ** s]
+        for q in range(s - 1, -1, -1):
+            a[q] = -sum(action[q][p] * a[p] for p in range(q + 1, s + 1)) / (pow2[q] - pow2[s])
+        v = [xq.poly_eval(a, x) for x in samples]
+        residual = [abs(x - pow2[s] * y) for x, y in zip(field.vec_mat(v, field.t), v)]
+        a_mag = [float(abs(x)) for x in a]
+        v_mag = np.array([xq.poly_eval(a_mag, x) for x in samples])  # |V||a|
+        bound = residual_rtol * (v_mag @ t_mag + 2.0**-s * v_mag)
+        if any(r > b for r, b in zip(residual, bound)):
             break
-        a = np.array([complex(c) for c in found])
-        v = vander @ a
-        res = float(np.abs(v @ t - lam * v).max())
-        # An exact solution is certified above; its float residual is only
-        # reported, since k^p makes it grow with N and s.
-        if not exact and res > RESIDUAL_RTOL * max(1.0, float(np.abs(v).max())):
-            break
-        coeff_list.append(a)
-        vec_list.append(v)
-        res_list.append(res)
-        if exact_list is not None:
-            exact_list.append(tuple(found))
+        polys.append(a)
+        vectors.append(np.array([complex(x) for x in v]))
+        residuals.append(float(max(residual)))
     return AccuracyResult(
-        order=len(coeff_list),
-        coefficients=tuple(coeff_list),
-        vectors=tuple(vec_list),
-        residuals=tuple(res_list),
-        exact_coefficients=tuple(exact_list) if exact_list is not None else None,
+        order=len(polys),
+        coefficients=tuple(np.array([complex(x) for x in a]) for a in polys),
+        vectors=tuple(vectors),
+        residuals=tuple(residuals),
+        exact_coefficients=tuple(tuple(a) for a in polys) if exact else None,
     )
+
+
+def _sum_rules(c, rtol) -> int:
+    """Number of factors (1 + z) of c(z) = sum_l c_l z^l when sum c = 2, else 0."""
+    if abs(sum(c) - 2) > rtol * sum(abs(x) for x in c):
+        return 0
+    degree = len(c) - 1
+    for k in range(degree):
+        # synthetic division by (1 + z), highest coefficient first
+        b, size, quotient = c[-1], abs(c[-1]), []
+        for x in reversed(c[:-1]):
+            quotient.append(b)
+            b = x - b
+            size += abs(x) + abs(b)
+        if abs(b) > rtol * size:
+            return k
+        c = quotient[::-1]
+    return degree
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,14 @@ class TestInputErrors:
         code, _, err = run(capsys, "spectrum", "[0, 1, 1]")
         assert code == 2
 
+    @pytest.mark.parametrize("huge", ['"1e400"', str(10**400)])
+    def test_coefficient_beyond_float_range(self, huge, capsys):
+        # exact, but with no float copy: an input error, not a traceback
+        code, out, err = run(capsys, "spectrum", f'["1/4", "3/4", "3/4", {huge}]')
+        assert code == 2
+        assert out == ""
+        assert "coefficient 3" in err and "Traceback" not in err
+
 
 @pytest.fixture(scope="module")
 def script():

@@ -93,6 +93,15 @@ def accuracy_sum_by_index(phi, coeffs):
 ORACLE_MASKS = GRID_MASK_NAMES + ("jordan13",)
 
 
+def recursive_extension(v, scale, lam):
+    """The extension as a recursion down the chain, each predecessor with
+    its own ``minimal_order``."""
+    prev = None
+    if rf.minimal_order(v, scale, lam) > 1:
+        prev = recursive_extension(v @ scale.shifted(complex(lam)), scale, lam)
+    return rf.eigen_extend(v, prev, scale.mask, lam, scale=scale)
+
+
 def oracle_mask(name: str) -> rf.Mask:
     return grid_masks()[name] if name in GRID_MASK_NAMES else make_mask(name)
 
@@ -305,6 +314,21 @@ class TestHomogeneousBasis:
             rf.build_homogeneous_basis(mask, interval=(0, 0), level=3)
         with pytest.raises(EvaluationError):
             rf.build_homogeneous_basis(mask, interval=(-1, 1), level=-2)
+
+    def test_one_pass_extension_is_the_recursion(self, all_masks, pipeline):
+        # orders and windows from one pass of predecessors, bit for bit the
+        # ones a recursion with a minimal_order per predecessor gives
+        for mask in all_masks:
+            scale, spectral, _, basis = pipeline(mask)
+            n = mask.n
+            for f in basis.functions:
+                v = spectral.basis[f.row]
+                assert f.order == rf.minimal_order(v, scale, f.eigenvalue), (mask.name, f.row)
+                if abs(f.eigenvalue) <= 1e-10:
+                    continue
+                want = recursive_extension(v, scale, f.eigenvalue).values(-8, n + 9)
+                got = f.window.values(-8, n + 9)
+                np.testing.assert_array_equal(bits(got), bits(want), err_msg=f"{mask.name} row {f.row}")
 
     def test_nilpotent_chain_vector_is_rejected(self):
         # core [[0,1,0],[0,0,0],[0,1,0]] is nilpotent of index 2: the

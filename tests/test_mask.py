@@ -66,6 +66,7 @@ class TestParsing:
             ["1/0", "1"],
             ["x", "1"],
             [True, 1],
+            [1.0, complex(0.5, float("inf"))],
         ],
     )
     def test_rejects_bad_coefficients(self, bad):
@@ -87,6 +88,11 @@ class TestParsing:
     def test_parse_mask_rejects_bad_documents(self, doc):
         with pytest.raises(MaskError):
             rf.parse_mask(doc)
+
+    @pytest.mark.parametrize("huge", ["1e400", "-1e400", 10**400, Fraction(10**400, 3)])
+    def test_rejects_exact_coefficient_beyond_float_range(self, huge):
+        with pytest.raises(MaskError, match="coefficient 2"):
+            rf.mask_from_coefficients(["1/2", "1", huge, "1/2"])
 
     def test_sum_warning(self):
         with pytest.warns(rf.MaskSumWarning):

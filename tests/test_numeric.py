@@ -55,9 +55,11 @@ class TestOneSvdRankRule:
             if a.size:
                 assert svd.cutoff == pytest.approx(cutoff, rel=1e-12)
             # the same kernel: equal orthogonal projectors
-            q, want = nm.nullspace(a, rel, floor), two_factorization_nullspace(a, cutoff)
+            q, want = svd.vh[svd.rank :].conj(), two_factorization_nullspace(a, cutoff)
             assert q.shape == want.shape
             np.testing.assert_allclose(q.conj().T @ q, want.conj().T @ want, atol=1e-12)
+            if (rel, floor) == (1e-10, 0.0):  # the cutoff of nullspace
+                np.testing.assert_array_equal(nm.nullspace(a), q)
 
     def test_floor_above_relative_cutoff_decides(self):
         # singular values 1, 1e-3, 1e-6: a floor of 1e-4 cuts the last one,
@@ -71,7 +73,7 @@ class TestOneSvdRankRule:
             svd = nm.svd_rank(a, 1e-10, floor)
             assert svd.rank == rank
             assert svd.cutoff == max(1e-10 * svd.smax, floor)
-            assert nm.nullspace(a, 1e-10, floor).shape == (4 - rank, 4)
+            assert svd.vh[svd.rank :].shape == (4 - rank, 4)
 
 
 class TestRankAndNullspace:

@@ -420,6 +420,41 @@ class TestAccuracy:
         for order in range(1, 25):
             assert rf.accuracy(bspline(order), exact=True).order == order
 
+    def test_float_bspline_accuracy_equals_the_order(self):
+        # (1 + z)^m divides the symbol; the float path that solved a
+        # Vandermonde nullspace per degree gave 8, 8, 7, 7, 7, 6, ..., 5 for
+        # orders 9-24
+        for order in range(1, 25):
+            assert rf.accuracy(bspline(order), exact=False).order == order
+
+    @pytest.mark.parametrize("order", [10, 16, 20])
+    def test_perturbed_float_bspline_keeps_its_order(self, order):
+        rng = np.random.default_rng(order)
+        c = bspline(order).coefficients.real
+        mask = rf.mask_from_coefficients(list(c * (1 + 1e-15 * rng.standard_normal(order + 1))))
+        assert rf.accuracy(mask).order == order
+
+    @pytest.mark.filterwarnings("ignore::refinable.MaskSumWarning")
+    @pytest.mark.parametrize("coeffs", [["1/2", "1/2"], ["1/8", "3/8", "3/8", "1/8"]])
+    def test_sum_rules_without_sum_two_give_order_zero(self, coeffs):
+        # (1 + z) divides the symbol, but the constants are reproduced only
+        # when the mask sums to 2
+        mask = rf.mask_from_coefficients(coeffs)
+        for exact in (True, False):
+            assert rf.accuracy(mask, exact=exact).order == 0
+
+    def test_exact_and_float_agree_on_worked_masks(self):
+        for name in ("bspline3", "half", "jordan13"):
+            mask = make_mask(name)
+            exact, flt = rf.accuracy(mask, exact=True), rf.accuracy(mask, exact=False)
+            assert exact.order == flt.order
+            for want, got in zip(exact.exact_coefficients, flt.coefficients):
+                np.testing.assert_allclose(got, [float(x) for x in want], rtol=1e-14)
+
+    def test_exact_accuracy_needs_a_rational_mask(self):
+        with pytest.raises(SpectralError):
+            rf.accuracy(make_mask("d4"), exact=True)
+
     def test_jordan13_and_half_order_one(self):
         assert rf.accuracy(make_mask("jordan13")).order == 1
         assert rf.accuracy(make_mask("half")).order == 1

@@ -19,7 +19,8 @@ each ``"p/q"`` written as a float (exact, but for the thirds of
 ``jordan13``), so that the float clustering, staircase and corner regauge
 meet repeated eigenvalues and Jordan blocks.  For every job it records
 the SHA-256 of standard output, of standard error and of every file
-written, plus the exit code.
+written, plus the exit code.  A key that the pool repeats is recorded once
+per run, the later runs as ``KEY#2``, ``KEY#3`` and so on.
 ``diff`` prints each job whose record differs between two hash files and
 exits 1 if there is one, 0 otherwise.
 
@@ -115,7 +116,11 @@ def hash_tree(src: Path, workloads) -> dict:
         for workload in workloads:
             for job in pool(corpus, workload):
                 shutil.rmtree(out, ignore_errors=True)
-                jobs[job.key] = run_job(cli, job, out, src)
+                key, copy = job.key, 1
+                while key in jobs:  # a key the pool repeats: keep every run
+                    copy += 1
+                    key = f"{job.key}#{copy}"
+                jobs[key] = run_job(cli, job, out, src)
     return {"src": str(src), "workloads": list(workloads), "jobs": jobs}
 
 
