@@ -22,6 +22,14 @@ of the samples. Every product is the one an index gather would compute,
 element by element and in the same order. Each factor is a numpy scalar,
 so the operand order of the complex product, which is not bitwise
 commutative, does not depend on whether numpy reuses a temporary array.
+
+The grid takes its number type from the input. For a real mask whose
+integer samples are real, phi is ``float64``, and ``translate_sum`` with
+real coefficients sums in ``float64``. The samples keep their bits: a
+complex product with one factor of imaginary part exactly zero rounds each
+part once, to the real product, and every accumulator starts at +0, so the
+signs of zero wash out. The h rows stay ``complex128``, as rows of one
+sample matrix per basis.
 """
 
 from __future__ import annotations
@@ -108,7 +116,8 @@ def integer_samples(mask: Mask) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhiValues:
-    """Samples of phi on the dyadic grid k / 2^level over [0, N]."""
+    """Samples of phi on the dyadic grid k / 2^level over [0, N]; ``float64``
+    for a real mask with real integer samples, ``complex128`` otherwise."""
 
     mask: Mask
     level: int
@@ -142,11 +151,16 @@ class PhiValues:
 
 
 def evaluate_phi(mask: Mask, level: int = DEFAULT_LEVEL) -> PhiValues:
-    """Cascade evaluation of phi on [0, N] at resolution 2^-level."""
+    """Cascade evaluation of phi on [0, N] at resolution 2^-level, in
+    ``float64`` when no coefficient and no integer sample has a nonzero
+    imaginary part."""
     level = _check_level(level)
     values = integer_samples(mask).astype(complex)
+    coeffs = mask.coefficients
+    if not (coeffs.imag.any() or values.imag.any()):
+        values, coeffs = values.real.copy(), coeffs.real
     for j in range(level):
-        values = kernels.refine_level(values, mask.coefficients, 2**j)
+        values = kernels.refine_level(values, coeffs, 2**j)
     values.setflags(write=False)
     return PhiValues(mask=mask, level=level, values=values)
 
@@ -154,28 +168,41 @@ def evaluate_phi(mask: Mask, level: int = DEFAULT_LEVEL) -> PhiValues:
 # ---------------------------------------------------------------------------
 # homogeneous functions from left chain vectors
 
-def translate_sum(phi: PhiValues, coeffs, lo: int, hi: int) -> np.ndarray:
+def translate_sum(phi: PhiValues, coeffs, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
     """Samples of sum_k coeffs[k + hi] phi(x + k) on the dyadic grid over [lo, hi].
 
     ``coeffs`` holds one value for each k = -hi..N-lo, the translates that
     meet [lo, hi]. Zero coefficients are skipped; every other k adds y times
-    one contiguous slice of phi, in ascending k.
+    one contiguous slice of phi, in ascending k. When phi and every y are
+    real, the sum runs in ``float64``; a complex y times a real slice is
+    the complex product with a zero imaginary part. The sum goes into
+    ``out``, a zeroed ``complex128`` row (a new one by default), which is
+    returned.
     """
     step = 2**phi.level
     out_len = (hi - lo) * step + 1
-    n_phi = phi.values.shape[0]
+    values = phi.values
+    n_phi = values.shape[0]
     if len(coeffs) != phi.mask.n + hi - lo + 1:
         raise EvaluationError(
             f"translate_sum needs {phi.mask.n + hi - lo + 1} coefficients, got {len(coeffs)}"
         )
-    out = np.zeros(out_len, dtype=complex)
+    if out is None:
+        out = np.zeros(out_len, dtype=complex)
+    coeffs = np.asarray(coeffs, dtype=complex)
+    # a contiguous float64 sum, copied into the row's real part at the end,
+    # runs faster than one into the strided real part itself
+    real = not (np.iscomplexobj(values) or coeffs.imag.any())
+    acc, ys = (np.zeros(out_len), coeffs.real) if real else (out, coeffs)
     for i, y in enumerate(coeffs):
         if y == 0:
             continue
         shift = (lo - hi + i) * step  # out[j] reads phi[j + shift]: x + k, k = i - hi
         a, b = max(0, -shift), min(out_len, n_phi - shift)
         if a < b:
-            out[a:b] += y * phi.values[a + shift : b + shift]
+            acc[a:b] += ys[i] * values[a + shift : b + shift]
+    if real:
+        out.real = acc
     return out
 
 
@@ -272,17 +299,19 @@ class HomogeneousFunction:
 
 @dataclass(frozen=True)
 class HomogeneousBasis:
-    """All basis rows of the spectral data, sampled as functions."""
+    """All basis rows of the spectral data, sampled as functions; each
+    function's ``values`` is one row of the ``samples`` matrix."""
 
     spectral: SpectralData
     phi: PhiValues
     functions: tuple[HomogeneousFunction, ...]
     level: int
     interval: tuple[int, int]
+    samples: np.ndarray  # (rows x grid points), complex128, read-only
 
     def matrix(self) -> np.ndarray:
-        """Row-per-function sample matrix."""
-        return np.array([f.values for f in self.functions])
+        """Row-per-function sample matrix (not a copy)."""
+        return self.samples
 
 
 def build_homogeneous_basis(
@@ -311,11 +340,12 @@ def build_homogeneous_basis(
         raise EvaluationError(f"interval must be integers with lo <= 0 <= hi, got {interval}")
     if phi is None or phi.level != level:
         phi = evaluate_phi(mask, level)
+    samples = np.zeros((len(spectral.rows), (hi - lo) * 2**level + 1), dtype=complex)
     functions = []
-    for info in spectral.rows:
+    for info, values in zip(spectral.rows, samples):
         v = spectral.basis[info.index]
         order, window = _extension(v, spectral.scale, info.eigenvalue)
-        values = translate_sum(phi, window.values(-hi, mask.n - lo + 1), lo, hi)
+        translate_sum(phi, window.values(-hi, mask.n - lo + 1), lo, hi, out=values)
         values.setflags(write=False)
         functions.append(
             HomogeneousFunction(
@@ -329,12 +359,14 @@ def build_homogeneous_basis(
                 values=values,
             )
         )
+    samples.setflags(write=False)
     return HomogeneousBasis(
         spectral=spectral,
         phi=phi,
         functions=tuple(functions),
         level=level,
         interval=(lo, hi),
+        samples=samples,
     )
 
 
@@ -427,7 +459,7 @@ def reconstruct_phi(basis: HomogeneousBasis, spectral: SpectralData | None = Non
     pinv = np.linalg.pinv(block)
     condition = float(np.linalg.cond(block))
     offset = -lo * step
-    h_mat = np.array([f.values[offset : offset + step] for f in basis.functions])
+    h_mat = basis.samples[:, offset : offset + step]
     translates = pinv @ h_mat  # row k approximates phi(x + k), k = 0..N-1
     reconstructed = translates[0]
     reference = basis.phi.values[:step]

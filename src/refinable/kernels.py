@@ -4,7 +4,16 @@ recurrences and the subdivision operator, in numpy and plain Python.
 The cascade step adds, for each mask coefficient in turn, the coefficient
 times one stride-2 slice of the coarse grid. That is the arithmetic of the
 dense sum, element by element and in the same order, without building
-index arrays.
+index arrays. It computes in the dtype of its input: ``float64`` for a real
+mask and real samples, ``complex128`` otherwise. The bits are the same
+either way: a complex product in which one factor has an imaginary part of
+exactly zero rounds each part once, to the value of the real product, and
+every accumulator starts at +0, so the signs of zero wash out.
+
+The subdivision sweep works on slices too, one per mask coefficient. A
+complex coefficient is multiplied in as four real products, the formula
+of numpy's scalar complex product, because numpy's vector loop for
+complex arrays may fuse a multiply and an add into one rounding.
 """
 
 from __future__ import annotations
@@ -24,15 +33,16 @@ def refine_level(prev, coeffs, halfstep):
     copy the coarse grid; odd indices t get sum_k c_k * prev[t - k*2^j],
     accumulated in ascending k. Odd output m reads prev[2m + 1 - k*2^j], so
     each k adds c_k times one slice of the even- or odd-indexed half of
-    ``prev``.
+    ``prev``. The output has the dtype of ``prev``; real samples need real
+    ``coeffs``.
     """
     p = prev.shape[0]
-    out = np.empty(2 * p - 1, dtype=np.complex128)
+    out = np.empty(2 * p - 1, dtype=prev.dtype)
     out[0::2] = prev
     # Views need no copy: c_k is a numpy scalar, and numpy multiplies a
     # numpy scalar into a strided view exactly as into a gathered copy.
     halves = (prev[0::2], prev[1::2])
-    acc = np.zeros(p - 1, dtype=np.complex128)
+    acc = np.zeros(p - 1, dtype=prev.dtype)
     for k in range(coeffs.shape[0]):
         s = 1 - k * halfstep  # odd output m reads prev[2m + s]
         half, off = halves[s & 1], s >> 1
@@ -77,24 +87,28 @@ def extend_backward(values, lo, start, stop, coeffs, lam, prev_vals, prev_lo, li
 
 
 def subdivision_window(alpha, alpha_lo, coeffs, out_lo, out_len):
-    """out[j - out_lo] = sum_i alpha[i - alpha_lo] * c_{2i - j}.
+    """out[j - out_lo] = sum_i alpha[i - alpha_lo] * c_{2i - j}, i ascending.
 
     ``alpha`` is treated as zero outside its array (finitely supported
-    sequence), so the contributing index range is clamped to the block.
+    sequence). Each k = 2i - j adds c_k times one slice of ``alpha`` into the
+    outputs j = 2i - k, a stride-2 slice of the parity of k; ascending k is
+    ascending i for every j.
     """
-    nmask = coeffs.shape[0] - 1
-    last = alpha_lo + alpha.shape[0] - 1
     out = np.zeros(out_len, dtype=np.complex128)
-    for jj in range(out_len):
-        j = out_lo + jj
-        imin = -((-j) // 2)
-        if imin < alpha_lo:
-            imin = alpha_lo
-        imax = (j + nmask) // 2
-        if imax > last:
-            imax = last
-        acc = 0.0 + 0.0j
-        for i in range(imin, imax + 1):
-            acc += alpha[i - alpha_lo] * coeffs[2 * i - j]
-        out[jj] = acc
+    last = alpha_lo + alpha.shape[0] - 1
+    for k in range(coeffs.shape[0]):
+        # out index 2i - k - out_lo in [0, out_len), i in [alpha_lo, last]
+        ia = max(alpha_lo, -((-(k + out_lo)) // 2))
+        ib = min(last, (out_len - 1 + k + out_lo) // 2)
+        if ia > ib:
+            continue
+        dst = slice(2 * ia - k - out_lo, 2 * ib - k - out_lo + 1, 2)
+        src = alpha[ia - alpha_lo : ib - alpha_lo + 1]
+        c = coeffs[k]
+        if c.imag == 0:
+            out[dst] += c.real * src
+        else:
+            re, im = src.real, src.imag
+            out.real[dst] += re * c.real - im * c.imag
+            out.imag[dst] += re * c.imag + im * c.real
     return out

@@ -81,6 +81,9 @@ def mask_from_coefficients(values, name=None) -> Mask:
                 floats[i] = float(f)
             except OverflowError as e:
                 raise MaskError(f"coefficient {i} is too large for floating point") from e
+            if f and not floats[i]:
+                # the float copy would be another mask than the exact one
+                raise MaskError(f"coefficient {i} is too small for floating point")
             if exacts is not None:
                 exacts.append(f)
         elif isinstance(v, (float, complex)):

@@ -303,6 +303,16 @@ class TestInputErrors:
         assert out == ""
         assert "coefficient 3" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "mask, position", [('["1e-400", "1", "1"]', 0), ('["1/2", "1e-400", "1", "1/2"]', 1)]
+    )
+    def test_exact_coefficient_that_rounds_to_zero(self, mask, position, capsys):
+        # nonzero, but its float copy is 0.0: an input error that names it
+        code, out, err = run(capsys, "spectrum", mask)
+        assert code == 2
+        assert out == ""
+        assert f"coefficient {position} is too small" in err and "Traceback" not in err
+
 
 @pytest.fixture(scope="module")
 def script():

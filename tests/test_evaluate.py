@@ -10,6 +10,7 @@ function.
 
 from __future__ import annotations
 
+import dataclasses
 from math import comb
 
 import numpy as np
@@ -48,7 +49,12 @@ def hat_mask() -> rf.Mask:
 
 
 # The grid loops as gathers through index arrays, the formulation the slice
-# code replaced; kept as bitwise oracles.
+# code replaced; kept as bitwise oracles. They run in complex arithmetic.
+
+def complex_phi(phi):
+    """The same samples of phi as ``complex128``."""
+    return dataclasses.replace(phi, values=phi.values.astype(complex))
+
 
 def translate_by_index(phi, window, lo, hi):
     step = 2**phi.level
@@ -416,14 +422,28 @@ class TestDependency:
 
 class TestGridOracles:
     """Translate sums and homogeneity samples equal the index gathers bit
-    for bit at level 14, where every operand exceeds 16384 values."""
+    for bit at level 14, where every operand exceeds 16384 values. A real
+    mask samples phi in float64, and its sums equal the gathers over the
+    same samples in complex128."""
+
+    @pytest.mark.parametrize("name", ORACLE_MASKS)
+    def test_phi_is_real_exactly_for_a_real_mask(self, name, pipeline):
+        _, _, phi, basis = pipeline(oracle_mask(name), 14)
+        real = name != "grid_complex12"
+        assert phi.values.dtype == (np.float64 if real else np.complex128)
+        assert basis.matrix().dtype == np.complex128
 
     @pytest.mark.parametrize("name", ORACLE_MASKS)
     @pytest.mark.parametrize("level, interval", [(14, (-1, 1)), (10, (-2, 3))])
     def test_translate_sum_is_the_index_gather(self, name, level, interval, pipeline):
         _, _, phi, basis = pipeline(oracle_mask(name), level, interval)
-        for f in basis.functions:
-            want = translate_by_index(phi, f.window, *interval)
+        samples = basis.matrix()
+        assert samples.shape == (len(basis.functions), (interval[1] - interval[0]) * 2**level + 1)
+        for r, f in enumerate(basis.functions):
+            # each row is the function's samples, not a copy
+            assert np.shares_memory(samples[r], f.values)
+            np.testing.assert_array_equal(bits(samples[r]), bits(f.values))
+            want = translate_by_index(complex_phi(phi), f.window, *interval)
             np.testing.assert_array_equal(bits(f.values), bits(want), err_msg=f"row {f.row}")
 
     @pytest.mark.parametrize("name", ORACLE_MASKS)
@@ -434,7 +454,19 @@ class TestGridOracles:
         for coeffs in acc.coefficients:
             pk = np.array([np.polynomial.polynomial.polyval(k, coeffs) for k in range(-1, phi.mask.n + 1)])
             got = translate_sum(phi, pk, 0, 1)
-            np.testing.assert_array_equal(bits(got), bits(accuracy_sum_by_index(phi, coeffs)))
+            want = accuracy_sum_by_index(complex_phi(phi), coeffs)
+            np.testing.assert_array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("imag", [False, True])
+    def test_translate_sum_takes_real_and_complex_coefficients_on_a_real_phi(self, imag, pipeline):
+        _, _, phi, _ = pipeline(oracle_mask("grid_real12"), 14)
+        rng = np.random.default_rng(7)
+        ys = rng.normal(size=phi.mask.n + 3) + (1j * rng.normal(size=phi.mask.n + 3) if imag else 0)
+        ys[[0, 5]] = 0  # skipped translates
+        window = rf.SequenceWindow(ys.astype(complex), lo=-1)
+        got = translate_sum(phi, ys, -1, 1)
+        want = translate_by_index(complex_phi(phi), window, -1, 1)
+        np.testing.assert_array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("name", ORACLE_MASKS)
     def test_homogeneity_residual_is_the_index_gather(self, name, pipeline):

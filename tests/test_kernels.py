@@ -1,6 +1,8 @@
 """Low-level grid kernels: each kernel must match an independent dense sum,
-the cascade step must equal its index-gather formulation bit for bit, and
-overflow must be reported through the sentinel return value.
+the cascade step must equal its index-gather formulation bit for bit, in
+real and in complex arithmetic, the subdivision sweep must equal its double
+loop bit for bit, and overflow must be reported through the sentinel return
+value.
 """
 
 from __future__ import annotations
@@ -29,6 +31,23 @@ def dense_subdivision(alpha, alpha_lo, coeffs, out_lo, out_len):
             k = 2 * i - j
             if 0 <= k <= nmask:
                 out[jj] += alpha[i - alpha_lo] * coeffs[k]
+    return out
+
+
+def subdivision_by_loop(alpha, alpha_lo, coeffs, out_lo, out_len):
+    """The subdivision sweep as a double loop over j, then i ascending, the
+    formulation the slice kernel replaced; kept as a bitwise oracle."""
+    nmask = coeffs.shape[0] - 1
+    last = alpha_lo + alpha.shape[0] - 1
+    out = np.zeros(out_len, dtype=np.complex128)
+    for jj in range(out_len):
+        j = out_lo + jj
+        imin = max(-((-j) // 2), alpha_lo)
+        imax = min((j + nmask) // 2, last)
+        acc = 0.0 + 0.0j
+        for i in range(imin, imax + 1):
+            acc += alpha[i - alpha_lo] * coeffs[2 * i - j]
+        out[jj] = acc
     return out
 
 
@@ -73,16 +92,28 @@ class TestRefineLevel:
                     )
                     assert abs(got[t] - want) <= 1e-13
 
-    @pytest.mark.parametrize("name", GRID_MASK_NAMES)
-    def test_bitwise_equal_to_index_gather_through_level_14(self, name):
+    @pytest.mark.parametrize(
+        "name, dtype",
+        zip(GRID_MASK_NAMES, (np.float64, np.float64, np.complex128)),
+        ids=GRID_MASK_NAMES,
+    )
+    def test_bitwise_equal_to_index_gather_through_level_14(self, name, dtype):
+        # real masks run in float64, and every level equals the complex
+        # index gather on the same samples bit for bit
         mask = grid_masks()[name]
-        prev = rf.integer_samples(mask).astype(complex)
+        samples = rf.integer_samples(mask)
+        coeffs = mask.coefficients.real if dtype is np.float64 else mask.coefficients
+        got = samples.real.copy() if dtype is np.float64 else samples
+        want = got.astype(complex)
         for j in range(14):
-            got = kernels.refine_level(prev, mask.coefficients, 2**j)
-            want = refine_level_by_index(prev, mask.coefficients, 2**j)
+            got = kernels.refine_level(got, coeffs, 2**j)
+            want = refine_level_by_index(want, mask.coefficients, 2**j)
+            assert got.dtype == dtype
             np.testing.assert_array_equal(bits(got), bits(want), err_msg=f"level {j + 1}")
-            prev = want
-        assert prev.shape[0] == 12 * 2**14 + 1
+        assert got.shape[0] == 12 * 2**14 + 1
+        phi = rf.evaluate_phi(mask, 14)
+        assert phi.values.dtype == dtype
+        np.testing.assert_array_equal(bits(phi.values), bits(got))
 
     def test_even_indices_copy_previous_level(self):
         coeffs = random_complex(4)
@@ -105,6 +136,26 @@ class TestSubdivisionWindow:
             )
             want = dense_subdivision(alpha, alpha_lo, coeffs, out_lo, out_len)
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("imag_coeffs", [False, True])
+    @pytest.mark.parametrize("imag_alpha", [False, True])
+    def test_bitwise_equal_to_the_double_loop(self, imag_coeffs, imag_alpha):
+        for nmask in (1, 2, 5, 12):
+            coeffs = random_complex(nmask + 1)
+            alpha = random_complex(9)
+            if not imag_coeffs:
+                coeffs = coeffs.real.astype(complex)
+            if not imag_alpha:
+                alpha = alpha.real.astype(complex)
+            for alpha_lo in (-4, 0, 3):
+                # windows inside, across and beyond the support
+                for out_lo in range(2 * alpha_lo - nmask - 3, 2 * alpha_lo + 4):
+                    for out_len in (0, 1, 6, 2 * 9 + nmask + 6):
+                        got = kernels.subdivision_window(alpha, alpha_lo, coeffs, out_lo, out_len)
+                        want = subdivision_by_loop(alpha, alpha_lo, coeffs, out_lo, out_len)
+                        np.testing.assert_array_equal(
+                            bits(got), bits(want), err_msg=f"N={nmask} lo={alpha_lo} {out_lo}+{out_len}"
+                        )
 
 
 class TestExtendKernels:

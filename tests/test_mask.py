@@ -94,6 +94,22 @@ class TestParsing:
         with pytest.raises(MaskError, match="coefficient 2"):
             rf.mask_from_coefficients(["1/2", "1", huge, "1/2"])
 
+    @pytest.mark.parametrize("tiny", ["1e-400", "-1e-400", Fraction(1, 10**400)])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_rejects_exact_coefficient_that_rounds_to_zero(self, tiny, position):
+        # its float copy would be 0.0: another mask than the exact one
+        values = ["1/2", "1", "1", "1/2"]
+        values[position] = tiny
+        with pytest.raises(MaskError, match=f"coefficient {position} is too small"):
+            rf.mask_from_coefficients(values)
+
+    def test_keeps_exact_coefficient_in_the_subnormal_range(self):
+        # the exact sum is 2 + 10^-310, not 2
+        with pytest.warns(rf.MaskSumWarning):
+            mask = rf.mask_from_coefficients(["1/2", Fraction(1, 10**310), "1", "1/2"])
+        assert mask.coefficients[1] != 0
+        assert mask.exact[1] == Fraction(1, 10**310)
+
     def test_sum_warning(self):
         with pytest.warns(rf.MaskSumWarning):
             rf.mask_from_coefficients([0.4, 0.4])

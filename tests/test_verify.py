@@ -1,12 +1,17 @@
 """The verification battery: every check must pass on the worked corpus,
-and the reported results must carry usable residual/tolerance data.
+and the reported results must carry usable residual/tolerance data. One
+injected defect per case must fail the check that covers it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 import refinable as rf
+from refinable import evaluate, verify
 
 from conftest import make_mask
 
@@ -61,3 +66,86 @@ def test_battery_level_is_recorded():
     battery = rf.run_battery(make_mask("haar"), level=6, tolerance=1e-7)
     assert battery.level == 6
     assert battery.tolerance == 1e-7
+
+
+# ---------------------------------------------------------------------------
+# fault injection: each defect is patched into the construction the battery
+# checks, and the battery must fail the matching check
+
+
+def perturb_jordan_basis(monkeypatch):
+    """One basis row off by 1e-7 of its size, below the extension's
+    precondition, so that the rows still extend."""
+    original = verify.eigen_structure
+
+    def perturbed(*args, **kwargs):
+        spectral = original(*args, **kwargs)
+        basis = spectral.basis.copy()
+        basis[1] += 1e-7 * np.abs(basis[1]).max() * np.random.default_rng(0).normal(size=basis.shape[1])
+        return dataclasses.replace(spectral, basis=basis)
+
+    monkeypatch.setattr(verify, "eigen_structure", perturbed)
+
+
+def wrong_chain_predecessor(monkeypatch):
+    """Chain rows extend with a predecessor that is right on [0, N] and
+    zero outside it."""
+    original = evaluate.eigen_extend
+
+    def truncated(v, chain_prev, mask, eigenvalue, *args, **kwargs):
+        if chain_prev is not None:
+            chain_prev = rf.SequenceWindow(chain_prev.values(0, mask.n + 1))
+        return original(v, chain_prev, mask, eigenvalue, *args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "eigen_extend", truncated)
+
+
+def wrong_accuracy_polynomial(monkeypatch):
+    """The highest reproduced polynomial gets 1e-6 added to its constant."""
+    original = verify.accuracy
+
+    def shifted(*args, **kwargs):
+        acc = original(*args, **kwargs)
+        coefficients = list(acc.coefficients)
+        coefficients[-1] = coefficients[-1] + np.eye(len(coefficients[-1]))[0] * 1e-6
+        return dataclasses.replace(acc, coefficients=tuple(coefficients))
+
+    monkeypatch.setattr(verify, "accuracy", shifted)
+
+
+def shifted_extension_window(monkeypatch):
+    """Every extension is read one index to the right of where it belongs."""
+    original = evaluate._extension
+
+    def shifted(v, scale, eigenvalue):
+        order, window = original(v, scale, eigenvalue)
+        lo, hi = -40, scale.n + 41
+        return order, rf.SequenceWindow(window.values(lo, hi), lo=lo + 1)
+
+    monkeypatch.setattr(evaluate, "_extension", shifted)
+
+
+# the check that covers each defect first; the rows' shared max |h| scales
+# the homogeneity and origin checks, and the shared sample matrix feeds the
+# reconstruction
+FAULTS = [
+    (perturb_jordan_basis, "d4", ("jordan-identity", "homogeneity", "zero-at-origin")),
+    (wrong_chain_predecessor, "jordan13", ("extension-recurrence",)),
+    (wrong_accuracy_polynomial, "d4", ("accuracy-reproduction",)),
+    (
+        shifted_extension_window,
+        "bspline3",
+        ("extension-recurrence", "homogeneity", "zero-at-origin", "reconstruction"),
+    ),
+]
+
+
+@pytest.mark.parametrize("inject, name, checks", FAULTS, ids=[f[0].__name__ for f in FAULTS])
+def test_injected_fault_fails_its_checks(inject, name, checks, monkeypatch):
+    mask = make_mask(name)
+    assert rf.run_battery(mask, level=9).passed
+    inject(monkeypatch)
+    battery = rf.run_battery(mask, level=9)
+    for check in checks:
+        result = battery.check(check)
+        assert not result.passed, (check, result.residual, result.tolerance)

@@ -3,7 +3,7 @@
 Usage::
 
     python3 tools/compare_outputs.py hash --src SRC --out HASHES.json \\
-        [--workload spectrum spectrum-exact spectrum-float verify verify-exact basis]
+        [--workload spectrum spectrum-exact spectrum-float verify verify-exact basis basis-deep]
     python3 tools/compare_outputs.py diff A.json B.json
 
 ``hash`` imports ``refinable`` from ``SRC`` (default: this repository's
@@ -17,7 +17,10 @@ exact staircase, integer samples and battery under the check.
 ``spectrum-float`` runs ``spectrum MASK --out OUT`` on the same masks with
 each ``"p/q"`` written as a float (exact, but for the thirds of
 ``jordan13``), so that the float clustering, staircase and corner regauge
-meet repeated eigenvalues and Jordan blocks.  For every job it records
+meet repeated eigenvalues and Jordan blocks.  ``basis-deep`` runs ``basis
+MASK --level 12 --interval -2 2 --out OUT`` on every mask of the ``verify``
+pool, so that every ``phi`` and ``h`` sample the grid layer computes at
+full resolution reaches the CSV files in ``%.17g``.  For every job it records
 the SHA-256 of standard output, of standard error and of every file
 written, plus the exit code.  A key that the pool repeats is recorded once
 per run, the later runs as ``KEY#2``, ``KEY#3`` and so on.
@@ -52,13 +55,15 @@ from fractions import Fraction  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_WORKLOADS = ("spectrum", "spectrum-exact", "spectrum-float", "verify", "verify-exact", "basis")
-# workloads derived from the rational masks of the spectrum pool: argv, and
-# whether the "p/q" coefficients are written as floats
+DEFAULT_WORKLOADS = ("spectrum", "spectrum-exact", "spectrum-float", "verify", "verify-exact", "basis", "basis-deep")
+# workloads derived from the masks of a benchmark pool: the pool, argv, and
+# for the rational masks alone whether "p/q" is written as a float, or None
+# to take every mask of the pool as it is
 DERIVED = {
-    "spectrum-exact": (("spectrum", "{mask}", "--out", "{out}", "--exact"), False),
-    "spectrum-float": (("spectrum", "{mask}", "--out", "{out}"), True),
-    "verify-exact": (("verify", "{mask}", "--exact", "--level", "8"), False),
+    "spectrum-exact": ("spectrum", ("spectrum", "{mask}", "--out", "{out}", "--exact"), False),
+    "spectrum-float": ("spectrum", ("spectrum", "{mask}", "--out", "{out}"), True),
+    "verify-exact": ("spectrum", ("verify", "{mask}", "--exact", "--level", "8"), False),
+    "basis-deep": ("verify", ("basis", "{mask}", "--level", "12", "--interval", "-2", "2", "--out", "{out}"), None),
 }
 
 
@@ -88,15 +93,16 @@ def run_job(cli, job, out: Path, src: Path) -> dict:
 
 
 def pool(corpus, workload: str):
-    """The jobs of one workload; the ``DERIVED`` ones derive from ``spectrum``."""
+    """The jobs of one workload; the ``DERIVED`` ones run another pool's
+    masks with their own argv."""
     if workload not in DERIVED:
         return corpus.pool(workload)
-    argv, as_float = DERIVED[workload]
+    source, argv, as_float = DERIVED[workload]
     jobs = []
-    for job in corpus.pool("spectrum"):
+    for job in corpus.pool(source):
         coeffs = job.mask["coefficients"]
         # rational masks are written as "p/q" strings
-        if not all(isinstance(c, str) for c in coeffs):
+        if as_float is not None and not all(isinstance(c, str) for c in coeffs):
             continue
         mask = {**job.mask, "coefficients": [float(Fraction(c)) for c in coeffs]} if as_float else job.mask
         jobs.append(dataclasses.replace(job, key=f"{workload}/{job.key.split('/', 1)[1]}", mask=mask, argv=argv))
