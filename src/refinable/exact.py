@@ -6,6 +6,13 @@ ascending coefficient lists. The scale matrix of a degree-N mask is
 in N: the characteristic polynomial is computed over the integers and
 rational roots are found from float roots checked by exact evaluation.
 
+The gcd, the squarefree split and the root split take and return monic
+Fractions but clear each polynomial to a primitive integer one: gcds run
+the primitive remainder sequence, Yun's algorithm divides by them with
+exact integer quotients, a candidate root p/q is tested by the integer
+sum of a_i p^i q^(d-i) and divided out by q x - p. Monic factors and
+gcds are unique, so the results are the ones Fraction arithmetic gives.
+
 The matrix routines take and return Fractions but do their arithmetic on
 Python integers: products clear each operand to one common denominator,
 and the RREF and the determinant eliminate without fractions. The RREF
@@ -16,6 +23,7 @@ arithmetic gives; only the number of gcds taken on the way changes.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import factorial, gcd, lcm
 from operator import mul
 
@@ -243,52 +251,12 @@ def poly_degree(p):
     return len(q) - 1
 
 
-def poly_sub(p, q):
-    n = max(len(p), len(q))
-    return poly_trim([(p[i] if i < len(p) else ZERO) - (q[i] if i < len(q) else ZERO) for i in range(n)])
-
-
-def poly_divmod(p, q):
-    p, q = poly_trim(p), poly_trim(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [ZERO] * max(len(p) - len(q) + 1, 1)
-    rem = list(p)
-    dq = len(q) - 1
-    lead = q[-1]
-    while len(rem) - 1 >= dq and rem:
-        shift = len(rem) - 1 - dq
-        f = rem[-1] / lead
-        quot[shift] = f
-        for i, y in enumerate(q):
-            rem[shift + i] -= f * y
-        rem = poly_trim(rem)
-        if not rem:
-            break
-    return poly_trim(quot), poly_trim(rem)
-
-
 def poly_monic(p):
     p = poly_trim(p)
     if not p:
         return []
     inv = ONE / p[-1]
     return [x * inv for x in p]
-
-
-def poly_gcd(p, q):
-    """Monic gcd by the Euclidean algorithm."""
-    p, q = poly_trim(p), poly_trim(q)
-    while q:
-        _, r = poly_divmod(p, q)
-        p, q = q, r
-    if not p:
-        return []
-    return poly_monic(p)
-
-
-def poly_derivative(p):
-    return poly_trim([i * x for i, x in enumerate(p)][1:])
 
 
 def poly_eval(p, x):
@@ -299,32 +267,111 @@ def poly_eval(p, x):
     return out
 
 
-def squarefree_factors(p):
-    """Yun's algorithm: list of (factor, multiplicity), factors monic."""
-    p = poly_monic(p)
-    if poly_degree(p) < 1:
+# Trimmed integer polynomials, each standing for its rational multiples:
+# the steps below keep a polynomial only up to a nonzero constant.
+
+def _integer_poly(p):
+    """The primitive integer polynomial that is a rational multiple of p."""
+    return _primitive(integer_rows([poly_trim(p)])[0][0])
+
+
+def _derivative(p):
+    return [i * x for i, x in enumerate(p)][1:]
+
+
+def _sub(p, q):
+    return poly_trim([x - y for x, y in zip_longest(p, q, fillvalue=0)])
+
+
+def _remainder(a, b):
+    """A nonzero integer multiple of the remainder of a by b (b nonzero).
+
+    Each step cancels the top term of r by ``s r - t x^shift b`` with
+    s / t = lead(b) / lead(r) in lowest terms, so the multiplier is smaller
+    than the lead(b)^(deg a - deg b + 1) of the textbook pseudo-remainder.
+    """
+    db = len(b) - 1
+    lead, low = b[-1], b[:-1]
+    r = a
+    while len(r) > db:
+        f = r[-1]
+        g = gcd(lead, f)
+        s, t = lead // g, f // g
+        shift = len(r) - 1 - db
+        r = [s * x for x in r[:-1]] if s != 1 else r[:-1]
+        for i, y in enumerate(low, shift):
+            r[i] -= t * y
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _gcd(a, b):
+    """Primitive gcd by the primitive remainder sequence; [] for two zeros."""
+    while b:
+        a, b = b, _primitive(_remainder(a, b))
+    return _primitive(a)
+
+
+def _quotient(a, b):
+    """a / b for a primitive b that divides a over the rationals.
+
+    By Gauss's lemma the quotient has integer coefficients, so every
+    division by lead(b) is exact.
+    """
+    db = len(b) - 1
+    lead = b[-1]
+    a = list(a)
+    quot = [0] * (len(a) - db)
+    for shift in range(len(a) - 1 - db, -1, -1):
+        f = a[shift + db] // lead
+        quot[shift] = f
+        if f:
+            for i, y in enumerate(b, shift):
+                a[i] -= f * y
+    return quot
+
+
+def _squarefree(f):
+    """Yun's algorithm on a primitive integer polynomial.
+
+    Returns (primitive factor, multiplicity) pairs. ``b`` and ``c`` are
+    divided by the same primitive gcds, so ``c - b'`` is a constant
+    multiple of the rational one and every quotient is exact.
+    """
+    if len(f) < 2:
         return []
-    dp = poly_derivative(p)
-    a = poly_gcd(p, dp)
-    b, _ = poly_divmod(p, a)
-    c, _ = poly_divmod(dp, a)
-    d = poly_sub(c, poly_derivative(b))
+    df = _derivative(f)
+    a = _gcd(f, df)
+    b = _quotient(f, a)
+    d = _sub(_quotient(df, a), _derivative(b))
     out = []
     i = 1
-    while poly_degree(b) >= 1:
-        a = poly_gcd(b, d)
-        if poly_degree(a) >= 1:
-            out.append((poly_monic(a), i))
-        b, _ = poly_divmod(b, a)
-        c, _ = poly_divmod(d, a)
-        d = poly_sub(c, poly_derivative(b))
+    while len(b) > 1:
+        a = _gcd(b, d)
+        if len(a) > 1:
+            out.append((a, i))
+        b = _quotient(b, a)
+        d = _sub(_quotient(d, a), _derivative(b))
         i += 1
     return out
 
 
-def _convergents(x: Fraction, max_den: int):
-    """Continued-fraction convergents of x with denominator at most max_den."""
-    num, den = x.numerator, x.denominator
+def poly_gcd(p, q):
+    """Monic gcd; [] when both are zero."""
+    return poly_monic(_gcd(_integer_poly(p), _integer_poly(q)))
+
+
+def squarefree_factors(p):
+    """Yun's algorithm: list of (factor, multiplicity), factors monic."""
+    return [(poly_monic(a), i) for a, i in _squarefree(_integer_poly(p))]
+
+
+def _convergents(num: int, den: int, max_den: int):
+    """Continued-fraction convergents (h, k) of num / den with 0 < k <= max_den.
+
+    Every convergent is in lowest terms.
+    """
     h0, h1, k0, k1 = 0, 1, 1, 0
     while den:
         a, rem = divmod(num, den)
@@ -332,40 +379,17 @@ def _convergents(x: Fraction, max_den: int):
         k0, k1 = k1, a * k1 + k0
         if k1 > max_den:
             return
-        yield Fraction(h1, k1)
+        yield h1, k1
         num, den = den, rem
 
 
-def _float_guided_roots(g):
-    """Ascending rational roots of a monic squarefree g with g(0) != 0.
-
-    With g cleared to integers (leading term L, constant term a_0), the
-    candidates are the continued-fraction convergents with denominator at
-    most L of the real parts of the float roots. A candidate p/q is kept
-    only if p divides a_0, q divides L and g(p/q) == 0 exactly. By Legendre's
-    theorem a root p/q is among the candidates whenever its float
-    approximation lies within 1 / (2 q^2) of it.
-    """
-    lead = lcm(*(c.denominator for c in g))
-    const = int(g[0] * lead)
-    try:
-        floats = np.roots([float(c) for c in reversed(g)])
-    except OverflowError:
-        return []
-    found = set()
-    for z in floats:
-        if not np.isfinite(z) or z.imag < 0:
-            continue
-        for cand in _convergents(Fraction(float(z.real)), lead):
-            if (
-                cand not in found
-                and cand != 0
-                and const % cand.numerator == 0
-                and lead % cand.denominator == 0
-                and poly_eval(g, cand) == 0
-            ):
-                found.add(cand)
-    return sorted(found)
+def _vanishes_at(g, p, q):
+    """Whether g(p / q) == 0, tested as sum g_i p^i q^(d-i) == 0."""
+    acc, qk = g[-1], 1
+    for c in reversed(g[:-1]):
+        qk *= q
+        acc = acc * p + c * qk
+    return acc == 0
 
 
 def rational_roots(p):
@@ -373,24 +397,48 @@ def rational_roots(p):
 
     Returns (roots, leftovers): ``roots`` is a list of (Fraction root,
     multiplicity), ascending within each squarefree factor; ``leftovers`` a
-    list of (monic rational polynomial, multiplicity). Every reported root is
-    checked by exact evaluation, so the split is exact; a rational root that
-    the float guide misses stays inside a leftover factor.
+    list of (monic rational polynomial, multiplicity), the parts of the
+    squarefree factors in which the search found no rational root.
+
+    Each squarefree factor g is an integer polynomial with leading term L
+    and constant term a_0. Its candidate roots are the continued-fraction
+    convergents with denominator at most |L| of the real parts of the float
+    roots of g / L. A candidate p/q is kept only if p divides a_0, q divides
+    L and g(p/q) == 0 exactly; it is then divided out as the exact integer
+    quotient by q x - p. By Legendre's theorem a root p/q is among the
+    candidates whenever its float approximation lies within 1 / (2 q^2) of
+    it, and a root that the float guide misses stays inside a leftover.
     """
     roots = []
     leftovers = []
-    for factor, mult in squarefree_factors(p):
-        g = list(factor)
-        while g and g[0] == 0:
+    for g, mult in _squarefree(_integer_poly(p)):
+        while g[0] == 0:
             g = g[1:]
             roots.append((ZERO, mult))
-        if poly_degree(g) < 1:
+        if len(g) < 2:
             continue
-        for cand in _float_guided_roots(g):
-            g, rem = poly_divmod(g, [-cand, ONE])
-            assert not rem
-            roots.append((cand, mult))
-        if poly_degree(g) >= 1:
+        lead, const = g[-1], g[0]
+        try:
+            floats = np.roots([x / lead for x in reversed(g)])
+        except OverflowError:
+            floats = []
+        found = set()
+        for z in floats:
+            if not np.isfinite(z) or z.imag < 0:
+                continue
+            for num, den in _convergents(*float(z.real).as_integer_ratio(), abs(lead)):
+                if (
+                    (num, den) not in found
+                    and num != 0
+                    and const % num == 0
+                    and lead % den == 0
+                    and _vanishes_at(g, num, den)
+                ):
+                    found.add((num, den))
+        for root in sorted(Fraction(num, den) for num, den in found):
+            g = _quotient(g, [-root.numerator, root.denominator])
+            roots.append((root, mult))
+        if len(g) > 1:
             leftovers.append((poly_monic(g), mult))
     return roots, leftovers
 

@@ -301,9 +301,10 @@ class _ExactField:
     def eigenvalues(self):
         roots, leftovers = xq.rational_roots(xq.charpoly(self.t))
         if leftovers:
+            degrees = [xq.poly_degree(f) for f, _ in leftovers]
             raise SpectralError(
                 "exact spectral mode needs a fully rational spectrum; "
-                f"irreducible factor degrees {[xq.poly_degree(f) for f, _ in leftovers]} remain"
+                f"factors of degrees {degrees} with no rational root remain"
             )
         return [(lam, algebraic, 0.0) for lam, algebraic in roots]
 

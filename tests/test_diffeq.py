@@ -17,8 +17,25 @@ import pytest
 import refinable as rf
 import refinable.diffeq as dq
 from refinable.errors import DifferenceEquationError
+from test_exact import poly_gcd_fraction, poly_mul, random_split_polynomial
 
 RNG = np.random.default_rng(11223344)
+
+
+def gcd_pairs(seed, count=60):
+    """Seeded rational pairs a = f u, b = f v with a known common factor f,
+    with a coprime pair, and with a pair whose constant terms are zero."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        common = random_split_polynomial(rng)
+        a, b = (poly_mul(common, random_split_polynomial(rng)) for _ in range(2))
+        if len(a) > 1 and len(b) > 1:
+            pairs.append((common, a, b))
+    one, x = [Fraction(1)], [Fraction(0), Fraction(1)]
+    pairs.append((one, [Fraction(3), Fraction(1)], [Fraction(-2, 5), Fraction(0), Fraction(7)]))
+    pairs.append((x, poly_mul(x, [Fraction(1, 2), Fraction(-3)]), [Fraction(0), Fraction(0), Fraction(4, 9)]))
+    return pairs
 
 
 def substitution_residual(eq: dq.DifferenceEquation, rule, lo=-20, hi=20) -> float:
@@ -158,6 +175,16 @@ class TestPolyGcd:
         g = dq.poly_gcd(a, b)
         np.testing.assert_allclose(np.asarray(g).real, [1.0, 1.0], atol=1e-12)
 
+    def test_exact_gcd_equals_fraction_euclid(self):
+        degrees = set()
+        for common, a, b in gcd_pairs(31):
+            want = poly_gcd_fraction(a, b)
+            assert len(want) >= len(common)
+            degrees.add(len(want) - 1)
+            g = dq.poly_gcd(a, b, exact=True)
+            assert np.array_equal(g, np.array([float(c) for c in want], dtype=complex)), (a, b)
+        assert 0 in degrees and max(degrees) >= 4
+
     def test_float_gcd(self):
         a = np.polynomial.polynomial.polyfromroots([-1.0, 2.0])
         b = np.polynomial.polynomial.polyfromroots([-1.0, 7.0])
@@ -178,6 +205,21 @@ class TestDifferenceSystem:
         for rule in basis.rules:
             assert substitution_residual(e1, rule) < 1e-7 * 3.0**25
             assert substitution_residual(e2, rule) < 1e-7 * 3.0**25
+
+    def test_exact_gcd_equals_fraction_euclid(self):
+        pairs = gcd_pairs(32)
+        for (_, a, b), (_, c, _) in zip(pairs, pairs[1:] + pairs[:1]):
+            system = dq.difference_system([a, b, poly_mul(a, c)])
+            want = [Fraction(1)]
+            for i, eq in enumerate(system.equations):
+                want = list(eq.exact) if i == 0 else poly_gcd_fraction(want, list(eq.exact))
+            assert system.exact_gcd == tuple(want), (a, b)
+        # the zero constant terms are a shift of the equations, not a root
+        x = [Fraction(0), Fraction(1)]
+        a = poly_mul(x, [Fraction(2), Fraction(1)])
+        system = dq.difference_system([a, [Fraction(0), Fraction(-4), Fraction(-2)]])
+        assert [eq.shift for eq in system.equations] == [1, 1]
+        assert system.exact_gcd == (Fraction(2), Fraction(1))
 
     def test_coprime_system_has_trivial_kernel(self):
         e1 = dq.difference_equation([1.0, 1.0])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from math import isqrt, lcm
+from math import comb, isqrt, lcm
 
 import numpy as np
 import pytest
@@ -136,6 +136,128 @@ def leverrier_fraction(a):
     return coeffs
 
 
+# The Fraction Euclid, Yun and root split that ``exact`` now runs on
+# primitive integer polynomials, kept as oracles: the results must be equal.
+
+def poly_sub(p, q):
+    n = max(len(p), len(q))
+    zero = Fraction(0)
+    return xq.poly_trim([(p[i] if i < len(p) else zero) - (q[i] if i < len(q) else zero) for i in range(n)])
+
+
+def poly_derivative(p):
+    return xq.poly_trim([i * x for i, x in enumerate(p)][1:])
+
+
+def poly_divmod(p, q):
+    p, q = xq.poly_trim(p), xq.poly_trim(q)
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 1)
+    rem = list(p)
+    dq = len(q) - 1
+    while len(rem) - 1 >= dq and rem:
+        shift = len(rem) - 1 - dq
+        f = rem[-1] / q[-1]
+        quot[shift] = f
+        for i, y in enumerate(q):
+            rem[shift + i] -= f * y
+        rem = xq.poly_trim(rem)
+    return xq.poly_trim(quot), rem
+
+
+def poly_gcd_fraction(p, q):
+    """Monic gcd by the Euclidean algorithm over the Fractions."""
+    p, q = xq.poly_trim(p), xq.poly_trim(q)
+    while q:
+        p, q = q, poly_divmod(p, q)[1]
+    return xq.poly_monic(p)
+
+
+def squarefree_factors_fraction(p):
+    """Yun's algorithm over the Fractions."""
+    p = xq.poly_monic(p)
+    if xq.poly_degree(p) < 1:
+        return []
+    dp = poly_derivative(p)
+    a = poly_gcd_fraction(p, dp)
+    b, c = poly_divmod(p, a)[0], poly_divmod(dp, a)[0]
+    d = poly_sub(c, poly_derivative(b))
+    out = []
+    i = 1
+    while xq.poly_degree(b) >= 1:
+        a = poly_gcd_fraction(b, d)
+        if xq.poly_degree(a) >= 1:
+            out.append((a, i))
+        b, c = poly_divmod(b, a)[0], poly_divmod(d, a)[0]
+        d = poly_sub(c, poly_derivative(b))
+        i += 1
+    return out
+
+
+def rational_roots_fraction(p):
+    """The float-guided split over the Fractions: the convergents of the
+    float roots of each monic squarefree factor, the divisor filters, and
+    Fraction evaluation and division."""
+    roots, leftovers = [], []
+    for g, mult in squarefree_factors_fraction(p):
+        while g and g[0] == 0:
+            g = g[1:]
+            roots.append((Fraction(0), mult))
+        if xq.poly_degree(g) < 1:
+            continue
+        lead = lcm(*(c.denominator for c in g))
+        const = int(g[0] * lead)
+        try:
+            floats = np.roots([float(c) for c in reversed(g)])
+        except OverflowError:
+            floats = []
+        found = set()
+        for z in floats:
+            if not np.isfinite(z) or z.imag < 0:
+                continue
+            num, den = float(z.real).as_integer_ratio()
+            h0, h1, k0, k1 = 0, 1, 1, 0
+            while den:  # the continued-fraction convergents h1 / k1
+                a, rem = divmod(num, den)
+                h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+                num, den = den, rem
+                if k1 > lead:
+                    break
+                cand = Fraction(h1, k1)
+                if (
+                    cand != 0
+                    and const % cand.numerator == 0
+                    and lead % cand.denominator == 0
+                    and xq.poly_eval(g, cand) == 0
+                ):
+                    found.add(cand)
+        for cand in sorted(found):
+            g = poly_divmod(g, [-cand, Fraction(1)])[0]
+            roots.append((cand, mult))
+        if xq.poly_degree(g) >= 1:
+            leftovers.append((xq.poly_monic(g), mult))
+    return roots, leftovers
+
+
+def rescaled(p):
+    """p, and rational multiples of p with a negative or non-unit leading
+    term or, cleared to integers, a content above 1."""
+    den = lcm(*(c.denominator for c in p))
+    return [
+        p,
+        [-c for c in p],
+        [Fraction(-7, 3) * c for c in p],
+        [6 * den * c for c in p],
+        [-10 * den * c for c in p],
+    ]
+
+
+def bspline_charpoly(order):
+    coeffs = [Fraction(comb(order, k), 2 ** (order - 1)) for k in range(order + 1)]
+    return xq.charpoly(rf.build_scale_matrices(rf.mask_from_coefficients(coeffs)).exact_rows())
+
+
 def _divisors(n):
     n = abs(n)
     return {d for k in range(1, isqrt(n) + 1) if n % k == 0 for d in (k, n // k)}
@@ -148,7 +270,7 @@ def rational_roots_by_enumeration(p):
     each squarefree factor cleared to integers, in ascending order.
     """
     roots, leftovers = [], []
-    for factor, mult in xq.squarefree_factors(p):
+    for factor, mult in squarefree_factors_fraction(p):
         g = list(factor)
         while g and g[0] == 0:
             g = g[1:]
@@ -165,7 +287,7 @@ def rational_roots_by_enumeration(p):
         }
         for cand in sorted(candidates):
             if xq.poly_degree(g) >= 1 and xq.poly_eval(g, cand) == 0:
-                g, _ = xq.poly_divmod(g, [-cand, Fraction(1)])
+                g, _ = poly_divmod(g, [-cand, Fraction(1)])
                 roots.append((cand, mult))
         if xq.poly_degree(g) >= 1:
             leftovers.append((xq.poly_monic(g), mult))
@@ -413,7 +535,7 @@ class TestPolynomials:
             q = [Fraction(int(RNG.integers(-4, 5)), 2) for _ in range(3)]
             if poly_is_zero(q):
                 continue
-            quo, rem = xq.poly_divmod(p, q)
+            quo, rem = poly_divmod(p, q)
             rebuilt = poly_add(poly_mul(quo, q), rem)
             assert xq.poly_trim(rebuilt) == xq.poly_trim(p)
             assert xq.poly_degree(rem) < xq.poly_degree(q)
@@ -423,6 +545,26 @@ class TestPolynomials:
         b = poly_mul([Fraction(-1), Fraction(1)], [Fraction(5), Fraction(1)])  # (x-1)(x+5)
         g = xq.poly_gcd(a, b)
         assert g == [Fraction(-1), Fraction(1)]  # monic x - 1
+
+    def test_gcd_equals_fraction_euclid(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(100):
+            common = random_split_polynomial(rng)
+            a = poly_mul(common, random_split_polynomial(rng))
+            b = poly_mul(common, random_split_polynomial(rng))
+            want = poly_gcd_fraction(a, b)
+            assert xq.poly_degree(want) >= xq.poly_degree(common)
+            for x in rescaled(a):
+                for y in rescaled(b)[::2]:
+                    got = xq.poly_gcd(x, y)
+                    assert got == want and all_fractions([got]), (x, y)
+        x, one = [Fraction(0), Fraction(1)], [Fraction(1)]
+        # zero constant terms, a gcd of degree 0, and zero polynomials
+        assert xq.poly_gcd([0, Fraction(2), Fraction(4)], [0, 0, Fraction(-6)]) == x
+        assert xq.poly_gcd([Fraction(3), Fraction(1)], [Fraction(-2), Fraction(1)]) == one
+        assert xq.poly_gcd([Fraction(-3, 2)], [Fraction(0)]) == one
+        assert xq.poly_gcd([Fraction(0), Fraction(-4)], []) == x
+        assert xq.poly_gcd([], [Fraction(0)]) == []
 
     def test_squarefree_factors(self):
         # p = (x-1)^2 (x+3)
@@ -436,6 +578,18 @@ class TestPolynomials:
             flat[tuple(xq.poly_monic(factor))] = mult
         assert flat[(Fraction(-1), Fraction(1))] == 2
         assert flat[(Fraction(3), Fraction(1))] == 1
+        assert xq.squarefree_factors([]) == xq.squarefree_factors([Fraction(-5, 2)]) == []
+
+    def test_squarefree_factors_equal_fraction_yun(self):
+        rng = np.random.default_rng(20261020)
+        for _ in range(150):
+            p = random_split_polynomial(rng)
+            if rng.random() < 0.3:
+                p = poly_mul(p, [Fraction(0)] * int(rng.integers(1, 4)) + [Fraction(1)])  # zero roots
+            want = squarefree_factors_fraction(p)
+            for v in rescaled(p):
+                got = xq.squarefree_factors(v)
+                assert got == want and all(all_fractions([f]) for f, _ in got), v
 
     def test_rational_roots_with_multiplicity(self):
         # p = (x - 1/2)^2 (x + 3) (x^2 + 1): rational part found exactly,
@@ -464,7 +618,9 @@ class TestRationalRoots:
             p = random_split_polynomial(rng)
             if xq.poly_degree(p) < 1:
                 continue
-            assert xq.rational_roots(p) == rational_roots_by_enumeration(p), p
+            want = rational_roots_by_enumeration(p)
+            for v in rescaled(p):
+                assert xq.rational_roots(v) == want, v
             checked += 1
         assert checked > 250
 
@@ -493,6 +649,13 @@ class TestRationalRoots:
         # Yun's algorithm lists the simple factor before the square x^2
         assert roots == [(Fraction(-1, 2), 1), (Fraction(2, 3), 1), (Fraction(3), 1), (Fraction(0), 2)]
         assert leftovers == []
+        for v in rescaled(p):
+            assert xq.rational_roots(v) == (roots, []) == rational_roots_fraction(v)
+
+    def test_no_rational_root_is_one_leftover_however_it_factors(self):
+        # (x^2 - 2)(x^2 - 3): the split does not factor over the rationals
+        p = poly_mul([Fraction(-2), Fraction(0), Fraction(1)], [Fraction(-3), Fraction(0), Fraction(1)])
+        assert xq.rational_roots(p) == ([], [(p, 1)]) == rational_roots_fraction(p)
 
     def test_root_beyond_float_range_stays_a_leftover(self):
         # the float guide cannot see this root; the split degrades, never lies
@@ -513,3 +676,13 @@ class TestRationalRoots:
         assert elapsed < 0.5
         assert roots == [(Fraction(-135, 16), 1), (Fraction(1), 1), (Fraction(65, 16), 1)]
         assert [(xq.poly_degree(f), m) for f, m in leftovers] == [(7, 1)]
+
+    def test_charpolys_equal_the_fraction_path(self):
+        # HARD_N9 and the B-spline orders 1-24, whose characteristic
+        # polynomials repeat roots 2^-s and, cleared to integers, lead with up to 2^299
+        hard = xq.charpoly(rf.build_scale_matrices(rf.mask_from_coefficients(HARD_N9)).exact_rows())
+        for p in [hard] + [bspline_charpoly(m) for m in range(1, 25)]:
+            want_factors, want_split = squarefree_factors_fraction(p), rational_roots_fraction(p)
+            for v in rescaled(p)[::2]:
+                assert xq.squarefree_factors(v) == want_factors
+                assert xq.rational_roots(v) == want_split

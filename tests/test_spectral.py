@@ -253,7 +253,7 @@ class TestExactMode:
         # auto mode falls back to float and records why
         spectral = rf.eigen_structure(mask)
         assert not spectral.is_exact
-        assert "irreducible factor degrees" in spectral.exact_fallback
+        assert "with no rational root" in spectral.exact_fallback
 
     def test_fallback_reason_names_the_factor_degrees(self):
         # a denominator-16 mask whose characteristic polynomial has a
@@ -264,7 +264,8 @@ class TestExactMode:
         spectral = rf.eigen_structure(mask)
         assert not spectral.is_exact
         assert spectral.exact_fallback == (
-            "exact spectral mode needs a fully rational spectrum; irreducible factor degrees [7] remain"
+            "exact spectral mode needs a fully rational spectrum; "
+            "factors of degrees [7] with no rational root remain"
         )
 
     def test_no_fallback_reason_without_a_fallback(self):

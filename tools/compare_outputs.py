@@ -3,7 +3,7 @@
 Usage::
 
     python3 tools/compare_outputs.py hash --src SRC --out HASHES.json \\
-        [--workload spectrum spectrum-exact spectrum-float verify verify-exact basis basis-deep]
+        [--workload spectrum spectrum-exact spectrum-float spectrum-bspline verify verify-exact basis basis-deep]
     python3 tools/compare_outputs.py diff A.json B.json
 
 ``hash`` imports ``refinable`` from ``SRC`` (default: this repository's
@@ -17,7 +17,11 @@ exact staircase, integer samples and battery under the check.
 ``spectrum-float`` runs ``spectrum MASK --out OUT`` on the same masks with
 each ``"p/q"`` written as a float (exact, but for the thirds of
 ``jordan13``), so that the float clustering, staircase and corner regauge
-meet repeated eigenvalues and Jordan blocks.  ``basis-deep`` runs ``basis
+meet repeated eigenvalues and Jordan blocks.  ``spectrum-bspline`` runs
+``spectrum MASK --exact --out OUT`` on the B-splines of orders 12 to 24,
+past the pool's last order 11, whose characteristic polynomials repeat
+roots and, cleared to integers, have the largest coefficients that the
+exact root split meets.  ``basis-deep`` runs ``basis
 MASK --level 12 --interval -2 2 --out OUT`` on every mask of the ``verify``
 pool, so that every ``phi`` and ``h`` sample the grid layer computes at
 full resolution reaches the CSV files in ``%.17g``.  For every job it records
@@ -55,7 +59,16 @@ from fractions import Fraction  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_WORKLOADS = ("spectrum", "spectrum-exact", "spectrum-float", "verify", "verify-exact", "basis", "basis-deep")
+DEFAULT_WORKLOADS = (
+    "spectrum",
+    "spectrum-exact",
+    "spectrum-float",
+    "spectrum-bspline",
+    "verify",
+    "verify-exact",
+    "basis",
+    "basis-deep",
+)
 # workloads derived from the masks of a benchmark pool: the pool, argv, and
 # for the rational masks alone whether "p/q" is written as a float, or None
 # to take every mask of the pool as it is
@@ -65,6 +78,7 @@ DERIVED = {
     "verify-exact": ("spectrum", ("verify", "{mask}", "--exact", "--level", "8"), False),
     "basis-deep": ("verify", ("basis", "{mask}", "--level", "12", "--interval", "-2", "2", "--out", "{out}"), None),
 }
+BSPLINE_ORDERS = range(12, 25)
 
 
 def _sha(data: bytes) -> str:
@@ -95,6 +109,12 @@ def run_job(cli, job, out: Path, src: Path) -> dict:
 def pool(corpus, workload: str):
     """The jobs of one workload; the ``DERIVED`` ones run another pool's
     masks with their own argv."""
+    if workload == "spectrum-bspline":
+        argv = ("spectrum", "{mask}", "--exact", "--out", "{out}")
+        return [
+            corpus.Job(f"{workload}/bspline{m}", {"name": f"bspline{m}", "coefficients": corpus.bspline(m)}, argv)
+            for m in BSPLINE_ORDERS
+        ]
     if workload not in DERIVED:
         return corpus.pool(workload)
     source, argv, as_float = DERIVED[workload]
