@@ -14,20 +14,9 @@ a command line front end.
 
 from .diffeq import (
     CombinationRule,
-    DeterminantResult,
-    DifferenceEquation,
     DifferenceSystem,
-    FundamentalBasis,
     FundamentalSequenceRule,
-    RootData,
-    difference_equation,
     difference_system,
-    extend_finite_solution,
-    fundamental_basis,
-    fundamental_determinant,
-    fundamental_matrix,
-    poly_gcd,
-    root_data,
     solve_system,
 )
 from .errors import (
@@ -100,15 +89,12 @@ __all__ = [
     "ClusteringError",
     "CombinationRule",
     "DependencyReport",
-    "DeterminantResult",
-    "DifferenceEquation",
     "DifferenceEquationError",
     "DifferenceSystem",
     "EigenvalueGroup",
     "EvaluationError",
     "ExtensionError",
     "ExtensionOverflowError",
-    "FundamentalBasis",
     "FundamentalSequenceRule",
     "HomogeneousBasis",
     "HomogeneousFunction",
@@ -120,7 +106,6 @@ __all__ = [
     "PhiValues",
     "ReconstructionResult",
     "RefinableError",
-    "RootData",
     "RowInfo",
     "ScaleMatrices",
     "SequenceWindow",
@@ -130,16 +115,11 @@ __all__ = [
     "accuracy",
     "build_homogeneous_basis",
     "build_scale_matrices",
-    "difference_equation",
     "difference_system",
     "eigen_extend",
     "eigen_structure",
     "evaluate_phi",
-    "extend_finite_solution",
     "extend_vector",
-    "fundamental_basis",
-    "fundamental_determinant",
-    "fundamental_matrix",
     "homogeneity_residual",
     "independence_test",
     "integer_samples",
@@ -150,10 +130,8 @@ __all__ = [
     "mask_polynomials",
     "minimal_order",
     "parse_mask",
-    "poly_gcd",
     "reconstruct_phi",
     "restrict",
-    "root_data",
     "run_battery",
     "sequence_window",
     "solve_system",

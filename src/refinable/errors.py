@@ -27,7 +27,7 @@ class ClusteringError(SpectralError):
 
 
 class DifferenceEquationError(RefinableError):
-    """Invalid difference equation, root data, or inconsistent finite solution."""
+    """Invalid difference equation: a coefficient that is not a finite number, or none nonzero."""
 
 
 class ExtensionError(RefinableError):

@@ -15,16 +15,16 @@ gcds are unique, so the results are the ones Fraction arithmetic gives.
 
 The matrix routines take and return Fractions but do their arithmetic on
 Python integers: products clear each operand to one common denominator,
-and the RREF and the determinant eliminate without fractions. The RREF
-and every product are unique, so the results are the ones Fraction
-arithmetic gives; only the number of gcds taken on the way changes.
+and the RREF eliminates without fractions. The RREF and every product
+are unique, so the results are the ones Fraction arithmetic gives; only
+the number of gcds taken on the way changes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 
 import numpy as np
@@ -171,33 +171,6 @@ def solve(a, b):
     for r, pc in enumerate(pivots):
         x[pc] = red[r][cols]
     return x
-
-
-def det(a):
-    """Exact determinant by Bareiss elimination over the integers.
-
-    With a == m / den for an integer matrix m, det(a) == det(m) / den^n;
-    every division of the Bareiss recursion on m is exact.
-    """
-    n = len(a)
-    if n == 0:
-        return ONE
-    m, den = integer_rows(a)
-    sign = 1
-    prev = 1
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        p = m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k]
-            m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], m[k])]
-        prev = p
-    return Fraction(sign * m[n - 1][n - 1], den**n)
 
 
 def inverse(a):
@@ -441,11 +414,3 @@ def rational_roots(p):
         if len(g) > 1:
             leftovers.append((poly_monic(g), mult))
     return roots, leftovers
-
-
-def superfactorial(m):
-    """Product 1! 2! ... m! (empty product for m <= 0)."""
-    out = 1
-    for t in range(1, m + 1):
-        out *= factorial(t)
-    return out

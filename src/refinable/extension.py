@@ -287,13 +287,11 @@ def kernel_of_L(mask: Mask) -> SubdivisionKernel:
     """Basis of { Y : Y L = 0 }: one window on [0, N] per fundamental
     sequence of the gcd of ``subdivision_system``."""
     system = subdivision_system(mask)
-    basis = solve_system(system)
+    rules = solve_system(system)
     windows = []
-    for rule in basis.rules:
+    for rule in rules:
         win = SequenceWindow(
             rule.values(0, mask.n + 1), lo=0, extender=RuleExtender(rule), name="kernel"
         )
         windows.append(win)
-    return SubdivisionKernel(
-        windows=tuple(windows), rules=basis.rules, gcd_degree=system.gcd_degree
-    )
+    return SubdivisionKernel(windows=tuple(windows), rules=rules, gcd_degree=system.gcd_degree)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import refinable as rf
-from refinable.diffeq import fundamental_determinant, root_data
 
 from conftest import SEED, SQRT3, make_mask, random_masks
 
@@ -282,12 +281,18 @@ def _suite_extension_round_trips(mask, scale, spectral, basis, errors):
                 errors.append(f"{mask.name}: row {f.row} transfer/lift drift")
 
 
+def _window_rank(windows) -> int:
+    return int(np.linalg.matrix_rank(np.array(windows))) if windows else 0
+
+
 def _suite_kernel_dimension(mask, scale, errors):
     indep = rf.independence_test(scale)
     windows = rf.kernel_of_L(mask).windows
-    if not (len(windows) == indep.gcd_degree == indep.kernel_dimension):
+    # the windows on [0, N] must be independent, not merely as many
+    rank = _window_rank([w.values(0, mask.n + 1) for w in windows])
+    if not (rank == len(windows) == indep.gcd_degree == indep.kernel_dimension):
         errors.append(
-            f"{mask.name}: dim ker(L) {len(windows)}, gcd {indep.gcd_degree}, "
+            f"{mask.name}: dim ker(L) {len(windows)} of rank {rank}, gcd {indep.gcd_degree}, "
             f"dim ker(M) {indep.kernel_dimension}"
         )
 
@@ -302,21 +307,6 @@ def _suite_subdivision_oracle(mask, basis, errors):
     residual = float(np.abs(got - want).max())
     if residual > 1e-10 * max(1.0, float(np.abs(block).max())):
         errors.append(f"{mask.name}: subdivision oracle {residual:.2e}")
-
-
-def _suite_determinant(mask, spectral, errors):
-    eigs = [g.eigenvalue for g in spectral.groups if g.algebraic == 1]
-    eigs = [d for d in eigs if abs(d) > 0.05]
-    if len(eigs) < 2:
-        return
-    if min(
-        abs(a - b) for i, a in enumerate(eigs) for b in eigs[i + 1 :]
-    ) < 0.1:
-        return
-    result = fundamental_determinant(root_data([(d, 1) for d in eigs]))
-    drift = abs(result.direct - result.closed_form)
-    if drift > 1e-8 * max(1.0, abs(result.closed_form)):
-        errors.append(f"{mask.name}: determinant identity {drift:.2e}")
 
 
 def _suite_origin(mask, basis, errors):
@@ -340,10 +330,9 @@ def test_criterion_5_property_suites(pipeline, conclude):
         _suite_extension_round_trips(mask, scale, spectral, basis, errors)
         _suite_kernel_dimension(mask, scale, errors)
         _suite_subdivision_oracle(mask, basis, errors)
-        _suite_determinant(mask, spectral, errors)
         _suite_origin(mask, basis, errors)
 
-    # the determinant identity on seeded random simple root sets
+    # independent fundamental sequences for seeded random simple root sets
     rng = np.random.default_rng(SEED + 1)
     checked = 0
     while checked < 40:
@@ -356,16 +345,16 @@ def test_criterion_5_property_suites(pipeline, conclude):
         ) or np.abs(roots).min() < 0.1:
             continue
         checked += 1
-        result = fundamental_determinant(root_data([(d, 1) for d in roots]))
-        drift = abs(result.direct - result.closed_form)
-        if drift > 1e-8 * max(1.0, abs(result.closed_form)):
-            errors.append(f"random roots {roots}: determinant {drift:.2e}")
+        system = rf.difference_system([np.polynomial.polynomial.polyfromroots(roots)])
+        rank = _window_rank([rule.values(0, h) for rule in rf.solve_system(system)])
+        if not rank == system.gcd_degree == h:
+            errors.append(f"random roots {roots}: windows of rank {rank}, gcd degree {system.gcd_degree}")
 
     conclude(
         5,
         "property suites on the 4 worked masks and 50 random masks: "
         "refinement, vector and h refinement, extension round-trips, "
-        "kernel dimensions, subdivision oracle, determinant identity, h(0)=0",
+        "kernel dimensions, subdivision oracle, rank of the ker L windows, h(0)=0",
         errors,
     )
 

@@ -92,26 +92,6 @@ def rref_fraction(a):
     return m, pivots
 
 
-def det_fraction(a):
-    n = len(a)
-    m = [row[:] for row in a]
-    out = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            out = -out
-        out *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return out
-
-
 def random_matrix(rows, cols, den=8, lo=-6, hi=6):
     return [
         [Fraction(int(RNG.integers(lo, hi + 1)), int(RNG.integers(1, den))) for _ in range(cols)]
@@ -375,7 +355,7 @@ class TestNullspaceSolveDet:
     def test_solve_and_inverse_match_numpy(self):
         for _ in range(15):
             a = random_matrix(4, 4)
-            if xq.det(a) == 0:
+            if xq.rank(a) < 4:
                 continue
             b = [Fraction(int(RNG.integers(-5, 6))) for _ in range(4)]
             x = xq.solve(a, b)
@@ -392,10 +372,6 @@ class TestNullspaceSolveDet:
         a = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
         assert xq.solve(a, [Fraction(0), Fraction(1)]) is None
 
-    def test_det_matches_numpy(self):
-        for _ in range(15):
-            a = random_matrix(4, 4)
-            assert abs(float(xq.det(a)) - np.linalg.det(to_float(a))) < 1e-8
 
 
 def oracle_cases(seed, count=60):
@@ -472,15 +448,6 @@ class TestIntegerLayerAgainstFractionOracles:
         assert xq.rref(wide) == ([[0, 1, -2, Fraction(-1, 6)]], [1])
         tall = [[Fraction(0)], [Fraction(-5)], [Fraction(2)]]
         assert xq.rref(tall) == ([[1], [0], [0]], [0])
-
-    def test_det(self):
-        for kind, a in oracle_cases(13, count=300):
-            a = [row[: len(a)] + [Fraction(0)] * (len(a) - len(row)) for row in a]
-            got = xq.det(a)
-            assert got == det_fraction(a), (kind, a)
-            assert type(got) is Fraction
-        assert xq.det([]) == 1
-        assert xq.det([[Fraction(-2, 3)]]) == Fraction(-2, 3)
 
     def test_nullspace_solve_and_inverse_through_the_oracle(self):
         for _, a in oracle_cases(14, count=100):
@@ -603,8 +570,6 @@ class TestPolynomials:
         factor, mult = leftovers[0]
         assert xq.poly_degree(factor) == 2 and mult == 1
 
-    def test_superfactorial(self):
-        assert [xq.superfactorial(m) for m in range(5)] == [1, 1, 2, 12, 288]
 
 
 HARD_N9 = ["65/16", "93/16", "7/16", "33/8", "-9/8", "-7/16", "-29/16", "-1/16", "-9/16", "-135/16"]

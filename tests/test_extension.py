@@ -162,6 +162,17 @@ class TestEigenExtend:
         assert stop < 64  # overflowing index reported, no silent inf
 
 
+# masks with a nontrivial ker L, by the roots of the gcd of their even and
+# odd polynomials: (coefficients, gcd degree)
+KERNEL_MASKS = {
+    "half": (["1/2", "1/2", "1/2", "1/2"], 1),  # simple root -1
+    "double": (["1/4", "1/4", "1/2", "1/2", "1/4", "1/4"], 2),  # double root -1
+    "double-float": ([0.25, 0.25, 0.5, 0.5, 0.25, 0.25], 2),
+    "complex": (["1/3"] * 6, 2),  # the primitive cube roots of unity
+    "irrational": ([1, 1, 1, 1, -1, -1], 2),  # (1 +- sqrt 5) / 2
+}
+
+
 class TestKernelOfL:
     def test_half_mask_alternating_kernel(self, corpus):
         kernel = rf.kernel_of_L(corpus["half"])
@@ -171,13 +182,19 @@ class TestKernelOfL:
         expected = vals[6] * np.array([(-1.0) ** k for k in range(-6, 7)])
         np.testing.assert_allclose(vals, expected, rtol=1e-9)
 
-    def test_kernel_sequences_annihilate_under_subdivision(self, corpus):
-        kernel = rf.kernel_of_L(corpus["half"])
-        mask = corpus["half"]
+    @pytest.mark.parametrize("name", KERNEL_MASKS)
+    def test_kernel_sequences_annihilate_under_subdivision(self, name):
+        coefficients, degree = KERNEL_MASKS[name]
+        mask = rf.mask_from_coefficients(coefficients, name=name)
+        kernel = rf.kernel_of_L(mask)
+        assert kernel.gcd_degree == kernel.dimension == degree
+        # the windows on [0, N] are independent: one per gcd root and index
+        windows = np.array([w.values(0, mask.n + 1) for w in kernel.windows])
+        assert np.linalg.matrix_rank(windows) == kernel.gcd_degree
         for w in kernel.windows:
             y = w.values(-12, 16)
             out = dense_subdivision(y, -12, mask.coefficients, -8, 17)
-            assert np.abs(out).max() < 1e-10
+            assert np.abs(out).max() < 1e-10 * max(1.0, float(np.abs(y).max()))
 
     def test_independent_mask_has_trivial_kernel(self, corpus):
         kernel = rf.kernel_of_L(corpus["bspline3"])

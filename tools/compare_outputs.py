@@ -3,7 +3,7 @@
 Usage::
 
     python3 tools/compare_outputs.py hash --src SRC --out HASHES.json \\
-        [--workload spectrum spectrum-exact spectrum-float spectrum-bspline verify verify-exact basis basis-deep]
+        [--workload spectrum spectrum-exact spectrum-float spectrum-bspline verify verify-exact basis basis-deep kernel]
     python3 tools/compare_outputs.py diff A.json B.json
 
 ``hash`` imports ``refinable`` from ``SRC`` (default: this repository's
@@ -24,7 +24,12 @@ roots and, cleared to integers, have the largest coefficients that the
 exact root split meets.  ``basis-deep`` runs ``basis
 MASK --level 12 --interval -2 2 --out OUT`` on every mask of the ``verify``
 pool, so that every ``phi`` and ``h`` sample the grid layer computes at
-full resolution reaches the CSV files in ``%.17g``.  For every job it records
+full resolution reaches the CSV files in ``%.17g``.  ``kernel`` runs
+``spectrum``, ``verify --level 8`` and ``basis --level 8`` on four masks
+whose even and odd polynomials share a factor of degree 2: a double
+rational root, the same mask in floats, a complex pair and an irrational
+pair, which the pools' masks (gcd degree at most 1, rational root) never
+reach in ``kernel_of_L``.  For every job it records
 the SHA-256 of standard output, of standard error and of every file
 written, plus the exit code.  A key that the pool repeats is recorded once
 per run, the later runs as ``KEY#2``, ``KEY#3`` and so on.
@@ -68,6 +73,7 @@ DEFAULT_WORKLOADS = (
     "verify-exact",
     "basis",
     "basis-deep",
+    "kernel",
 )
 # workloads derived from the masks of a benchmark pool: the pool, argv, and
 # for the rational masks alone whether "p/q" is written as a float, or None
@@ -79,6 +85,18 @@ DERIVED = {
     "basis-deep": ("verify", ("basis", "{mask}", "--level", "12", "--interval", "-2", "2", "--out", "{out}"), None),
 }
 BSPLINE_ORDERS = range(12, 25)
+# masks with a degree-2 gcd of the even and odd polynomials, by gcd roots
+KERNEL_MASKS = {
+    "double": ["1/4", "1/4", "1/2", "1/2", "1/4", "1/4"],
+    "double-float": [0.25, 0.25, 0.5, 0.5, 0.25, 0.25],
+    "complex": ["1/3"] * 6,
+    "irrational": [1, 1, 1, 1, -1, -1],
+}
+KERNEL_ARGV = (
+    ("spectrum", "{mask}", "--out", "{out}"),
+    ("verify", "{mask}", "--level", "8"),
+    ("basis", "{mask}", "--level", "8", "--out", "{out}"),
+)
 
 
 def _sha(data: bytes) -> str:
@@ -114,6 +132,12 @@ def pool(corpus, workload: str):
         return [
             corpus.Job(f"{workload}/bspline{m}", {"name": f"bspline{m}", "coefficients": corpus.bspline(m)}, argv)
             for m in BSPLINE_ORDERS
+        ]
+    if workload == "kernel":
+        return [
+            corpus.Job(f"{workload}/{argv[0]}/{name}", {"name": name, "coefficients": c}, argv)
+            for argv in KERNEL_ARGV
+            for name, c in KERNEL_MASKS.items()
         ]
     if workload not in DERIVED:
         return corpus.pool(workload)
