@@ -160,6 +160,21 @@ class TestFundamentalBasis:
         assert rules[1].values(4, 5)[0] == pytest.approx(4 * 81.0)  # k * 3^k
 
 
+class TestPolyGcd:
+    """The gcd of two equations, read through their system."""
+
+    def test_exact_gcd_equals_fraction_euclid(self):
+        degrees = set()
+        for common, a, b in gcd_pairs(31):
+            want = poly_gcd_fraction(trimmed(a), trimmed(b))
+            assert len(want) >= len(trimmed(common))
+            degrees.add(len(want) - 1)
+            system = dq.difference_system([a, b])
+            assert system.exact_gcd == tuple(want), (a, b)
+            assert np.array_equal(system.gcd, np.array([float(c) for c in want], dtype=complex)), (a, b)
+        assert 0 in degrees and max(degrees) >= 4
+
+
 class TestDifferenceSystem:
     def test_gcd_solutions_solve_both_equations(self):
         # equations share exactly the root 3
