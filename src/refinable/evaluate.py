@@ -24,12 +24,25 @@ so the operand order of the complex product, which is not bitwise
 commutative, does not depend on whether numpy reuses a temporary array.
 
 The grid takes its number type from the input. For a real mask whose
-integer samples are real, phi is ``float64``, and ``translate_sum`` with
-real coefficients sums in ``float64``. The samples keep their bits: a
+integer samples are real, phi is ``float64``, and ``translate_sum`` sums
+the real and the imaginary parts of its coefficients times each real
+slice in one ``float64`` accumulator. The samples keep their bits: a
 complex product with one factor of imaginary part exactly zero rounds each
 part once, to the real product, and every accumulator starts at +0, so the
 signs of zero wash out. The h rows stay ``complex128``, as rows of one
 sample matrix per basis.
+
+For a real mask the spectral layer builds the rows of conj(lambda) as the
+conjugates of the rows of lambda (``RowInfo.conjugate_of``), and
+``build_homogeneous_basis`` conjugates the rest too: such a row's
+window is a ``ConjugateWindow`` of its pair's extension, and its samples
+are the conjugate of its pair's samples, with no second extension or
+translate sum. The bits are those of the translate sum over the conjugated
+window: the recurrences are real-linear, and negating the imaginary part
+of each coefficient negates each product b * phi exactly, so it negates
+each rounded partial sum. The one exception is an imaginary part that
+sums to exactly zero: the sum gives +0 for both rows, the conjugate -0.
+The battery still checks every row on its own values.
 """
 
 from __future__ import annotations
@@ -44,7 +57,7 @@ from . import kernels
 from . import numeric as nm
 from .diffeq import CombinationRule
 from .errors import EvaluationError
-from .extension import RuleExtender, SequenceWindow, eigen_extend, kernel_of_L
+from .extension import ConjugateWindow, RuleExtender, SequenceWindow, eigen_extend, kernel_of_L
 from .mask import Mask, build_scale_matrices
 from .spectral import SpectralData, eigen_structure, power_chain
 
@@ -173,11 +186,11 @@ def translate_sum(phi: PhiValues, coeffs, lo: int, hi: int, out: np.ndarray | No
 
     ``coeffs`` holds one value for each k = -hi..N-lo, the translates that
     meet [lo, hi]. Zero coefficients are skipped; every other k adds y times
-    one contiguous slice of phi, in ascending k. When phi and every y are
-    real, the sum runs in ``float64``; a complex y times a real slice is
-    the complex product with a zero imaginary part. The sum goes into
-    ``out``, a zeroed ``complex128`` row (a new one by default), which is
-    returned.
+    one contiguous slice of phi, in ascending k. On a real phi the real and
+    imaginary parts of y multiply the real slice apart, in ``float64``,
+    which is the complex product with a zero imaginary part. The sum goes
+    into ``out``, a zeroed ``complex128`` row (a new one by default), which
+    is returned.
     """
     step = 2**phi.level
     out_len = (hi - lo) * step + 1
@@ -190,19 +203,29 @@ def translate_sum(phi: PhiValues, coeffs, lo: int, hi: int, out: np.ndarray | No
     if out is None:
         out = np.zeros(out_len, dtype=complex)
     coeffs = np.asarray(coeffs, dtype=complex)
-    # a contiguous float64 sum, copied into the row's real part at the end,
-    # runs faster than one into the strided real part itself
-    real = not (np.iscomplexobj(values) or coeffs.imag.any())
-    acc, ys = (np.zeros(out_len), coeffs.real) if real else (out, coeffs)
+    real = not np.iscomplexobj(values)
+    if real:
+        # one float64 accumulator, a row for the real parts of the sum and
+        # one for the imaginary parts when a coefficient has them: its
+        # contiguous rows, copied into the row at the end, sum faster than
+        # the strided parts of the row, and the slices stay real
+        ys = np.array([coeffs.real, coeffs.imag] if coeffs.imag.any() else [coeffs.real])
+        acc = np.zeros((len(ys), out_len))
     for i, y in enumerate(coeffs):
         if y == 0:
             continue
         shift = (lo - hi + i) * step  # out[j] reads phi[j + shift]: x + k, k = i - hi
         a, b = max(0, -shift), min(out_len, n_phi - shift)
-        if a < b:
-            acc[a:b] += ys[i] * values[a + shift : b + shift]
+        if a >= b:
+            continue
+        if real:
+            acc[:, a:b] += ys[:, i : i + 1] * values[a + shift : b + shift]
+        else:
+            out[a:b] += y * values[a + shift : b + shift]
     if real:
-        out.real = acc
+        out.real = acc[0]
+        if len(acc) == 2:
+            out.imag = acc[1]
     return out
 
 
@@ -341,29 +364,35 @@ def build_homogeneous_basis(
     if phi is None or phi.level != level:
         phi = evaluate_phi(mask, level)
     samples = np.zeros((len(spectral.rows), (hi - lo) * 2**level + 1), dtype=complex)
-    functions = []
-    for info, values in zip(spectral.rows, samples):
-        v = spectral.basis[info.index]
-        order, window = _extension(v, spectral.scale, info.eigenvalue)
-        translate_sum(phi, window.values(-hi, mask.n - lo + 1), lo, hi, out=values)
-        values.setflags(write=False)
-        functions.append(
-            HomogeneousFunction(
-                row=info.index,
-                eigenvalue=info.eigenvalue,
-                order=order,
-                vector=v.copy(),
-                window=window,
-                level=level,
-                interval=(lo, hi),
-                values=values,
-            )
-        )
+    # a row that conjugates another (only a real mask, with a real phi, has
+    # them) is its pair's extension and samples, conjugated; pairs first
+    orders, windows = {}, {}
+    for info in sorted(spectral.rows, key=lambda info: info.conjugate_of is not None):
+        r, pair = info.index, info.conjugate_of
+        if pair is None:
+            orders[r], windows[r] = _extension(spectral.basis[r], spectral.scale, info.eigenvalue)
+            translate_sum(phi, windows[r].values(-hi, mask.n - lo + 1), lo, hi, out=samples[r])
+        else:
+            orders[r], windows[r] = orders[pair], ConjugateWindow(windows[pair])
+            np.conjugate(samples[pair], out=samples[r])
     samples.setflags(write=False)
+    functions = tuple(
+        HomogeneousFunction(
+            row=info.index,
+            eigenvalue=info.eigenvalue,
+            order=orders[info.index],
+            vector=spectral.basis[info.index].copy(),
+            window=windows[info.index],
+            level=level,
+            interval=(lo, hi),
+            values=samples[info.index],
+        )
+        for info in spectral.rows
+    )
     return HomogeneousBasis(
         spectral=spectral,
         phi=phi,
-        functions=tuple(functions),
+        functions=functions,
         level=level,
         interval=(lo, hi),
         samples=samples,
@@ -460,8 +489,7 @@ def reconstruct_phi(basis: HomogeneousBasis, spectral: SpectralData | None = Non
     condition = float(np.linalg.cond(block))
     offset = -lo * step
     h_mat = basis.samples[:, offset : offset + step]
-    translates = pinv @ h_mat  # row k approximates phi(x + k), k = 0..N-1
-    reconstructed = translates[0]
+    reconstructed = pinv[0] @ h_mat  # row k of pinv @ h_mat approximates phi(x + k)
     reference = basis.phi.values[:step]
     residual = float(np.abs(reconstructed - reference).max())
     return ReconstructionResult(

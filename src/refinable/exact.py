@@ -33,19 +33,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions, and 'p/q' strings; floats are taken bit-exactly."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise TypeError("booleans are not valid rational scalars")
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as a rational scalar")
-
-
 # ---------------------------------------------------------------------------
 # matrices
 

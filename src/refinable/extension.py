@@ -150,6 +150,45 @@ class SequenceWindow:
         return f"<SequenceWindow{tag} [{self.lo}, {self.hi})>"
 
 
+class ConjugateWindow(SequenceWindow):
+    """The complex conjugate of another window, read through it.
+
+    For a real mask, the extension of conj(v) for conj(lambda) is the
+    conjugate of the extension of v: the recurrences are real-linear. So
+    this view holds no values; it grows its source and conjugates what it
+    reads, bit for bit.
+    """
+
+    def __init__(self, source: SequenceWindow):
+        self.source = source
+        self.name = source.name
+
+    @property
+    def lo(self) -> int:
+        return self.source.lo
+
+    @property
+    def hi(self) -> int:
+        return self.source.hi
+
+    def ensure(self, lo: int, hi: int) -> None:
+        self.source.ensure(lo, hi)
+
+    def value(self, k: int) -> complex:
+        return self.source.value(k).conjugate()
+
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        out = self.source.values(lo, hi)
+        return np.conjugate(out, out=out)
+
+    def window(self):
+        lo, hi, values = self.source.window()
+        return lo, hi, np.conjugate(values, out=values)
+
+    def __repr__(self):
+        return f"<ConjugateWindow of {self.source!r}>"
+
+
 def sequence_window(values, lo=0, name=None) -> SequenceWindow:
     """A finitely supported sequence: given values, zeros elsewhere."""
     return SequenceWindow(values, lo=lo, name=name)

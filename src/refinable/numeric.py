@@ -73,12 +73,18 @@ def cluster_scalars(values, tol):
     return list(groups.values())
 
 
+def cluster_tolerance(values, rtol) -> float:
+    """The absolute distance at which ``clusters`` chains two values:
+    ``rtol`` times the largest magnitude, at least 1."""
+    return rtol * max(1.0, float(np.abs(values).max(initial=0.0)))
+
+
 def clusters(values, rtol):
     """(center, multiplicity, spread) of each cluster of eigenvalues or
-    roots, at tolerance ``rtol`` relative to the largest magnitude (at
-    least 1); centers are the cluster means."""
+    roots, at ``cluster_tolerance(values, rtol)``; centers are the cluster
+    means."""
     values = np.asarray(values, dtype=complex)
-    tol = rtol * max(1.0, float(np.abs(values).max(initial=0.0)))
+    tol = cluster_tolerance(values, rtol)
     out = []
     for idxs in cluster_scalars(values, tol):
         members = values[idxs]

@@ -26,6 +26,19 @@ rational roots, RREF ranks, equality tests, and the exact identity basis T
 == jordan basis; its failures raise SpectralError, on which auto mode falls
 back to floats.
 
+For a real scale matrix the float path builds each conjugate pair once.
+Clusters with Im lambda above the clustering tolerance are the pairs; each
+is matched with the one cluster of the same multiplicity within that
+tolerance of conj(lambda), its partner, or the matrix is refused with a
+ClusteringError that names it. The partner group takes conj(lambda) and
+the conjugate of each of its pair's chain vectors, in the same order:
+conj(v) (T - conj(lambda) I) = conj(v (T - lambda I)) for a real T, so
+the conjugated chains are Jordan chains, normalized as their pair's are.
+Real clusters, whose centers may carry an imaginary part below the
+tolerance, and the pairs keep the clustering and chains they would have
+alone; a partner row records its pair row in ``RowInfo.conjugate_of``.
+Complex matrices, which only the Python API builds, are not paired.
+
 ``accuracy`` is one routine over Fractions or complex values: the sum rules
 counted by synthetic division of the symbol, one triangular solve per
 reproduced polynomial, and v T = 2^-s v as the certificate.
@@ -104,6 +117,7 @@ class RowInfo:
     position: int  # 0 for a bottom (an eigenvector), j for v_{j+1}
     prev_row: int | None
     exact_eigenvalue: Fraction | None = None
+    conjugate_of: int | None = None  # the row this one is the exact conjugate of
 
 
 @dataclass(frozen=True)
@@ -175,9 +189,36 @@ class _FloatField:
     def __init__(self, scale: ScaleMatrices):
         self.t = scale.full
         self.size = scale.n + 1
+        self.tol = 0.0  # the clustering tolerance, set by ``eigenvalues``
 
     def eigenvalues(self):
-        return nm.clusters(np.linalg.eigvals(self.t), CLUSTER_RTOL)
+        values = np.linalg.eigvals(self.t)
+        self.tol = nm.cluster_tolerance(values, CLUSTER_RTOL)
+        return nm.clusters(values, CLUSTER_RTOL)
+
+    def conjugate_pairs(self, clusters):
+        """{partner: pair} over the indices of ``clusters`` for a real
+        matrix: each cluster with Im lam above the clustering tolerance is
+        the pair of the one cluster of the same multiplicity within that
+        tolerance of conj(lam). A complex matrix has no pairs."""
+        if self.t.imag.any():
+            return {}
+        pairs = {}
+        for i, (lam, algebraic, _) in enumerate(clusters):
+            if lam.imag <= self.tol:
+                continue
+            found = [
+                j
+                for j, (mu, count, _) in enumerate(clusters)
+                if count == algebraic and abs(mu - lam.conjugate()) <= self.tol
+            ]
+            if len(found) != 1 or found[0] in pairs:
+                raise _Retry(f"complex cluster {lam:.6g} has no conjugate partner")
+            pairs[found[0]] = i
+        for j, (mu, _, _) in enumerate(clusters):
+            if mu.imag < -self.tol and j not in pairs:
+                raise _Retry(f"complex cluster {mu:.6g} has no conjugate partner")
+        return pairs
 
     def label(self, lam):
         return lam, None
@@ -313,6 +354,9 @@ class _ExactField:
 
     def is_corner(self, lam, spread, index):
         return lam == self.t[index][index]
+
+    def conjugate_pairs(self, clusters):
+        return {}  # a rational spectrum is real
 
     def identity(self):
         return xq.identity(self.size)
@@ -468,31 +512,59 @@ def _regauge(field, chains, target, tag):
     return True
 
 
+def _group(field, corners, lam, algebraic, spread):
+    """(lam, chains, conventions, canonical) and the EigenvalueGroup of one
+    cluster: its chains, with each corner unit vector it owns regauged to
+    a chain bottom where the Jordan structure allows."""
+    chains, weyr = _chains_for_group(field, lam, algebraic, spread)
+    conventions = [tag for tag, i in corners.items() if field.is_corner(lam, spread, i)]
+    canonical = True
+    for tag in conventions:
+        if not _regauge(field, chains, field.identity()[corners[tag]], tag):
+            canonical = False
+    eigenvalue, exact_eigenvalue = field.label(lam)
+    group = EigenvalueGroup(
+        eigenvalue=eigenvalue,
+        algebraic=algebraic,
+        geometric=weyr[0],
+        chain_lengths=tuple(sorted((c.length for c in chains), reverse=True)),
+        spread=spread,
+        exact_eigenvalue=exact_eigenvalue,
+    )
+    return (lam, chains, conventions, canonical), group
+
+
+def _conjugate_group(built):
+    """The group of conj(lam) from that of lam, for a real matrix: every
+    chain vector conjugated, in the same order."""
+    (lam, chains, conventions, canonical), group = built
+    chains = [_Chain([v.conjugate() for v in c.vectors], c.convention) for c in chains]
+    return (lam.conjugate(), chains, conventions, canonical), replace(group, eigenvalue=group.eigenvalue.conjugate())
+
+
+def _conjugate_rows(rows, basis, pairs, groups):
+    """Mark the rows of each partner group that are exactly the conjugates
+    of their pair group's rows, matched in row order."""
+    rows_of = {}
+    for info in rows:
+        rows_of.setdefault(info.eigenvalue, []).append(info.index)
+    conjugate_of = {}
+    for partner, pair in pairs.items():
+        for r, q in zip(rows_of[groups[partner].eigenvalue], rows_of[groups[pair].eigenvalue]):
+            if np.array_equal(basis[r], basis[q].conjugate()):
+                conjugate_of[r] = q
+    return [replace(info, conjugate_of=conjugate_of.get(info.index)) for info in rows]
+
+
 def _build(scale: ScaleMatrices, field) -> SpectralData:
     corners = {"e0": 0, "eN": field.size - 1}
-    group_chains = []
-    groups = []
-    for lam, algebraic, spread in sorted(
-        field.eigenvalues(), key=lambda g: _group_key(field.label(g[0])[0])
-    ):
-        chains, weyr = _chains_for_group(field, lam, algebraic, spread)
-        conventions = [tag for tag, i in corners.items() if field.is_corner(lam, spread, i)]
-        canonical = True
-        for tag in conventions:
-            if not _regauge(field, chains, field.identity()[corners[tag]], tag):
-                canonical = False
-        eigenvalue, exact_eigenvalue = field.label(lam)
-        groups.append(
-            EigenvalueGroup(
-                eigenvalue=eigenvalue,
-                algebraic=algebraic,
-                geometric=weyr[0],
-                chain_lengths=tuple(sorted((c.length for c in chains), reverse=True)),
-                spread=spread,
-                exact_eigenvalue=exact_eigenvalue,
-            )
-        )
-        group_chains.append((lam, chains, conventions, canonical))
+    clusters = sorted(field.eigenvalues(), key=lambda g: _group_key(field.label(g[0])[0]))
+    # the chains of each pair are built once; its partner group conjugates them
+    pairs = field.conjugate_pairs(clusters)
+    built = {i: _group(field, corners, *cluster) for i, cluster in enumerate(clusters) if i not in pairs}
+    built.update((i, _conjugate_group(built[pair])) for i, pair in pairs.items())
+    group_chains = [built[i][0] for i in range(len(clusters))]
+    groups = [built[i][1] for i in range(len(clusters))]
     jordan_canonical = all(entry[3] for entry in group_chains)
     if jordan_canonical:
         basis, rows, chains_info, jordan = _layout_canonical(field, group_chains)
@@ -500,6 +572,8 @@ def _build(scale: ScaleMatrices, field) -> SpectralData:
         basis, rows = _layout_insertion(field, group_chains)
         chains_info, jordan = [], None
     jordan, residual = field.certify(basis, jordan)
+    if pairs:
+        rows = _conjugate_rows(rows, basis, pairs, groups)
     exact_basis = exact_jordan = None
     if field.exact:
         exact_basis = tuple(tuple(row) for row in basis)

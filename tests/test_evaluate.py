@@ -11,14 +11,21 @@ function.
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
+import random
+import re
+import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import refinable as rf
+from refinable import numeric as nm
 from refinable.errors import EvaluationError
 from refinable.evaluate import MAX_LEVEL, translate_sum
+from refinable.spectral import CLUSTER_RTOL
 
 from conftest import GRID_MASK_NAMES, SQRT3, bits, grid_masks, make_mask
 
@@ -496,3 +503,111 @@ class TestGridOracles:
         _, _, phi, _ = pipeline(make_mask("bspline3"))
         with pytest.raises(EvaluationError):
             translate_sum(phi, np.ones(4), -1, 1)
+
+
+def verify_pool_masks(count: int, seed: int) -> list[rf.Mask]:
+    """A seeded sample of the benchmark's ``verify`` pool, loaded by path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = corpus  # its dataclasses look their module up
+    spec.loader.exec_module(corpus)
+    jobs = random.Random(seed).sample(corpus.pool("verify"), count)
+    return [rf.mask_from_coefficients(j.mask["coefficients"], name=j.key) for j in jobs]
+
+
+def conjugate_pairs(spectral) -> list[tuple[int, int]]:
+    return [(info.index, info.conjugate_of) for info in spectral.rows if info.conjugate_of is not None]
+
+
+class TestConjugatePairs:
+    """For a real mask, the rows of conj(lambda) are built as the exact
+    conjugates of the rows of lambda: basis vector, eigenvalue, extension
+    and samples, bit for bit."""
+
+    SAMPLE = verify_pool_masks(16, seed=16)
+
+    @pytest.mark.parametrize("mask", [make_mask(name) for name in ("bspline3", "d4", "jordan13", "half")]
+                             + [grid_masks()["grid_real12"]] + SAMPLE, ids=lambda m: m.name)
+    def test_partner_rows_are_exact_conjugates(self, mask, pipeline):
+        _, spectral, phi, basis = pipeline(mask)
+        assert phi.values.dtype == np.float64
+        n = mask.n
+        for r, q in conjugate_pairs(spectral):
+            assert spectral.rows[q].conjugate_of is None
+            assert bits([spectral.rows[r].eigenvalue]).tolist() == bits([np.conj(spectral.rows[q].eigenvalue)]).tolist()
+            np.testing.assert_array_equal(bits(spectral.basis[r]), bits(spectral.basis[q].conj()))
+            f, g = basis.functions[r], basis.functions[q]
+            np.testing.assert_array_equal(bits(f.window.values(-20, n + 21)), bits(g.window.values(-20, n + 21).conj()))
+            np.testing.assert_array_equal(bits(basis.matrix()[r]), bits(basis.matrix()[q].conj()))
+            assert f.order == g.order
+
+    def test_conjugate_window_reads_through_its_source(self, pipeline):
+        spectral, _, basis = pipeline(grid_masks()["grid_real12"])[1:]
+        r, q = conjugate_pairs(spectral)[0]
+        view, source = basis.functions[r].window, basis.functions[q].window
+        assert isinstance(view, rf.SequenceWindow)
+        view.ensure(-30, 50)  # grows the source
+        assert (view.lo, view.hi) == (source.lo, source.hi)
+        assert view.lo <= -30 and view.hi >= 50
+        lo, hi, values = view.window()
+        np.testing.assert_array_equal(bits(values), bits(source.window()[2].conj()))
+        assert view.value(-30) == source.value(-30).conjugate() != source.value(-30)
+
+    def test_every_complex_row_of_the_sample_is_paired(self, pipeline):
+        pairs = 0
+        for mask in [grid_masks()["grid_real12"]] + self.SAMPLE:
+            spectral = pipeline(mask)[1]
+            tol = CLUSTER_RTOL * max(1.0, float(np.abs(np.linalg.eigvals(spectral.scale.full)).max()))
+            partners = {r for r, _ in conjugate_pairs(spectral)}
+            pairs += len(partners)
+            for info in spectral.rows:
+                if info.eigenvalue.imag < -tol:
+                    assert info.index in partners, (mask.name, info.index)
+                elif info.eigenvalue.imag > tol:
+                    assert info.index not in partners
+        assert pairs >= 10  # the sample meets complex eigenvalues
+
+    def test_a_complex_mask_is_not_paired(self, pipeline):
+        spectral = pipeline(grid_masks()["grid_complex12"])[1]
+        assert any(abs(info.eigenvalue.imag) > 1e-3 for info in spectral.rows)
+        assert conjugate_pairs(spectral) == []
+
+    def test_a_real_cluster_with_a_tiny_imaginary_part_is_not_paired(self, monkeypatch):
+        mask = grid_masks()["grid_real12"]
+        clusters = nm.clusters
+
+        def tilted(values, rtol):
+            # every real cluster moved up from the axis, far above rounding
+            # and well inside the tolerance, which the rank decisions allow
+            tol = nm.cluster_tolerance(values, rtol)
+            return [(c + 1e-4j * tol if abs(c.imag) <= tol else c, m, s) for c, m, s in clusters(values, rtol)]
+
+        monkeypatch.setattr(nm, "clusters", tilted)
+        spectral = rf.eigen_structure(mask)
+        tilted_rows = [info for info in spectral.rows if 1e-13 < info.eigenvalue.imag <= 1e-6]
+        assert len(tilted_rows) == 9
+        assert all(info.conjugate_of is None for info in tilted_rows)
+        assert len(conjugate_pairs(spectral)) == 2
+
+    @pytest.mark.parametrize("how", ["moved", "dropped"])
+    def test_an_unpaired_complex_cluster_is_refused(self, how, monkeypatch):
+        mask = grid_masks()["grid_real12"]
+        clusters = nm.clusters
+        values = np.linalg.eigvals(rf.build_scale_matrices(mask).full)
+        upper = max((c for c, _, _ in clusters(values, CLUSTER_RTOL)), key=lambda c: c.imag)
+
+        def unpaired(values, rtol):
+            # the partner of the upper cluster moved off its conjugate, or gone
+            out = []
+            for c, m, s in clusters(values, rtol):
+                if abs(c - upper.conjugate()) < 1e-6:
+                    if how == "dropped":
+                        continue
+                    c -= 1e-3j
+                out.append((c, m, s))
+            return out
+
+        monkeypatch.setattr(nm, "clusters", unpaired)
+        with pytest.raises(rf.ClusteringError, match=rf"complex cluster {re.escape(f'{upper:.6g}')} has no conjugate partner"):
+            rf.eigen_structure(mask)

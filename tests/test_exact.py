@@ -293,11 +293,6 @@ def random_split_polynomial(rng):
 
 
 class TestBasics:
-    def test_as_fraction(self):
-        assert xq.as_fraction("3/7") == Fraction(3, 7)
-        assert xq.as_fraction(5) == Fraction(5)
-        assert xq.as_fraction(Fraction(1, 3)) == Fraction(1, 3)
-
     def test_matrix_arithmetic_matches_numpy(self):
         for _ in range(10):
             a = random_matrix(3, 4)

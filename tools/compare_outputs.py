@@ -31,10 +31,14 @@ rational root, the same mask in floats, a complex pair and an irrational
 pair, which the pools' masks (gcd degree at most 1, rational root) never
 reach in ``kernel_of_L``.  For every job it records
 the SHA-256 of standard output, of standard error and of every file
-written, plus the exit code.  A key that the pool repeats is recorded once
-per run, the later runs as ``KEY#2``, ``KEY#3`` and so on.
-``diff`` prints each job whose record differs between two hash files and
-exits 1 if there is one, 0 otherwise.
+written, plus the exit code, and for a ``verify`` job the verdict of each
+check, as ``[name, passed]`` pairs read from its report.  A key that the
+pool repeats is recorded once per run, the later runs as ``KEY#2``,
+``KEY#3`` and so on.  ``diff`` prints each job whose bytes differ between
+two hash files, then each change of an exit code or a check verdict on a
+line of its own, and exits 1 if any job differs, 0 otherwise.  Its summary
+counts both: "N differ, M in verdicts".  A documented byte change thus
+shows that it kept every verdict.
 
 To check that a change keeps every report byte-identical, export the parent
 commit into a second directory (``git archive``), hash both trees and diff
@@ -116,12 +120,24 @@ def run_job(cli, job, out: Path, src: Path) -> dict:
     files = {}
     if out.is_dir():
         files = {p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir())}
+    record = {"rc": rc, "files": files}
+    if job.argv[0] == "verify":
+        record["checks"] = _checks(stdout.getvalue())
 
     # Paths of the two trees differ, e.g. in the location of a warning.
     def text(s: str) -> bytes:
         return s.replace(str(src), "<src>").replace(str(out), "<out>").encode()
 
-    return {"rc": rc, "stdout": _sha(text(stdout.getvalue())), "stderr": _sha(text(stderr.getvalue())), "files": files}
+    return {**record, "stdout": _sha(text(stdout.getvalue())), "stderr": _sha(text(stderr.getvalue()))}
+
+
+def _checks(report: str) -> list | None:
+    """[name, passed] of each check of a ``verify`` report, or None when the
+    job wrote no report."""
+    try:
+        return [[c["name"], c["passed"]] for c in json.loads(report)["checks"]]
+    except (ValueError, KeyError):
+        return None
 
 
 def pool(corpus, workload: str):
@@ -174,19 +190,42 @@ def hash_tree(src: Path, workloads) -> dict:
     return {"src": str(src), "workloads": list(workloads), "jobs": jobs}
 
 
-def diff(a: dict, b: dict) -> list[str]:
-    """One line per job whose record differs, naming what differs."""
-    lines = []
+def diff(a: dict, b: dict) -> tuple[list[str], dict[str, list[str]]]:
+    """(one line per job whose bytes differ, naming what differs; the
+    changed exit code and check verdicts of each job where any moved)."""
+    lines, verdicts = [], {}
     for key in sorted(set(a["jobs"]) | set(b["jobs"])):
         x, y = a["jobs"].get(key), b["jobs"].get(key)
         if x is None or y is None:
             lines.append(f"{key}: only in {'second' if x is None else 'first'}")
-        elif x != y:
-            parts = [f for f in ("rc", "stdout", "stderr") if x[f] != y[f]]
-            names = sorted(set(x["files"]) | set(y["files"]))
-            parts += [n for n in names if x["files"].get(n) != y["files"].get(n)]
+            continue
+        parts = [f for f in ("rc", "stdout", "stderr") if x[f] != y[f]]
+        names = sorted(set(x["files"]) | set(y["files"]))
+        parts += [n for n in names if x["files"].get(n) != y["files"].get(n)]
+        if parts:
             lines.append(f"{key}: {', '.join(parts)}")
-    return lines
+        changes = _verdict_changes(x, y)
+        if changes:
+            verdicts[key] = changes
+    return lines, verdicts
+
+
+def _verdict_changes(x: dict, y: dict) -> list[str]:
+    """The exit code and each check verdict that moved between two records
+    of one job."""
+    changes = []
+    if x["rc"] != y["rc"]:
+        changes.append(f"exit code {x['rc']} -> {y['rc']}")
+    cx, cy = x.get("checks"), y.get("checks")
+    if cx == cy:
+        return changes
+    if cx is None or cy is None or [n for n, _ in cx] != [n for n, _ in cy]:
+        names = [None if c is None else [n for n, _ in c] for c in (cx, cy)]
+        return changes + [f"checks {names[0]} -> {names[1]}"]
+    word = {True: "passed", False: "failed"}
+    return changes + [
+        f"{name} {word[p]} -> {word[q]}" for (name, p), (_, q) in zip(cx, cy) if p != q
+    ]
 
 
 def main(argv=None) -> int:
@@ -207,11 +246,14 @@ def main(argv=None) -> int:
         print(f"{len(doc['jobs'])} jobs hashed from {doc['src']}")
         return 0
     a, b = (json.loads(p.read_text()) for p in (args.first, args.second))
-    lines = diff(a, b)
+    lines, verdicts = diff(a, b)
     for line in lines:
         print(line)
-    print(f"{len(set(a['jobs']) | set(b['jobs']))} jobs compared, {len(lines)} differ")
-    return 1 if lines else 0
+    for key, changes in verdicts.items():
+        for change in changes:
+            print(f"{key}: {change}")
+    print(f"{len(set(a['jobs']) | set(b['jobs']))} jobs compared, {len(lines)} differ, {len(verdicts)} in verdicts")
+    return 1 if lines or verdicts else 0
 
 
 if __name__ == "__main__":
