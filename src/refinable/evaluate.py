@@ -40,9 +40,8 @@ are the conjugate of its pair's samples, with no second extension or
 translate sum. The bits are those of the translate sum over the conjugated
 window: the recurrences are real-linear, and negating the imaginary part
 of each coefficient negates each product b * phi exactly, so it negates
-each rounded partial sum. The one exception is an imaginary part that
-sums to exactly zero: the sum gives +0 for both rows, the conjugate -0.
-The battery still checks every row on its own values.
+each rounded partial sum. The battery still checks every row on its own
+values.
 """
 
 from __future__ import annotations
@@ -375,6 +374,8 @@ def build_homogeneous_basis(
         else:
             orders[r], windows[r] = orders[pair], ConjugateWindow(windows[pair])
             np.conjugate(samples[pair], out=samples[r])
+            # a sum never ends at -0, the conjugate of an exact +0 does
+            samples[r].imag += 0.0
     samples.setflags(write=False)
     functions = tuple(
         HomogeneousFunction(

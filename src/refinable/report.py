@@ -4,11 +4,20 @@ Reports must be byte-identical across runs, so floats are always rendered
 with %.17g (enough digits to round-trip a double), keys are emitted in
 sorted order, and line endings are LF regardless of platform.
 
-Each float is formatted once, by a %-template: a complex value, or a whole
-list of them, becomes the text of its ``{"im": ..., "re": ...}`` objects in
-one step, and the CSV rows are filled by one row template.  The grid column
-of a CSV is formatted once and shared by consecutive calls on the same
-grid, such as the ``h_*.csv`` files of one ``basis`` call.
+In JSON each float is formatted once, by a %-template: a complex value, or
+a whole list of them, becomes the text of its ``{"im": ..., "re": ...}``
+objects in one step.
+
+The CSV columns are formatted in numpy, with CPython's ``%.17g`` bytes
+(``_format_column``).  Each value is scaled to 17 digits by one
+``np.longdouble`` product and rounded; its text is written into a slot of
+fixed byte positions, and one ``translate`` of each finished block of rows
+drops the unused ones.  Values whose rounding the product leaves
+undecided, and NaN and +-inf, take CPython's own text (Loitsch 2010,
+"Printing floating-point numbers quickly and accurately": a fast path that
+knows when it may fail, plus an exact fallback).  The grid column of a CSV
+is formatted once and shared by consecutive calls on the same grid, such
+as the ``h_*.csv`` files of one ``basis`` call.
 """
 
 from __future__ import annotations
@@ -133,20 +142,212 @@ def dump_json(obj) -> str:
     return "".join(out)
 
 
+# CSV columns.  Each value owns a slot of six little-endian 8-byte words:
+#
+#   word 0     byte 0 sign, bytes 1-5 the "0." and up to three zeros that
+#              fixed notation puts before the digits of 1e-4 <= |x| < 1,
+#              byte 6 the first digit, byte 7 a point slot
+#   words 1-4  digits 2-17, each followed by a point slot
+#   word 5     bytes 0-4 the exponent "e+dd" or "e-ddd", byte 7 the column
+#              separator; bytes 5 and 6 stay empty
+#
+# An empty byte is 0, and the text of the slot is its nonzero bytes.
+_WORD = np.dtype("<u8")
+_SLOT_WORDS = 6
+_BLOCK_ROWS = 1024  # CSV rows formatted at a time, which bounds the temporaries
+_SEPARATOR = {ch: np.uint64(ord(ch)) << np.uint64(56) for ch in ",\n"}
+
+# Tables by the decimal exponent E of |x|, E in [-_E0, _E0): 10**(16 - E)
+# as one longdouble each, parsed from its decimal string so that it is
+# rounded once; the first of the 17 shapes of its notation (%.17g is fixed
+# for -4 <= E <= 16, else scientific; see _digit_tables); the number of
+# fraction digits that %g may strip; and the exponent word.
+_E0 = 350
+_E = np.arange(-_E0, _E0)
+_POW10 = np.array([f"1e{16 - e}" for e in _E.tolist()], dtype=np.longdouble)
+_FIXED = (_E >= -4) & (_E <= 16)
+_NOTATION = (np.where(_FIXED, _E + 4, 21) * 17).astype(np.int16)
+_FRACTION = np.where(_FIXED, 16 - _E, 16).astype(np.uint8)
+_EXPONENT = np.frombuffer(
+    b"".join(b"\0" * 8 if fixed else (b"e%+03d" % e).ljust(8, b"\0") for e, fixed in zip(_E.tolist(), _FIXED.tolist())),
+    _WORD,
+)
+
+# The product |x| * 10**(16 - E) is rounded twice, in the power and in the
+# product, each to a relative half unit of the longdouble significand, so
+# for products up to 1e17 (+6, after a carry) it lies within _BAND of the
+# exact one.  A product whose distance from the nearest half-integer is not
+# above _BAND may round either way, and takes CPython's text.  The bound
+# needs correctly rounded IEEE arithmetic wider than binary64: x87 extended
+# or binary128.  Elsewhere, as where longdouble is binary64, _BAND is 1 and
+# every value falls back.
+_LD = np.finfo(np.longdouble)
+_BAND = 1.0000001e17 * float(_LD.eps) * (1 + float(_LD.eps)) if _LD.nmant in (63, 112) else 1.0
+
+
+def _digit_tables():
+    """The slot words of 4-digit groups (digits in the even bytes), their
+    trailing zeros (4 for 0000), the masks that keep the first 16 - s of
+    digits 2-17, and the point and prefix bytes of each shape, a shape
+    being a notation (fixed with E = -4..16, or scientific) and s."""
+    digits = np.zeros((10, 10, 10, 10, 8), np.uint8)  # 0000..9999
+    zeros = np.zeros((10, 10, 10, 10), np.uint8)
+    ten = np.arange(48, 58, dtype=np.uint8)
+    for k in range(4):
+        digits[..., 2 * k] = ten.reshape((10,) + (1,) * (3 - k))
+        zeros[(slice(None),) * (3 - k) + (slice(1, None),) + (0,) * k] = k
+    zeros[0, 0, 0, 0] = 4
+    digits, zeros = digits.reshape(10000, 8), zeros.ravel()
+    s = np.arange(17)
+    keep = np.zeros((17, 32), np.uint8)
+    keep[:, 0::2] = np.where(np.arange(2, 18) <= 17 - s[:, None], 0xFF, 0)
+    frame = np.zeros((22, 17, 40), np.uint8)
+    for e in range(-4, 0):  # "0." and -e - 1 zeros before the digits
+        frame[e + 4, :, 1 : 2 - e] = np.frombuffer(b"0.000"[: 1 - e], np.uint8)
+    # the point follows digit E + 1 for fixed E = 0..16, digit 1 in
+    # scientific notation, and only when a fraction digit is left
+    point = np.append(np.arange(17), 0)
+    modes = np.arange(4, 22)
+    frame[modes[:, None], s, 7 + 2 * point[:, None]] = np.where(s < 16 - point[:, None], ord("."), 0)
+    return (
+        digits.view(_WORD).ravel(),
+        zeros,
+        keep.view(_WORD).T.copy(),
+        frame.reshape(22 * 17, 40).view(_WORD).T.copy(),
+    )
+
+
+_DIGITS, _ZEROS, _KEEP, _FRAME = _digit_tables()
+_ZEROS4, _ZEROS8, _ZEROS12 = _ZEROS + 4, _ZEROS + 8, _ZEROS + 12
+_LEAD = (np.arange(10, dtype=_WORD) + 48) << np.uint64(48)
+_SIGN = np.array([0, ord("-")], _WORD)
+_ZERO_SLOT = np.zeros(_SLOT_WORDS, _WORD)
+_ZERO_SLOT[0] = _LEAD[0]
+
+
+def _format_column(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the slots of the float64 array ``x`` into ``out``, which has
+    the shape of ``x`` plus a last axis of ``_SLOT_WORDS`` contiguous words;
+    the separator byte is left 0.  The text of each slot is
+    ``'%.17g' % (v + 0.0)``."""
+    if _BAND < 0.5:
+        fallback = _fast_slots(x, out)
+    else:
+        out[..., -1] = 0
+        fallback = np.ones(x.shape, bool)
+    (i,) = np.nonzero(fallback.ravel())
+    if i.size:
+        with np.errstate(invalid="ignore"):  # a signalling NaN
+            values = (x.ravel()[i] + 0.0).tolist()
+        # one %-template pads each text with spaces, which no text holds,
+        # to the bytes before the separator
+        width = _SLOT_WORDS * _WORD.itemsize - 1
+        text = f"%-{width}.17g" * i.size % tuple(values)
+        slots = np.frombuffer(text.encode().replace(b" ", b"\0"), np.uint8).reshape(-1, width)
+        out.view(np.uint8)[np.unravel_index(i, x.shape) + (slice(0, width),)] = slots
+
+
+def _fast_slots(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The slots of ``_format_column`` from the longdouble product; returns
+    where it leaves the text to CPython (NaN, +-inf, undecided rounding)."""
+    e, n, fallback = _decimal(x)
+    out[..., 5] = _EXPONENT.take(e)
+    # the digits in groups, g0 the first and g1..g4 four each
+    hi = n // 10**8
+    n -= hi * 10**8
+    g1 = hi // 10**4
+    hi -= g1 * 10**4
+    g0 = g1 // 10**4
+    g1 -= g0 * 10**4
+    g3 = n // 10**4
+    g4 = n - g3 * 10**4
+    zeros = np.where(  # trailing zeros of the 17 digits
+        n,
+        np.where(g4, _ZEROS.take(g4), _ZEROS4.take(g3)),
+        np.where(hi, _ZEROS8.take(hi), _ZEROS12.take(g1)),
+    )
+    strip = np.minimum(zeros, _FRACTION.take(e))
+    shape = _NOTATION.take(e) + strip
+    out[..., 0] = _FRAME[0].take(shape) | _LEAD.take(g0) | _SIGN.take(x < 0)
+    for w, g in enumerate((g1, hi, g3, g4), 1):
+        out[..., w] = (_DIGITS.take(g) & _KEEP[w - 1].take(strip)) | _FRAME[w].take(shape)
+    return fallback
+
+
+def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """E + _E0 and the 17 significant digits n of each |x| (E = 0, n = 0 at
+    x = 0, and anything for NaN and +-inf), and where the longdouble
+    product leaves them undecided or x is not finite."""
+    ax = np.abs(x, order="C")  # the flat views below write through
+    finite = ax < np.inf
+    np.copyto(ax, 0.0, where=~finite)
+    # floor(log10 |x|) + _E0; near a power of ten it may be one off, which
+    # the range check below mends
+    e = ax + (ax == 0)
+    np.log10(e, out=e)
+    e += _E0
+    e = e.astype(np.intp)
+    n, fallback = _round(ax, e)
+    fallback |= ~finite
+    off = (n >= 10**17) | ((n <= 10**16) & (n > 0))
+    if off.any():
+        # 17 digits need 10**16 <= n < 10**17: scale by ten once more, up
+        # or down.  A product that then rounds to 10**17 or more is 10**16
+        # at the next exponent: either |x| rounds up to a power of ten, or
+        # the first product was 10**16 within 1/2, and a product farther
+        # off was undecided
+        (i,) = np.nonzero(off.ravel())
+        e.ravel()[i] += np.where(n.ravel()[i] >= 10**17, 1, -1)
+        m, undecided = _round(ax.ravel()[i], e.ravel()[i])
+        carry = m >= 10**17
+        m[carry] = 10**16
+        e.ravel()[i] += carry
+        n.ravel()[i] = m
+        fallback.ravel()[i] |= undecided | (m < 10**16)
+    return e, n, fallback
+
+
+def _round(ax: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|x| * 10**(16 - E) in longdouble, rounded to an integer (an exact
+    half, which is undecided, rounds up), and where that product lies
+    within _BAND of a half-integer."""
+    y = ax.astype(np.longdouble)
+    y *= _POW10.take(e)
+    n = y.astype(np.intp)  # the floor
+    y -= n  # the fraction, exactly
+    f = y.astype(float)
+    n += f > 0.5
+    f -= 0.5
+    return n, np.abs(f, out=f) <= _BAND
+
+
+def _blocks(n: int) -> list[slice]:
+    """range(n) in slices of nearly equal length, at most ``_BLOCK_ROWS``."""
+    count = -(-n // _BLOCK_ROWS)
+    size = -(-n // count) if count else 1
+    return [slice(a, a + size) for a in range(0, n, size)]
+
+
 @lru_cache(maxsize=1)
-def _grid_column(grid: bytes) -> tuple[str, ...]:
-    """The %.17g texts of a float64 grid given by its bytes; one slot, so a
-    run of calls on the same grid formats it once."""
-    xs = np.frombuffer(grid) + 0.0
-    return tuple(("%.17g\n" * len(xs) % tuple(xs.tolist())).split("\n")[:-1])
+def _grid_column(grid: bytes) -> np.ndarray:
+    """The slots of a float64 grid given by its bytes, with their comma;
+    one slot of cache, so a run of calls on the same grid formats it once."""
+    xs = np.frombuffer(grid)
+    slots = np.empty((len(xs), _SLOT_WORDS), _WORD)
+    for part in _blocks(len(xs)):
+        _format_column(xs[part], slots[part])
+    slots[:, -1] |= _SEPARATOR[","]
+    slots.setflags(write=False)
+    return slots
 
 
 def dump_csv(xs, values) -> str:
     """Sample table: header ``x,re,im`` then one %.17g row per grid point.
 
-    The x texts come from ``_grid_column``; the value columns are formatted
-    by one %-template, which writes the imaginary column as ``0`` when it is
-    all zero.  Adding 0.0 turns -0.0 into 0.0, as ``format_float`` does.
+    The x slots come from ``_grid_column``.  The re and im columns of a
+    block of rows are formatted by one ``_format_column`` call, or re alone
+    with an im column of ``0`` when the imaginary parts are all zero.  -0.0
+    is written as ``0``, as ``format_float`` does.
     """
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=complex)
@@ -154,15 +355,20 @@ def dump_csv(xs, values) -> str:
         raise ValueError(
             f"dump_csv needs one value per grid point, got {xs.shape} and {values.shape}"
         )
-    n = len(xs)
-    column = _grid_column(xs.tobytes())
-    re = values.real + 0.0
-    im = values.imag + 0.0
-    if im.any():
-        template, columns = "%s,%.17g,%.17g\n", (column, re.tolist(), im.tolist())
-    else:  # NaN counts as nonzero, so here the column is all +-0.0
-        template, columns = "%s,%.17g,0\n", (column, re.tolist())
-    fields = [None] * (len(columns) * n)
-    for j, col in enumerate(columns):
-        fields[j :: len(columns)] = col
-    return CSV_HEADER + "\n" + template * n % tuple(fields)
+    grid = _grid_column(xs.tobytes())
+    imag = values.imag.any()  # NaN counts as nonzero
+    rows = np.empty((min(len(xs), _BLOCK_ROWS), 3, _SLOT_WORDS), _WORD)
+    text = [CSV_HEADER + "\n"]
+    for part in _blocks(len(xs)):
+        z = values[part]
+        block = rows[: len(z)]
+        block[:, 0] = grid[part]
+        if imag:
+            _format_column(np.stack((z.real, z.imag)), block[:, 1:].transpose(1, 0, 2))
+        else:  # the im column is all +-0.0
+            _format_column(z.real, block[:, 1])
+            block[:, 2] = _ZERO_SLOT
+        block[:, 1, -1] |= _SEPARATOR[","]
+        block[:, 2, -1] |= _SEPARATOR["\n"]
+        text.append(block.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(text)

@@ -542,6 +542,36 @@ class TestConjugatePairs:
             np.testing.assert_array_equal(bits(basis.matrix()[r]), bits(basis.matrix()[q].conj()))
             assert f.order == g.order
 
+    # basis/flt_n7_w2/3 of the benchmark's basis pool: at level 8 on
+    # [-2, 2] an imaginary part of row 1 sums to exactly zero
+    SIGNED_ZERO = rf.mask_from_coefficients(
+        [-1.0744124037096834, 0.37799326485120877, 0.5220186349054945, 0.33933345012388394,
+         0.17228027198443716, -0.06250768311590459, 1.3801134968197515, 0.345180968140812],
+        name="flt_n7_w2/3",
+    )
+
+    @pytest.mark.parametrize(
+        "mask, interval",
+        [(make_mask(name), (-1, 1)) for name in ("bspline3", "d4", "jordan13", "half")]
+        + [(grid_masks()["grid_real12"], (-1, 1))] + [(m, (-1, 1)) for m in SAMPLE]
+        + [(SIGNED_ZERO, (-2, 2))],
+        ids=lambda v: getattr(v, "name", str(v)),
+    )
+    def test_partner_rows_are_the_translate_sums_of_their_windows(self, mask, interval, pipeline):
+        _, spectral, phi, basis = pipeline(mask, 8, interval)
+        lo, hi = interval
+        for r, _ in conjugate_pairs(spectral):
+            window = basis.functions[r].window
+            direct = translate_sum(phi, window.values(-hi, mask.n - lo + 1), lo, hi)
+            np.testing.assert_array_equal(bits(basis.matrix()[r]), bits(direct))
+
+    def test_an_exact_zero_imaginary_part_of_a_partner_row_is_plus_zero(self, pipeline):
+        basis = pipeline(self.SIGNED_ZERO, 8, (-2, 2))[3]
+        row, pair = basis.matrix()[1], basis.matrix()[basis.spectral.rows[1].conjugate_of]
+        zero = np.flatnonzero(pair.imag == 0)
+        assert zero.size and not np.signbit(pair.imag[zero]).any()
+        assert not np.signbit(row.imag[zero]).any()
+
     def test_conjugate_window_reads_through_its_source(self, pipeline):
         spectral, _, basis = pipeline(grid_masks()["grid_real12"])[1:]
         r, q = conjugate_pairs(spectral)[0]

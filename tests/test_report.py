@@ -1,5 +1,6 @@
 """Deterministic serialization: stable float rendering, sorted keys,
-escaping, and the CSV sample-table format; byte oracles for both writers.
+escaping, and the CSV sample-table format; byte oracles for both writers,
+and ``'%.17g'`` itself as the oracle of the numpy CSV column formatter.
 """
 
 from __future__ import annotations
@@ -11,9 +12,13 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import refinable as rf
 from refinable import cli, report
+from refinable.evaluate import MAX_LEVEL
 
 
 class TestFormatFloat:
@@ -310,7 +315,7 @@ class TestDumpJsonOracle:
 
 
 class TestDumpCsvOracle:
-    """The grid-column cache and the value templates give the bytes of the
+    """The grid-column cache and the column formatter give the bytes of the
     per-row writer."""
 
     def test_alternating_grids_of_equal_length(self):
@@ -356,3 +361,118 @@ class TestDumpCsvOracle:
         text = report.dump_csv(xs, values)
         assert text == dump_csv_by_row(xs, values)
         assert text.split("\n")[4] == "0.375,1,nan"
+
+
+def adversarial_floats() -> dict[str, np.ndarray]:
+    """Values on which a 17-digit rounding is hard to get right, each with
+    its neighbours one ulp away, in alternating signs."""
+    rng = np.random.default_rng(17)
+
+    def halfway(count: int, exponents: tuple[int, int]) -> list[float]:
+        # 18 significant digits ending in 5: halfway between two 17-digit
+        # decimals, so the parsed double lies on a tie or just off one
+        lead, body = rng.integers(1, 10, count), rng.integers(0, 10**16, count)
+        return [float(f"{a}.{b:016d}5e{e}") for a, b, e in zip(lead, body, rng.integers(*exponents, count))]
+
+    edges = [f"{m}e{k}" for k in range(-8, 20) for m in (
+        "1", "9.9999999999999999", "9.99999999999999995", "9.9999999999999998",
+        "1.0000000000000001", "1.00000000000000005",
+    )]
+    integers = [2.0**53 + d for d in range(-4, 5, 2)] + [1e16 - 2, 1e16 + 2, 1e17 - 16, 1e17 + 16]
+    dyadic = [
+        np.unique(np.append(rng.integers(-4 * 2**level, 4 * 2**level + 1, 300), [-1, 1, 2**level - 1, 2**level + 1]))
+        / 2.0**level
+        for level in range(MAX_LEVEL + 1)
+    ]
+    sets = {
+        "halfway": np.array(halfway(3000, (-310, 300)) + halfway(1000, (-6, 18))),
+        "powers": np.array([float(f"1e{k}") for k in range(-307, 309)]),
+        "edges": np.array([float(t) for t in edges] + integers),
+        "dyadic": np.concatenate(dyadic),
+    }
+    return {
+        name: np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)]) * np.resize([1, -1], 3 * len(v))
+        for name, v in sets.items()
+    }
+
+
+ADVERSARIAL = adversarial_floats()
+
+
+def percent_g_csv(xs, re, im) -> str:
+    """The CSV text by ``'%.17g' % (v + 0.0)`` for every value."""
+    rows = ("%.17g,%.17g,%.17g\n" % (x + 0.0, a + 0.0, b + 0.0) for x, a, b in zip(xs, re, im))
+    return report.CSV_HEADER + "\n" + "".join(rows)
+
+
+def complex_column(re, im) -> np.ndarray:
+    values = np.empty(len(re), dtype=complex)
+    values.real, values.imag = re, im
+    return values
+
+
+ANY_FLOATS = hnp.arrays(
+    np.float64, st.tuples(st.integers(0, 40), st.just(3)), elements=st.floats(allow_subnormal=True)
+)
+
+
+class TestCsvColumnFormatter:
+    """The numpy column formatter writes CPython's ``'%.17g'`` bytes."""
+
+    @given(ANY_FLOATS)
+    def test_any_floats_print_as_percent_g(self, table):
+        xs, re, im = table.T.tolist()
+        assert report.dump_csv(xs, complex_column(re, im)) == percent_g_csv(xs, re, im)
+
+    @given(ANY_FLOATS)
+    def test_a_real_column_prints_as_percent_g(self, table):
+        xs, re, _ = table.T.tolist()
+        zeros = [0.0] * len(re)
+        assert report.dump_csv(xs, np.array(re)) == percent_g_csv(xs, re, zeros)
+
+    @pytest.mark.parametrize("name", ADVERSARIAL)
+    def test_adversarial_sets(self, name):
+        values = ADVERSARIAL[name]
+        shuffled = np.random.default_rng(1).permutation(values)
+        for xs, column in ((values, complex_column(shuffled, values)), (shuffled, values.astype(complex))):
+            assert first_difference(report.dump_csv(xs, column), dump_csv_by_row(xs, column)) is None
+
+    @pytest.mark.skipif(report._BAND >= 0.5, reason="every value takes CPython's text")
+    def test_the_powers_of_ten_are_rounded_once(self):
+        eps = Fraction(*np.finfo(np.longdouble).eps.as_integer_ratio())
+        for e, power in zip(report._E.tolist(), report._POW10):
+            exact = Fraction(10) ** (16 - e)
+            assert abs(Fraction(*power.as_integer_ratio()) - exact) <= exact * eps / 2, e
+
+
+@pytest.fixture
+def cpython_text_only(monkeypatch):
+    """Every value takes CPython's text: the band of undecided roundings
+    covers every product, the path of a platform whose longdouble is
+    binary64.  The fast path may not run, and no grid slot cached before
+    or during the test outlives it."""
+
+    def fast_slots(x, out):
+        raise AssertionError("the fast path ran")
+
+    monkeypatch.setattr(report, "_BAND", 1.0)
+    monkeypatch.setattr(report, "_fast_slots", fast_slots)
+    report._grid_column.cache_clear()
+    yield
+    report._grid_column.cache_clear()
+
+
+@pytest.mark.usefixtures("cpython_text_only")
+class TestCsvFallback:
+    @pytest.mark.parametrize("name", ADVERSARIAL)
+    def test_adversarial_sets(self, name):
+        values = ADVERSARIAL[name]
+        column = complex_column(values[::-1], values)
+        assert first_difference(report.dump_csv(values, column), dump_csv_by_row(values, column)) is None
+        assert report.dump_csv(values, values) == dump_csv_by_row(values, values)
+
+    def test_edge_values(self):
+        values = np.array(EDGE_FLOATS)
+        column = complex_column(values[::-1], values)
+        assert report.dump_csv(values, column) == dump_csv_by_row(values, column)
+        assert report.dump_csv([], []) == "x,re,im\n"

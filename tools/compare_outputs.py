@@ -3,7 +3,7 @@
 Usage::
 
     python3 tools/compare_outputs.py hash --src SRC --out HASHES.json \\
-        [--workload spectrum spectrum-exact spectrum-float spectrum-bspline verify verify-exact basis basis-deep kernel]
+        [--workload spectrum spectrum-exact spectrum-float spectrum-bspline verify verify-exact basis basis-deep basis-exact kernel]
     python3 tools/compare_outputs.py diff A.json B.json
 
 ``hash`` imports ``refinable`` from ``SRC`` (default: this repository's
@@ -24,7 +24,11 @@ roots and, cleared to integers, have the largest coefficients that the
 exact root split meets.  ``basis-deep`` runs ``basis
 MASK --level 12 --interval -2 2 --out OUT`` on every mask of the ``verify``
 pool, so that every ``phi`` and ``h`` sample the grid layer computes at
-full resolution reaches the CSV files in ``%.17g``.  ``kernel`` runs
+full resolution reaches the CSV files in ``%.17g``.  ``basis-exact`` runs
+``basis MASK --exact --level 10 --interval -2 2 --out OUT`` on the
+rational masks of the ``spectrum`` pool, so that the short dyadic values,
+integer samples and exact zeros of exact-mode rows reach the CSV writer.
+``kernel`` runs
 ``spectrum``, ``verify --level 8`` and ``basis --level 8`` on four masks
 whose even and odd polynomials share a factor of degree 2: a double
 rational root, the same mask in floats, a complex pair and an irrational
@@ -77,6 +81,7 @@ DEFAULT_WORKLOADS = (
     "verify-exact",
     "basis",
     "basis-deep",
+    "basis-exact",
     "kernel",
 )
 # workloads derived from the masks of a benchmark pool: the pool, argv, and
@@ -87,6 +92,11 @@ DERIVED = {
     "spectrum-float": ("spectrum", ("spectrum", "{mask}", "--out", "{out}"), True),
     "verify-exact": ("spectrum", ("verify", "{mask}", "--exact", "--level", "8"), False),
     "basis-deep": ("verify", ("basis", "{mask}", "--level", "12", "--interval", "-2", "2", "--out", "{out}"), None),
+    "basis-exact": (
+        "spectrum",
+        ("basis", "{mask}", "--exact", "--level", "10", "--interval", "-2", "2", "--out", "{out}"),
+        False,
+    ),
 }
 BSPLINE_ORDERS = range(12, 25)
 # masks with a degree-2 gcd of the even and odd polynomials, by gcd roots
