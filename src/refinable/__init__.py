@@ -48,9 +48,6 @@ from .extension import (
     SubdivisionKernel,
     eigen_extend,
     kernel_of_L,
-    restrict,
-    sequence_window,
-    subdivision,
 )
 from .mask import (
     Mask,
@@ -72,8 +69,6 @@ from .spectral import (
     accuracy,
     eigen_structure,
     independence_test,
-    kernel_lift,
-    kernel_transfer,
     minimal_order,
     spectrum_of,
 )
@@ -123,19 +118,14 @@ __all__ = [
     "homogeneity_residual",
     "independence_test",
     "integer_samples",
-    "kernel_lift",
     "kernel_of_L",
-    "kernel_transfer",
     "mask_from_coefficients",
     "mask_polynomials",
     "minimal_order",
     "parse_mask",
     "reconstruct_phi",
-    "restrict",
     "run_battery",
-    "sequence_window",
     "solve_system",
     "spectrum_of",
-    "subdivision",
     "verify_dependency",
 ]

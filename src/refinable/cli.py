@@ -315,7 +315,8 @@ def main(argv=None) -> int:
     except (UsageError, MaskError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RefinableError as exc:
+    except (RefinableError, MemoryError) as exc:
+        # numpy refuses an oversized grid allocation at once with a MemoryError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

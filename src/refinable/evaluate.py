@@ -143,10 +143,6 @@ class PhiValues:
     def grid(self) -> np.ndarray:
         return np.arange(len(self.values)) * self.step
 
-    @property
-    def integer_values(self) -> np.ndarray:
-        return self.values[:: 2**self.level].copy()
-
     def at_index(self, n) -> np.ndarray:
         """Values at grid indices n (zero outside the support)."""
         n = np.asarray(n)
@@ -154,12 +150,6 @@ class PhiValues:
         ok = (n >= 0) & (n < len(self.values))
         out[ok] = self.values[n[ok]]
         return out
-
-    def value(self, x: float) -> complex:
-        idx = round(float(x) * 2**self.level)
-        if abs(idx - float(x) * 2**self.level) > 1e-9:
-            raise EvaluationError(f"{x} is not a grid point at level {self.level}")
-        return complex(self.at_index(np.array([idx]))[0])
 
 
 def evaluate_phi(mask: Mask, level: int = DEFAULT_LEVEL) -> PhiValues:
@@ -331,14 +321,9 @@ class HomogeneousBasis:
     interval: tuple[int, int]
     samples: np.ndarray  # (rows x grid points), complex128, read-only
 
-    def matrix(self) -> np.ndarray:
-        """Row-per-function sample matrix (not a copy)."""
-        return self.samples
-
 
 def build_homogeneous_basis(
     mask_or_spectral,
-    spectral: SpectralData | None = None,
     level: int = DEFAULT_LEVEL,
     interval: tuple[int, int] = (-1, 1),
     *,
@@ -346,16 +331,15 @@ def build_homogeneous_basis(
 ) -> HomogeneousBasis:
     """Sample h_v for every basis row of the spectral data on [lo, hi].
 
-    Accepts (mask, spectral) or just the spectral data. Intervals are integer
-    endpoints with lo <= 0 <= hi (so dyadic halving stays inside).
+    Accepts a mask or its spectral data. Intervals are integer endpoints
+    with lo <= 0 <= hi (so dyadic halving stays inside).
     """
     if isinstance(mask_or_spectral, SpectralData):
         spectral = mask_or_spectral
         mask = spectral.scale.mask
     else:
         mask = mask_or_spectral
-        if spectral is None:
-            spectral = eigen_structure(build_scale_matrices(mask))
+        spectral = eigen_structure(build_scale_matrices(mask))
     level = _check_level(level)
     lo, hi = int(interval[0]), int(interval[1])
     if not (lo <= 0 <= hi and lo < hi):
@@ -400,54 +384,30 @@ def build_homogeneous_basis(
     )
 
 
-def homogeneity_residual(
-    h: HomogeneousFunction,
-    eigenvalue: complex | None = None,
-    order: int | None = None,
-    test_points=None,
-) -> float:
-    """Max residual of sum_{k=0..r} C(r,k) (-lam)^(r-k) h(x / 2^k) over the grid.
+def homogeneity_residual(h: HomogeneousFunction) -> float:
+    """Max residual of sum_{k=0..r} C(r,k) (-lam)^(r-k) h(x / 2^k) over the grid,
+    with lam and r the eigenvalue and chain order of h.
 
-    Test points default to every grid point whose index is divisible by 2^r
-    (so each halved point is again on the grid); the interval contains 0 and
-    is closed under halving, so all terms stay inside.
+    The test points are the grid points whose index is divisible by 2^r, so
+    each halved point is again on the grid; the interval contains 0 and is
+    closed under halving, so all terms stay inside. A NaN residual, from
+    non-finite samples, raises instead of comparing as small.
     """
-    lam = complex(eigenvalue if eigenvalue is not None else h.eigenvalue)
-    r = int(order if order is not None else h.order)
+    lam = complex(h.eigenvalue)
+    r = h.order
     step = 2**h.level
     lo, hi = h.interval
-    if test_points is None:
-        # the multiples of 2^r on the grid; halved k times, they are every
-        # 2^(r-k)-th sample from first / 2^k on
-        first = -((-lo * step) // 2**r) * 2**r
-        count = (hi * step - first) // 2**r + 1
-
-        def samples(k):
-            start, stride = first // 2**k - lo * step, 2 ** (r - k)
-            return h.values[start : start + (count - 1) * stride + 1 : stride]
-
-    else:
-        indices = []
-        for x in test_points:
-            idx = round(float(x) * step)
-            if abs(idx - float(x) * step) > 1e-9 or idx % (2**r):
-                raise EvaluationError(
-                    f"test point {x} is not a level-{h.level} grid point divisible by 2^{r}"
-                )
-            indices.append(idx)
-        indices = np.array(indices, dtype=int)
-        count = indices.size
-
-        def samples(k):
-            return h.at_index(indices // (2**k))
-
-    if count == 0:
-        return 0.0
+    # the multiples of 2^r on the grid, 0 among them; halved k times, they
+    # are every 2^(r-k)-th sample from first / 2^k on
+    first = -((-lo * step) // 2**r) * 2**r
+    count = (hi * step - first) // 2**r + 1
     acc = np.zeros(count, dtype=complex)
     for k in range(r + 1):
-        acc += np.complex128(comb(r, k) * (-lam) ** (r - k)) * samples(k)
+        start, stride = first // 2**k - lo * step, 2 ** (r - k)
+        samples = h.values[start : start + (count - 1) * stride + 1 : stride]
+        acc += np.complex128(comb(r, k) * (-lam) ** (r - k)) * samples
     if np.any(np.isnan(acc)):
-        raise EvaluationError("homogeneity test points left the sampled interval")
+        raise EvaluationError(f"the homogeneity residual of row {h.row} is not a number")
     return float(np.abs(acc).max())
 
 
@@ -471,12 +431,9 @@ class ReconstructionResult:
     level: int
 
 
-def reconstruct_phi(basis: HomogeneousBasis, spectral: SpectralData | None = None, level: int | None = None) -> ReconstructionResult:
-    if spectral is None:
-        spectral = basis.spectral
-    level = basis.level if level is None else _check_level(level)
-    if level != basis.level:
-        raise EvaluationError("reconstruction level must match the sampled basis level")
+def reconstruct_phi(basis: HomogeneousBasis) -> ReconstructionResult:
+    spectral = basis.spectral
+    level = basis.level
     n = spectral.n
     step = 2**level
     lo, hi = basis.interval
@@ -520,21 +477,18 @@ def verify_dependency(
     mask: Mask,
     window: SequenceWindow,
     level: int = DEFAULT_LEVEL,
-    interval: tuple[int, int] = (-4, 4),
     *,
     tolerance: float = 1e-8,
     phi: PhiValues | None = None,
 ) -> DependencyReport:
-    """Sample g(x) = sum_k Y_k phi(x + k) on [lo, hi] and test g == 0.
+    """Sample g(x) = sum_k Y_k phi(x + k) on [-4, 4] and test g == 0.
 
     A kernel sequence of the bi-infinite subdivision operator must make g
     vanish identically; the residual is compared against ``tolerance`` scaled
     by the magnitudes of Y and phi.
     """
     level = _check_level(level)
-    lo, hi = int(interval[0]), int(interval[1])
-    if lo >= hi:
-        raise EvaluationError(f"empty interval {interval}")
+    lo, hi = -4, 4
     if phi is None or phi.level != level:
         phi = evaluate_phi(mask, level)
     y_vals = window.values(-hi, mask.n - lo + 1)

@@ -1,4 +1,4 @@
-"""Two-sided sequences: lazy windows, subdivision, and eigen-extension.
+"""Two-sided sequences: lazy windows, eigen-extension, and the kernel of L.
 
 A mask defines the bi-infinite subdivision operator (Y L)_n = sum_i Y_i
 c_{2i-n}. Finite eigenvector (or Jordan chain) data for the (N+1)x(N+1)
@@ -22,13 +22,6 @@ from .errors import ExtensionError, ExtensionOverflowError
 from .mask import Mask, ScaleMatrices, build_scale_matrices, mask_polynomials
 
 PRECONDITION_RTOL = 1e-7
-
-
-class ZeroExtender:
-    """Extends by zeros (finitely supported sequences)."""
-
-    def fill(self, buf, buf_lo, old_lo, old_hi, new_lo, new_hi):
-        pass  # buffer is zero-initialized
 
 
 class RuleExtender:
@@ -90,19 +83,19 @@ class EigenExtender:
 class SequenceWindow:
     """A two-sided complex sequence, materialized on [lo, hi).
 
-    ``ensure`` grows the window in place through the attached extender (zeros
-    by default); reads outside the window trigger growth. Growth holds an
+    ``ensure`` grows the window in place through the attached extender;
+    reads outside the window trigger growth. Growth holds an
     internal lock, so concurrent reads are safe; extenders may recursively
     grow their ``prev`` window (the chain is acyclic, so lock order is fixed).
     """
 
-    def __init__(self, values, lo=0, extender=None, name=None):
+    def __init__(self, values, lo=0, *, extender, name=None):
         buf = np.array(values, dtype=complex)
         if buf.ndim != 1 or buf.size == 0:
             raise ExtensionError("a sequence window needs a nonempty 1-d value block")
         self._buf = buf
         self._lo = int(lo)
-        self._extender = extender if extender is not None else ZeroExtender()
+        self._extender = extender
         self._lock = threading.RLock()
         self.name = name
 
@@ -189,56 +182,6 @@ class ConjugateWindow(SequenceWindow):
         return f"<ConjugateWindow of {self.source!r}>"
 
 
-def sequence_window(values, lo=0, name=None) -> SequenceWindow:
-    """A finitely supported sequence: given values, zeros elsewhere."""
-    return SequenceWindow(values, lo=lo, name=name)
-
-
-def restrict(y, mask: Mask, which: str = "full") -> np.ndarray:
-    """Samples of a sequence on the mask's support window.
-
-    ``full``  -> (Y_0, ..., Y_N); ``middle`` -> (Y_1, ..., Y_{N-1}).
-    """
-    n = mask.n
-    if which == "full":
-        lo, hi = 0, n + 1
-    elif which == "middle":
-        lo, hi = 1, n
-    else:
-        raise ValueError(f"unknown restriction {which!r} (use 'full' or 'middle')")
-    if isinstance(y, SequenceWindow):
-        return y.values(lo, hi)
-    arr = np.asarray(y, dtype=complex)
-    if arr.size < hi:
-        raise ExtensionError("sample block too short for the requested restriction")
-    return arr[lo:hi].copy()
-
-
-# ---------------------------------------------------------------------------
-# subdivision
-
-def subdivision(alpha, mask: Mask, out_window=None) -> SequenceWindow:
-    """Apply the subdivision operator: out_j = sum_i alpha_i c_{2i-j}.
-
-    ``alpha`` (a SequenceWindow, or an array starting at index 0) is treated
-    as finitely supported by its materialized block; the output is then
-    supported inside [2*lo - N, 2*hi - 1), which is the default out window.
-    """
-    if isinstance(alpha, SequenceWindow):
-        a_lo, a_hi, a_vals = alpha.window()
-    else:
-        a_vals = np.asarray(alpha, dtype=complex)
-        a_lo, a_hi = 0, len(a_vals)
-    support_lo = 2 * a_lo - mask.n
-    support_hi = 2 * (a_hi - 1) + 1
-    if out_window is None:
-        out_lo, out_hi = support_lo, support_hi
-    else:
-        out_lo, out_hi = int(out_window[0]), int(out_window[1])
-    out = kernels.subdivision_window(a_vals, a_lo, mask.coefficients, out_lo, out_hi - out_lo)
-    return SequenceWindow(out, lo=out_lo, name="subdivision")
-
-
 # ---------------------------------------------------------------------------
 # eigen-extension
 
@@ -247,7 +190,6 @@ def eigen_extend(
     chain_prev: SequenceWindow | None,
     mask: Mask,
     eigenvalue: complex,
-    out_window=None,
     *,
     scale: ScaleMatrices | None = None,
 ) -> SequenceWindow:
@@ -284,12 +226,9 @@ def eigen_extend(
         raise ExtensionError(
             f"chain data does not satisfy v (T - lambda I) = prev (residual {worst:.3g})"
         )
-    window = SequenceWindow(
+    return SequenceWindow(
         v, lo=0, extender=EigenExtender(mask, lam, chain_prev), name="eigen-extension"
     )
-    if out_window is not None:
-        window.ensure(int(out_window[0]), int(out_window[1]))
-    return window
 
 
 # ---------------------------------------------------------------------------

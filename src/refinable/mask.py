@@ -9,6 +9,7 @@ head/tail/core submatrices drive everything downstream.
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,16 +64,24 @@ class Mask:
 
 
 def mask_from_coefficients(values, name=None) -> Mask:
-    """Build a validated mask from numbers, Fractions, or 'p/q' strings."""
+    """Build a validated mask from numbers, Fractions, or 'p/q' strings.
+
+    Rational numbers, numpy integers among them, are exact; other real and
+    complex numbers, numpy floats among them, are floats. Booleans are
+    refused.
+    """
     values = list(values)
     if len(values) < 2:
         raise MaskError("mask needs at least two coefficients (N >= 1)")
     floats = np.zeros(len(values), dtype=complex)
     exacts: list[Fraction] | None = []
     for i, v in enumerate(values):
-        if isinstance(v, bool):
+        if isinstance(v, (bool, np.bool_)):
             raise MaskError(f"coefficient {i} is a boolean, not a number")
-        if isinstance(v, (int, Fraction, str)):
+        if isinstance(v, (numbers.Rational, str)):
+            if not isinstance(v, str):
+                # a numpy integer would keep its fixed width inside a Fraction
+                v = Fraction(int(v.numerator), int(v.denominator))
             try:
                 f = Fraction(v)
             except (ValueError, ZeroDivisionError) as e:
@@ -86,7 +95,7 @@ def mask_from_coefficients(values, name=None) -> Mask:
                 raise MaskError(f"coefficient {i} is too small for floating point")
             if exacts is not None:
                 exacts.append(f)
-        elif isinstance(v, (float, complex)):
+        elif isinstance(v, numbers.Complex):
             if not np.isfinite(v):
                 raise MaskError(f"coefficient {i} is not finite")
             floats[i] = v

@@ -4,8 +4,7 @@ The scale matrix T = (c_{2i-j}) acts on sample vectors by v -> v T (row
 vectors throughout). Its first and last rows are (c_0, 0, ...) and
 (..., 0, c_N), so e_0 and e_N are always left eigenvectors, the spectrum of
 T is {c_0, c_N} plus the spectrum of the core M, and powers of T - lam I
-keep the corner structure — which is what makes the kernel transfer between
-T and M possible.
+keep the corner structure.
 
 ``eigen_structure`` produces a full left Jordan basis, with two sample-value
 conventions: the chain bottom for the eigenvalue c_0 is regauged to e_0
@@ -60,9 +59,8 @@ from .extension import subdivision_system
 from .mask import Mask, ScaleMatrices, build_scale_matrices
 
 CLUSTER_RTOL = 1e-8
-RESIDUAL_RTOL = 1e-7  # minimal_order's zero test; regauge, accuracy and lift residuals
+RESIDUAL_RTOL = 1e-7  # minimal_order's zero test; regauge and accuracy residuals
 SUM_RULE_RTOL = 1e-8  # float remainder of each division of the symbol by (1 + z)
-KERNEL_RTOL = 1e-8  # kernel-membership and corner tests of kernel_transfer / kernel_lift
 STAIRCASE_REL = 1e-10
 CONDITION_LIMIT = 1e10
 
@@ -834,10 +832,6 @@ class AccuracyResult:
     residuals: tuple[float, ...]
     exact_coefficients: tuple[tuple[Fraction, ...], ...] | None = None
 
-    @property
-    def degrees(self):
-        return tuple(range(self.order))
-
 
 def accuracy(source, *, exact: bool | None = None) -> AccuracyResult:
     """Polynomial reproduction order of the mask's refinable function.
@@ -963,83 +957,3 @@ def independence_test(source) -> IndependenceResult:
         consistent=consistent,
         diagnostic=diagnostic,
     )
-
-
-# ---------------------------------------------------------------------------
-# kernel transfer between the full matrix and the core
-
-def kernel_transfer(v0, source, eigenvalue, order: int) -> np.ndarray:
-    """Middle slice of a generalized left kernel vector of the full matrix.
-
-    For lam != 0 the middle block of (T - lam I)^r is exactly (M - lam I)^r
-    (the corner rows of T - lam I have a single entry), so restriction to
-    indices 1..N-1 maps ker (T - lam I)^r into ker (M - lam I)^r — and is
-    injective there whenever lam is not a corner coefficient.
-    """
-    scale = _scale_of(source)
-    lam = complex(eigenvalue)
-    if lam == 0:
-        raise SpectralError("kernel transfer requires a nonzero eigenvalue")
-    size = scale.n + 1
-    v0 = np.asarray(v0, dtype=complex)
-    if v0.shape != (size,):
-        raise SpectralError(f"vector must have length {size}")
-    shift = scale.shifted(lam)
-    power = np.linalg.matrix_power(shift, order)
-    resid = float(np.abs(v0 @ power).max(initial=0.0))
-    if resid > KERNEL_RTOL * max(1.0, float(np.abs(v0).max(initial=0.0))):
-        raise SpectralError(
-            f"vector is not in ker (T - lam I)^{order} (residual {resid:.3g})"
-        )
-    middle = v0[1 : size - 1].copy()
-    vmax = float(np.abs(v0).max(initial=0.0))
-    c0 = complex(scale.full[0, 0])
-    cn = complex(scale.full[size - 1, size - 1])
-    away_from_corners = min(abs(lam - c0), abs(lam - cn)) > KERNEL_RTOL * max(1.0, abs(lam))
-    if vmax > 0 and away_from_corners and float(np.abs(middle).max(initial=0.0)) <= KERNEL_RTOL * vmax:
-        raise SpectralError(
-            "transfer unexpectedly vanished: away from the corner eigenvalues the "
-            "middle restriction of a nonzero kernel vector cannot be zero"
-        )
-    return middle
-
-
-def kernel_lift(v_core, source, eigenvalue, order: int) -> np.ndarray:
-    """Lift a generalized left kernel vector of the core back to the full matrix.
-
-    The corner entries are forced by columns 0 and N of (T - lam I)^r:
-    v_0 = -(v_core . G_0) / (c_0 - lam)^r and likewise at the other corner,
-    where G_0 / G_N are the middle rows of those columns. Corner eigenvalues
-    are refused: there the corner factor vanishes and the lift need not exist.
-    """
-    scale = _scale_of(source)
-    lam = complex(eigenvalue)
-    size = scale.n + 1
-    c0 = complex(scale.full[0, 0])
-    cn = complex(scale.full[size - 1, size - 1])
-    if lam == 0:
-        raise SpectralError("kernel lift requires a nonzero eigenvalue")
-    if min(abs(lam - c0), abs(lam - cn)) <= KERNEL_RTOL * max(1.0, abs(lam)):
-        raise SpectralError("kernel lift is undefined at the corner eigenvalues c_0 and c_N")
-    v_core = np.asarray(v_core, dtype=complex)
-    if v_core.shape != (size - 2,):
-        raise SpectralError(f"core vector must have length {size - 2}")
-    shift = scale.shifted(lam)
-    power = np.linalg.matrix_power(shift, order)
-    core_shift = scale.core - lam * np.eye(size - 2, dtype=complex)
-    core_power = np.linalg.matrix_power(core_shift, order)
-    resid = float(np.abs(v_core @ core_power).max(initial=0.0))
-    if resid > KERNEL_RTOL * max(1.0, float(np.abs(v_core).max(initial=0.0))):
-        raise SpectralError(
-            f"vector is not in ker (M - lam I)^{order} (residual {resid:.3g})"
-        )
-    g0 = power[1 : size - 1, 0]
-    gn = power[1 : size - 1, size - 1]
-    v = np.zeros(size, dtype=complex)
-    v[1 : size - 1] = v_core
-    v[0] = -(v_core @ g0) / (c0 - lam) ** order
-    v[size - 1] = -(v_core @ gn) / (cn - lam) ** order
-    check = float(np.abs(v @ power).max())
-    if check > RESIDUAL_RTOL * max(1.0, float(np.abs(v).max())):
-        raise SpectralError(f"lift failed to land in ker (T - lam I)^{order} (residual {check:.3g})")
-    return v

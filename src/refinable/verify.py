@@ -281,15 +281,15 @@ def run_battery(
     tolerance: float = 1e-8,
     *,
     exact: bool | None = None,
-    interval: tuple[int, int] = (-1, 1),
 ) -> BatteryResult:
-    """Run every verification check on one mask at the given resolution."""
+    """Run every verification check on one mask at the given resolution,
+    with the basis rows sampled on [-1, 1]."""
     scale = build_scale_matrices(mask)
     spectral = eigen_structure(scale, exact=exact)
     phi = evaluate_phi(mask, level)
-    basis = build_homogeneous_basis(spectral, level=level, interval=interval, phi=phi)
+    basis = build_homogeneous_basis(spectral, level=level, interval=(-1, 1), phi=phi)
     # max(1, max |h|) of each row, the scale of its homogeneity and origin residuals
-    scales = [max(1.0, float(m)) for m in np.abs(basis.matrix()).max(axis=1, initial=0.0)]
+    scales = [max(1.0, float(m)) for m in np.abs(basis.samples).max(axis=1, initial=0.0)]
     checks = [
         _check_spectrum(scale, tolerance),
         _check_jordan(spectral, tolerance),

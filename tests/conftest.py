@@ -74,6 +74,20 @@ def random_masks(count: int = 50) -> list[rf.Mask]:
     return masks
 
 
+def dense_subdivision(alpha, alpha_lo, coeffs, out_lo, out_len) -> np.ndarray:
+    """(Y L)_j = sum_i Y_i c_{2i - j} on [out_lo, out_lo + out_len), summed
+    over an explicitly materialized band of the bi-infinite operator."""
+    nmask = len(coeffs) - 1
+    out = np.zeros(out_len, dtype=complex)
+    for jj in range(out_len):
+        j = out_lo + jj
+        for i in range(alpha_lo, alpha_lo + len(alpha)):
+            k = 2 * i - j
+            if 0 <= k <= nmask:
+                out[jj] += alpha[i - alpha_lo] * coeffs[k]
+    return out
+
+
 def bits(a) -> np.ndarray:
     """The bit patterns of complex samples, for bitwise comparisons."""
     return np.ascontiguousarray(a, dtype=complex).view(np.int64)

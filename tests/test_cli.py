@@ -248,6 +248,15 @@ class TestBasisCommand:
         assert code == 2
         assert "--level" in err
 
+    def test_oversized_grid_is_a_computational_failure(self, tmp_path, capsys):
+        # numpy refuses the 29.8 PiB sample matrix at once, allocating nothing
+        code, _, err = run(
+            capsys, "basis", "[1,1]", "--level", "20", "--interval", "-1000000000", "1",
+            "--out", str(tmp_path / "D"),
+        )
+        assert code == 1
+        assert err.startswith("error: Unable to allocate")
+
 
 class TestVerifyCommand:
     def test_passes_on_half_with_dependency(self, capsys):

@@ -1,8 +1,8 @@
-"""Sequence windows, the subdivision operator, and eigen-extensions.
+"""Sequence windows, eigen-extensions and the kernel of L.
 
-The subdivision oracle materializes the bi-infinite band operator
-L[i, j] = c_{2i-j} over a finite index box and compares the kernel
-against a dense matrix-vector product.
+The extensions are checked against the dense subdivision oracle, which
+materializes the bi-infinite band operator L[i, j] = c_{2i-j} over a
+finite index box.
 """
 
 from __future__ import annotations
@@ -16,40 +16,33 @@ import refinable as rf
 from refinable import kernels
 from refinable.errors import ExtensionError, ExtensionOverflowError
 
-from conftest import make_mask
-
-RNG = np.random.default_rng(55667788)
-
-
-def dense_subdivision(alpha_vals, alpha_lo, coeffs, out_lo, out_len):
-    """(Y L)_j = sum_i Y_i c_{2i - j} via an explicitly materialized band."""
-    nmask = len(coeffs) - 1
-    out = np.zeros(out_len, dtype=complex)
-    for jj in range(out_len):
-        j = out_lo + jj
-        for idx, i in enumerate(range(alpha_lo, alpha_lo + len(alpha_vals))):
-            k = 2 * i - j
-            if 0 <= k <= nmask:
-                out[jj] += alpha_vals[idx] * coeffs[k]
-    return out
+from conftest import dense_subdivision, make_mask
 
 
 class TestSequenceWindow:
-    def test_initial_values_and_bounds(self):
-        w = rf.sequence_window(np.array([1.0, 2.0, 3.0], dtype=complex), lo=-1)
-        assert (w.lo, w.hi) == (-1, 2)
-        assert w.value(0) == 2.0
-        np.testing.assert_array_equal(w.values(-1, 2), [1, 2, 3])
+    def test_initial_values_and_bounds(self, corpus):
+        mask = corpus["bspline3"]
+        spectral = rf.eigen_structure(mask)
+        v = spectral.basis[1]
+        w = rf.eigen_extend(v, None, mask, spectral.rows[1].eigenvalue)
+        assert (w.lo, w.hi) == (0, mask.n + 1)
+        assert w.value(1) == v[1]
+        np.testing.assert_array_equal(w.values(0, mask.n + 1), v)
 
-    def test_zero_extension_by_default(self):
-        w = rf.sequence_window(np.array([5.0], dtype=complex), lo=0)
-        np.testing.assert_array_equal(w.values(-3, 4), [0, 0, 0, 5, 0, 0, 0])
+    def test_reads_outside_grow_the_window(self, corpus):
+        w = rf.kernel_of_L(corpus["half"]).windows[0]
+        block = w.values(0, 4)
+        assert (w.lo, w.hi) == (0, 4)
+        vals = w.values(-3, 7)
+        assert (w.lo, w.hi) == (-3, 7)
+        np.testing.assert_array_equal(vals[3:7], block)
 
-    def test_values_are_copies(self):
-        w = rf.sequence_window(np.array([1.0, 2.0], dtype=complex), lo=0)
+    def test_values_are_copies(self, corpus):
+        w = rf.kernel_of_L(corpus["half"]).windows[0]
+        first = w.value(0)
         v = w.values(0, 2)
         v[0] = 99.0
-        assert w.value(0) == 1.0
+        assert w.value(0) == first != 99.0
 
     def test_concurrent_growth_is_consistent(self):
         mask = make_mask("bspline3")
@@ -65,19 +58,6 @@ class TestSequenceWindow:
         reference = rf.eigen_extend(row, None, mask, lam)
         for i, got in enumerate(results, start=1):
             np.testing.assert_allclose(got, reference.values(-5 * i, 5 * i + 4), rtol=1e-12)
-
-
-class TestSubdivision:
-    def test_matches_dense_operator(self, all_masks):
-        for mask in all_masks[:25]:
-            coeffs = mask.coefficients
-            alpha_lo = -4
-            alpha_vals = RNG.normal(size=10) + 1j * RNG.normal(size=10)
-            window = rf.sequence_window(np.asarray(alpha_vals, dtype=complex), lo=alpha_lo)
-            out = rf.subdivision(window, mask)
-            lo, hi, got = out.window()
-            want = dense_subdivision(alpha_vals, alpha_lo, coeffs, lo, hi - lo)
-            np.testing.assert_allclose(got, want, atol=1e-12 * max(1, np.abs(want).max()))
 
 
 class TestEigenExtend:
@@ -97,7 +77,7 @@ class TestEigenExtend:
                     prev = rf.extend_vector(shifted, scale, lam)
                 window = rf.eigen_extend(v, prev, mask, lam)
                 np.testing.assert_allclose(
-                    rf.restrict(window, mask), v, atol=1e-10 * max(1, np.abs(v).max())
+                    window.values(0, mask.n + 1), v, atol=1e-10 * max(1, np.abs(v).max())
                 )
 
     def test_extension_satisfies_the_recurrence_everywhere(self, corpus):

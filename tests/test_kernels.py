@@ -13,25 +13,13 @@ import pytest
 import refinable as rf
 import refinable.kernels as kernels
 
-from conftest import GRID_MASK_NAMES, bits, grid_masks
+from conftest import GRID_MASK_NAMES, bits, dense_subdivision, grid_masks
 
 RNG = np.random.default_rng(424242)
 
 
 def random_complex(n: int) -> np.ndarray:
     return (RNG.normal(size=n) + 1j * RNG.normal(size=n)).astype(np.complex128)
-
-
-def dense_subdivision(alpha, alpha_lo, coeffs, out_lo, out_len):
-    nmask = len(coeffs) - 1
-    out = np.zeros(out_len, dtype=complex)
-    for jj in range(out_len):
-        j = out_lo + jj
-        for i in range(alpha_lo, alpha_lo + len(alpha)):
-            k = 2 * i - j
-            if 0 <= k <= nmask:
-                out[jj] += alpha[i - alpha_lo] * coeffs[k]
-    return out
 
 
 def subdivision_by_loop(alpha, alpha_lo, coeffs, out_lo, out_len):

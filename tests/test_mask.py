@@ -34,6 +34,23 @@ class TestParsing:
         assert not m.is_rational
         assert m.exact is None
 
+    @pytest.mark.parametrize(
+        "values, rational",
+        [
+            (np.array([1, 1]), True),
+            (np.array([1, 1], dtype=np.float32), False),
+            (np.array([1, 1], dtype=np.complex64), False),
+        ],
+        ids=["int64", "float32", "complex64"],
+    )
+    def test_numpy_scalars(self, values, rational):
+        m = rf.mask_from_coefficients(values)
+        assert m.is_rational == rational
+        np.testing.assert_array_equal(m.coefficients, [1, 1])
+        if rational:
+            # Python integers, which do not overflow in Fraction arithmetic
+            assert [type(f.numerator) for f in m.exact] == [int, int]
+
     def test_mixed_exact_and_float(self):
         m = rf.mask_from_coefficients([Fraction(1, 2), 1.5])
         assert not m.is_rational
@@ -67,6 +84,7 @@ class TestParsing:
             ["x", "1"],
             [True, 1],
             [1.0, complex(0.5, float("inf"))],
+            np.array([True, True]),
         ],
     )
     def test_rejects_bad_coefficients(self, bad):

@@ -540,54 +540,6 @@ class TestIndependence:
         assert "dim ker(core) 1" in result.diagnostic
 
 
-class TestKernelTransferAndLift:
-    def _simple_noncorner_rows(self, mask, scale, spectral):
-        c0, cn = mask.c(0), mask.c(mask.n)
-        for info in spectral.rows:
-            lam = info.eigenvalue
-            if abs(lam) < 1e-8:
-                continue
-            if min(abs(lam - c0), abs(lam - cn)) < 1e-6:
-                continue
-            if rf.minimal_order(spectral.basis[info.index], scale, lam) != 1:
-                continue
-            yield info
-
-    def test_round_trip_on_corpus(self, corpus, pipeline):
-        for name in ("bspline3", "d4", "half"):
-            mask = corpus[name]
-            scale, spectral, _, _ = pipeline(mask)
-            count = 0
-            for info in self._simple_noncorner_rows(mask, scale, spectral):
-                v = spectral.basis[info.index]
-                middle = rf.kernel_transfer(v, scale, info.eigenvalue, 1)
-                lifted = rf.kernel_lift(middle, scale, info.eigenvalue, 1)
-                np.testing.assert_allclose(lifted, v, atol=1e-8 * max(1, np.abs(v).max()))
-                count += 1
-            assert count > 0, name
-
-    def test_transfer_refuses_zero_eigenvalue(self, corpus):
-        scale = rf.build_scale_matrices(corpus["half"])
-        with pytest.raises(SpectralError):
-            rf.kernel_transfer(np.zeros(4), scale, 0.0, 1)
-
-    def test_lift_refuses_corner_eigenvalues(self, corpus):
-        mask = corpus["bspline3"]
-        scale = rf.build_scale_matrices(mask)
-        with pytest.raises(SpectralError):
-            rf.kernel_lift(np.zeros(2), scale, mask.c(0), 1)
-
-    def test_transfer_vector_lies_in_core_kernel(self, corpus):
-        mask = corpus["bspline3"]
-        scale = rf.build_scale_matrices(mask)
-        spectral = rf.eigen_structure(scale)
-        info = next(r for r in spectral.rows if abs(r.eigenvalue - 1.0) < 1e-9)
-        v = spectral.basis[info.index]
-        middle = rf.kernel_transfer(v, scale, 1.0, 1)
-        core_shift = scale.core - np.eye(mask.n - 1)
-        assert np.abs(middle @ core_shift).max() < 1e-10
-
-
 def jordan_structure(spectral):
     return [(g.algebraic, g.geometric, sorted(g.chain_lengths)) for g in spectral.groups]
 

@@ -12,6 +12,8 @@ import pytest
 
 import refinable as rf
 from refinable import evaluate, verify
+from refinable.diffeq import CombinationRule
+from refinable.extension import RuleExtender
 
 from conftest import make_mask
 
@@ -87,6 +89,10 @@ def perturb_jordan_basis(monkeypatch):
     monkeypatch.setattr(verify, "eigen_structure", perturbed)
 
 
+# extends a window by zeros: the empty combination of fundamental sequences
+ZEROS = RuleExtender(CombinationRule((), ()))
+
+
 def wrong_chain_predecessor(monkeypatch):
     """Chain rows extend with a predecessor that is right on [0, N] and
     zero outside it."""
@@ -94,7 +100,7 @@ def wrong_chain_predecessor(monkeypatch):
 
     def truncated(v, chain_prev, mask, eigenvalue, *args, **kwargs):
         if chain_prev is not None:
-            chain_prev = rf.SequenceWindow(chain_prev.values(0, mask.n + 1))
+            chain_prev = rf.SequenceWindow(chain_prev.values(0, mask.n + 1), extender=ZEROS)
         return original(v, chain_prev, mask, eigenvalue, *args, **kwargs)
 
     monkeypatch.setattr(evaluate, "eigen_extend", truncated)
@@ -120,7 +126,7 @@ def shifted_extension_window(monkeypatch):
     def shifted(v, scale, eigenvalue):
         order, window = original(v, scale, eigenvalue)
         lo, hi = -40, scale.n + 41
-        return order, rf.SequenceWindow(window.values(lo, hi), lo=lo + 1)
+        return order, rf.SequenceWindow(window.values(lo, hi), lo=lo + 1, extender=ZEROS)
 
     monkeypatch.setattr(evaluate, "_extension", shifted)
 
