@@ -51,17 +51,14 @@ from .extension import (
 )
 from .mask import (
     Mask,
-    MaskPolynomials,
     MaskSumWarning,
     ScaleMatrices,
     build_scale_matrices,
     mask_from_coefficients,
-    mask_polynomials,
     parse_mask,
 )
 from .spectral import (
     AccuracyResult,
-    ChainInfo,
     EigenvalueGroup,
     IndependenceResult,
     RowInfo,
@@ -79,7 +76,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AccuracyResult",
     "BatteryResult",
-    "ChainInfo",
     "CheckResult",
     "ClusteringError",
     "CombinationRule",
@@ -96,7 +92,6 @@ __all__ = [
     "IndependenceResult",
     "Mask",
     "MaskError",
-    "MaskPolynomials",
     "MaskSumWarning",
     "PhiValues",
     "ReconstructionResult",
@@ -120,7 +115,6 @@ __all__ = [
     "integer_samples",
     "kernel_of_L",
     "mask_from_coefficients",
-    "mask_polynomials",
     "minimal_order",
     "parse_mask",
     "reconstruct_phi",

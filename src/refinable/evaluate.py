@@ -34,14 +34,14 @@ sample matrix per basis.
 
 For a real mask the spectral layer builds the rows of conj(lambda) as the
 conjugates of the rows of lambda (``RowInfo.conjugate_of``), and
-``build_homogeneous_basis`` conjugates the rest too: such a row's
-window is a ``ConjugateWindow`` of its pair's extension, and its samples
-are the conjugate of its pair's samples, with no second extension or
-translate sum. The bits are those of the translate sum over the conjugated
-window: the recurrences are real-linear, and negating the imaginary part
-of each coefficient negates each product b * phi exactly, so it negates
-each rounded partial sum. The battery still checks every row on its own
-values.
+``build_homogeneous_basis`` conjugates the rest too: such a row's window
+is its pair's extension, conjugated (``SequenceWindow.conjugate``), and
+its samples are the conjugate of its pair's samples, with no second
+extension or translate sum. The bits are those of the translate sum over
+the conjugated window: the recurrences are real-linear, and negating the
+imaginary part of each coefficient negates each product b * phi exactly,
+so it negates each rounded partial sum. The battery still checks every
+row on its own values.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from . import kernels
 from . import numeric as nm
 from .diffeq import CombinationRule
 from .errors import EvaluationError
-from .extension import ConjugateWindow, RuleExtender, SequenceWindow, eigen_extend, kernel_of_L
+from .extension import RuleExtender, SequenceWindow, eigen_extend, kernel_of_L
 from .mask import Mask, build_scale_matrices
 from .spectral import SpectralData, eigen_structure, power_chain
 
@@ -356,7 +356,7 @@ def build_homogeneous_basis(
             orders[r], windows[r] = _extension(spectral.basis[r], spectral.scale, info.eigenvalue)
             translate_sum(phi, windows[r].values(-hi, mask.n - lo + 1), lo, hi, out=samples[r])
         else:
-            orders[r], windows[r] = orders[pair], ConjugateWindow(windows[pair])
+            orders[r], windows[r] = orders[pair], windows[pair].conjugate()
             np.conjugate(samples[pair], out=samples[r])
             # a sum never ends at -0, the conjugate of an exact +0 does
             samples[r].imag += 0.0

@@ -19,22 +19,20 @@ import numpy as np
 from . import kernels
 from .diffeq import DifferenceSystem, difference_system, solve_system
 from .errors import ExtensionError, ExtensionOverflowError
-from .mask import Mask, ScaleMatrices, build_scale_matrices, mask_polynomials
+from .mask import Mask, ScaleMatrices, build_scale_matrices
 
 PRECONDITION_RTOL = 1e-7
 
 
 class RuleExtender:
-    """Extends by evaluating a closed-form rule (``rule.values(lo, hi)``)."""
+    """Extends from any object with ``values(lo, hi)``: a closed-form rule,
+    or the conjugate of another window."""
 
     def __init__(self, rule):
         self.rule = rule
 
-    def fill(self, buf, buf_lo, old_lo, old_hi, new_lo, new_hi):
-        if new_lo < old_lo:
-            buf[new_lo - buf_lo : old_lo - buf_lo] = self.rule.values(new_lo, old_lo)
-        if new_hi > old_hi:
-            buf[old_hi - buf_lo : new_hi - buf_lo] = self.rule.values(old_hi, new_hi)
+    def fill(self, buf, buf_lo, lo, hi):
+        buf[lo - buf_lo : hi - buf_lo] = self.rule.values(lo, hi)
 
 
 class EigenExtender:
@@ -51,42 +49,41 @@ class EigenExtender:
         self.eigenvalue = complex(eigenvalue)
         self.prev = prev
 
-    def fill(self, buf, buf_lo, old_lo, old_hi, new_lo, new_hi):
-        coeffs = self.mask.coefficients
-        lam = self.eigenvalue
-        if new_hi > old_hi:
-            if self.prev is not None:
-                prev_vals = self.prev.values(old_hi, new_hi)
-            else:
-                prev_vals = np.zeros(new_hi - old_hi, dtype=complex)
-            stop = kernels.extend_forward(
-                buf, buf_lo, old_hi, new_hi, coeffs, lam, prev_vals, old_hi, kernels.OVERFLOW_LIMIT
+    def fill(self, buf, buf_lo, lo, hi):
+        """Fill [lo, hi), one side of the window: above it when lo > 0."""
+        prev_vals = np.zeros(hi - lo, dtype=complex) if self.prev is None else self.prev.values(lo, hi)
+        forward = lo > 0
+        extend = kernels.extend_forward if forward else kernels.extend_backward
+        stop = extend(
+            buf, buf_lo, lo, hi, self.mask.coefficients, self.eigenvalue, prev_vals, lo,
+            kernels.OVERFLOW_LIMIT,
+        )
+        if stop != (hi if forward else lo - 1):
+            raise ExtensionOverflowError(
+                f"extension exceeded {kernels.OVERFLOW_LIMIT:g} at index {stop}", index=stop
             )
-            if stop != new_hi:
-                raise ExtensionOverflowError(
-                    f"extension exceeded {kernels.OVERFLOW_LIMIT:g} at index {stop}", index=stop
-                )
-        if new_lo < old_lo:
-            if self.prev is not None:
-                prev_vals = self.prev.values(new_lo, old_lo)
-            else:
-                prev_vals = np.zeros(old_lo - new_lo, dtype=complex)
-            stop = kernels.extend_backward(
-                buf, buf_lo, new_lo, old_lo, coeffs, lam, prev_vals, new_lo, kernels.OVERFLOW_LIMIT
-            )
-            if stop != new_lo - 1:
-                raise ExtensionOverflowError(
-                    f"extension exceeded {kernels.OVERFLOW_LIMIT:g} at index {stop}", index=stop
-                )
+
+
+class _Conjugate:
+    """The values of a window, conjugated."""
+
+    def __init__(self, source: "SequenceWindow"):
+        self.source = source
+
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        out = self.source.values(lo, hi)
+        return np.conjugate(out, out=out)
 
 
 class SequenceWindow:
     """A two-sided complex sequence, materialized on [lo, hi).
 
-    ``ensure`` grows the window in place through the attached extender;
-    reads outside the window trigger growth. Growth holds an
-    internal lock, so concurrent reads are safe; extenders may recursively
-    grow their ``prev`` window (the chain is acyclic, so lock order is fixed).
+    ``ensure`` grows the window in place through the attached extender, the
+    side above the window first; reads outside the window trigger growth.
+    Growth holds an internal lock, so concurrent reads are safe; extenders
+    may recursively grow the windows they read (their ``prev`` window, or
+    the source of a conjugate), and these form an acyclic graph, so lock
+    order is fixed.
     """
 
     def __init__(self, values, lo=0, *, extender, name=None):
@@ -112,20 +109,18 @@ class SequenceWindow:
         if lo >= hi:
             return
         with self._lock:
-            new_lo = min(lo, self._lo)
-            new_hi = max(hi, self.hi)
-            if new_lo == self._lo and new_hi == self.hi:
-                return
             old_lo, old_hi = self._lo, self.hi
+            new_lo, new_hi = min(lo, old_lo), max(hi, old_hi)
+            if (new_lo, new_hi) == (old_lo, old_hi):
+                return
             buf = np.zeros(new_hi - new_lo, dtype=complex)
             buf[old_lo - new_lo : old_hi - new_lo] = self._buf
-            self._extender.fill(buf, new_lo, old_lo, old_hi, new_lo, new_hi)
+            if new_hi > old_hi:
+                self._extender.fill(buf, new_lo, old_hi, new_hi)
+            if new_lo < old_lo:
+                self._extender.fill(buf, new_lo, new_lo, old_lo)
             self._buf = buf
             self._lo = new_lo
-
-    def value(self, k: int) -> complex:
-        self.ensure(k, k + 1)
-        return complex(self._buf[k - self._lo])
 
     def values(self, lo: int, hi: int) -> np.ndarray:
         if lo >= hi:
@@ -133,53 +128,20 @@ class SequenceWindow:
         self.ensure(lo, hi)
         return self._buf[lo - self._lo : hi - self._lo].copy()
 
-    def window(self):
-        """(lo, hi, values) of the currently materialized block."""
+    def conjugate(self) -> "SequenceWindow":
+        """The complex conjugate of this sequence, grown by reading this one.
+
+        For a real mask, the extension of conj(v) for conj(lambda) is the
+        conjugate of the extension of v, bit for bit: the recurrences are
+        real-linear.
+        """
         with self._lock:
-            return self._lo, self.hi, self._buf.copy()
+            lo, block = self._lo, np.conjugate(self._buf)
+        return SequenceWindow(block, lo, extender=RuleExtender(_Conjugate(self)), name=self.name)
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"<SequenceWindow{tag} [{self.lo}, {self.hi})>"
-
-
-class ConjugateWindow(SequenceWindow):
-    """The complex conjugate of another window, read through it.
-
-    For a real mask, the extension of conj(v) for conj(lambda) is the
-    conjugate of the extension of v: the recurrences are real-linear. So
-    this view holds no values; it grows its source and conjugates what it
-    reads, bit for bit.
-    """
-
-    def __init__(self, source: SequenceWindow):
-        self.source = source
-        self.name = source.name
-
-    @property
-    def lo(self) -> int:
-        return self.source.lo
-
-    @property
-    def hi(self) -> int:
-        return self.source.hi
-
-    def ensure(self, lo: int, hi: int) -> None:
-        self.source.ensure(lo, hi)
-
-    def value(self, k: int) -> complex:
-        return self.source.value(k).conjugate()
-
-    def values(self, lo: int, hi: int) -> np.ndarray:
-        out = self.source.values(lo, hi)
-        return np.conjugate(out, out=out)
-
-    def window(self):
-        lo, hi, values = self.source.window()
-        return lo, hi, np.conjugate(values, out=values)
-
-    def __repr__(self):
-        return f"<ConjugateWindow of {self.source!r}>"
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +173,7 @@ def eigen_extend(
     v = np.asarray(v, dtype=complex)
     if v.shape != (n + 1,):
         raise ExtensionError(f"chain data must have length N+1 = {n + 1}, got {v.shape}")
-    if chain_prev is None:
-        prev_block = np.zeros(n + 1, dtype=complex)
-    else:
-        prev_block = chain_prev.values(0, n + 1)
+    prev_block = np.zeros(n + 1, dtype=complex) if chain_prev is None else chain_prev.values(0, n + 1)
     residual = v @ scale.shifted(lam) - prev_block
     tol = PRECONDITION_RTOL * max(
         1.0,
@@ -256,9 +215,8 @@ def subdivision_system(mask: Mask) -> DifferenceSystem:
     polynomials. An identically zero polynomial constrains nothing and is
     dropped.
     """
-    polys = mask_polynomials(mask)
-    parts = (polys.exact_even, polys.exact_odd) if mask.is_rational else (polys.even, polys.odd)
-    return difference_system([p for p in parts if any(c != 0 for c in p)])
+    c = mask.exact if mask.is_rational else mask.coefficients
+    return difference_system([p for p in (c[0::2], c[1::2]) if any(x != 0 for x in p)])
 
 
 def kernel_of_L(mask: Mask) -> SubdivisionKernel:
@@ -266,10 +224,8 @@ def kernel_of_L(mask: Mask) -> SubdivisionKernel:
     sequence of the gcd of ``subdivision_system``."""
     system = subdivision_system(mask)
     rules = solve_system(system)
-    windows = []
-    for rule in rules:
-        win = SequenceWindow(
-            rule.values(0, mask.n + 1), lo=0, extender=RuleExtender(rule), name="kernel"
-        )
-        windows.append(win)
-    return SubdivisionKernel(windows=tuple(windows), rules=rules, gcd_degree=system.gcd_degree)
+    windows = tuple(
+        SequenceWindow(rule.values(0, mask.n + 1), lo=0, extender=RuleExtender(rule), name="kernel")
+        for rule in rules
+    )
+    return SubdivisionKernel(windows=windows, rules=rules, gcd_degree=system.gcd_degree)

@@ -1,4 +1,4 @@
-"""Mask parsing and validation, scale matrices, and the even/odd polynomials.
+"""Mask parsing and validation, and the scale matrices.
 
 A mask is the finite coefficient list c_0..c_N of a two-scale refinement
 equation phi(x) = sum_k c_k phi(2x - k); c_0 and c_N must be nonzero so the
@@ -210,28 +210,3 @@ def build_scale_matrices(mask: Mask) -> ScaleMatrices:
         core=full[1:n, 1:n],
         exact_full=exact_full,
     )
-
-
-@dataclass(frozen=True)
-class MaskPolynomials:
-    """Even/odd coefficient split: even[k] = c_{2k}, odd[k] = c_{2k+1}.
-
-    Arrays are nominal (untrimmed). For odd N both have (N+1)/2 entries.
-    """
-
-    even: np.ndarray
-    odd: np.ndarray
-    exact_even: tuple[Fraction, ...] | None = None
-    exact_odd: tuple[Fraction, ...] | None = None
-
-
-def mask_polynomials(mask: Mask) -> MaskPolynomials:
-    even = np.ascontiguousarray(mask.coefficients[0::2])
-    odd = np.ascontiguousarray(mask.coefficients[1::2])
-    even.setflags(write=False)
-    odd.setflags(write=False)
-    exact_even = exact_odd = None
-    if mask.is_rational:
-        exact_even = mask.exact[0::2]
-        exact_odd = mask.exact[1::2]
-    return MaskPolynomials(even=even, odd=odd, exact_even=exact_even, exact_odd=exact_odd)

@@ -94,19 +94,13 @@ class EigenvalueGroup:
 
 
 @dataclass(frozen=True)
-class ChainInfo:
-    """A left Jordan chain v_1, ..., v_m: v_1 shifted = 0, v_j shifted = v_{j-1}."""
-
-    eigenvalue: complex
-    length: int
-    rows: tuple[int, ...]  # global row indices, bottom v_1 first
-    convention: str | None = None  # 'e0' / 'eN' when the bottom is a corner unit vector
-    exact_eigenvalue: Fraction | None = None
-
-
-@dataclass(frozen=True)
 class RowInfo:
-    """Role of one basis row: its eigenvalue and place in a chain."""
+    """Role of one basis row: its eigenvalue and place in a chain.
+
+    In a Jordan-canonical basis the rows of chain ``chain`` are its vectors
+    v_1, ..., v_m, with v_1 (T - lam I) = 0 and v_{j+1} (T - lam I) = v_j,
+    the row ``prev_row``.
+    """
 
     index: int
     eigenvalue: complex
@@ -114,7 +108,6 @@ class RowInfo:
     chain: int | None
     position: int  # 0 for a bottom (an eigenvector), j for v_{j+1}
     prev_row: int | None
-    exact_eigenvalue: Fraction | None = None
     conjugate_of: int | None = None  # the row this one is the exact conjugate of
 
 
@@ -134,7 +127,6 @@ class SpectralData:
 
     scale: ScaleMatrices
     groups: tuple[EigenvalueGroup, ...]
-    chains: tuple[ChainInfo, ...]
     rows: tuple[RowInfo, ...]
     basis: np.ndarray
     jordan: np.ndarray
@@ -565,10 +557,10 @@ def _build(scale: ScaleMatrices, field) -> SpectralData:
     groups = [built[i][1] for i in range(len(clusters))]
     jordan_canonical = all(entry[3] for entry in group_chains)
     if jordan_canonical:
-        basis, rows, chains_info, jordan = _layout_canonical(field, group_chains)
+        basis, rows, jordan = _layout_canonical(field, group_chains)
     else:
         basis, rows = _layout_insertion(field, group_chains)
-        chains_info, jordan = [], None
+        jordan = None
     jordan, residual = field.certify(basis, jordan)
     if pairs:
         rows = _conjugate_rows(rows, basis, pairs, groups)
@@ -582,7 +574,6 @@ def _build(scale: ScaleMatrices, field) -> SpectralData:
     return SpectralData(
         scale=scale,
         groups=tuple(groups),
-        chains=tuple(chains_info),
         rows=tuple(rows),
         basis=field.to_complex(basis),
         jordan=field.to_complex(jordan),
@@ -633,10 +624,9 @@ def _layout_canonical(field, group_chains):
     basis = field.zeros()
     jordan = field.zeros()
     rows = []
-    chains_info = []
     r = 0
-    for lam, chain, flipped in _canonical_order(group_chains):
-        eigenvalue, exact_eigenvalue = field.label(lam)
+    for number, (lam, chain, flipped) in enumerate(_canonical_order(group_chains)):
+        eigenvalue = field.label(lam)[0]
         positions = list(range(chain.length))
         if flipped:
             positions.reverse()
@@ -653,26 +643,16 @@ def _layout_canonical(field, group_chains):
                     index=index,
                     eigenvalue=eigenvalue,
                     kind="chain",
-                    chain=len(chains_info),
+                    chain=number,
                     position=pos,
                     prev_row=prev_row,
-                    exact_eigenvalue=exact_eigenvalue,
                 )
             )
             jordan[index][index] = lam
             if prev_row is not None:
                 jordan[index][prev_row] = field.one
-        chains_info.append(
-            ChainInfo(
-                eigenvalue=eigenvalue,
-                length=chain.length,
-                rows=tuple(row_of[p] for p in range(chain.length)),
-                convention=chain.convention,
-                exact_eigenvalue=exact_eigenvalue,
-            )
-        )
     rows.sort(key=lambda info: info.index)
-    return basis, rows, chains_info, jordan
+    return basis, rows, jordan
 
 
 def _layout_insertion(field, group_chains):
@@ -711,16 +691,14 @@ def _layout_insertion(field, group_chains):
     rows = []
     for r, (lam, kind, pos) in enumerate(rows_meta):
         basis[r] = vectors[r]
-        eigenvalue, exact_eigenvalue = field.label(lam)
         rows.append(
             RowInfo(
                 index=r,
-                eigenvalue=eigenvalue,
+                eigenvalue=field.label(lam)[0],
                 kind=kind,
                 chain=None,
                 position=pos,
                 prev_row=None,
-                exact_eigenvalue=exact_eigenvalue,
             )
         )
     return basis, rows

@@ -7,12 +7,16 @@ from __future__ import annotations
 import pytest
 
 import refinable as rf
+from refinable import extension
 
 DELETED = (
+    "ChainInfo",
     "KERNEL_RTOL",
+    "MaskPolynomials",
     "ZeroExtender",
     "kernel_lift",
     "kernel_transfer",
+    "mask_polynomials",
     "restrict",
     "sequence_window",
     "subdivision",
@@ -30,3 +34,10 @@ def test_star_import_binds_every_public_name():
 def test_deleted_name_is_not_exported(name):
     assert name not in rf.__all__
     assert not hasattr(rf, name)
+
+
+def test_sequence_window_is_the_one_window_class():
+    assert not hasattr(extension, "ConjugateWindow")
+    # values(lo, hi) is the one read
+    assert not hasattr(rf.SequenceWindow, "value")
+    assert not hasattr(rf.SequenceWindow, "window")

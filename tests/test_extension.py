@@ -15,6 +15,7 @@ import pytest
 import refinable as rf
 from refinable import kernels
 from refinable.errors import ExtensionError, ExtensionOverflowError
+from refinable.extension import subdivision_system
 
 from conftest import dense_subdivision, make_mask
 
@@ -26,7 +27,7 @@ class TestSequenceWindow:
         v = spectral.basis[1]
         w = rf.eigen_extend(v, None, mask, spectral.rows[1].eigenvalue)
         assert (w.lo, w.hi) == (0, mask.n + 1)
-        assert w.value(1) == v[1]
+        assert w.values(1, 2)[0] == v[1]
         np.testing.assert_array_equal(w.values(0, mask.n + 1), v)
 
     def test_reads_outside_grow_the_window(self, corpus):
@@ -39,10 +40,10 @@ class TestSequenceWindow:
 
     def test_values_are_copies(self, corpus):
         w = rf.kernel_of_L(corpus["half"]).windows[0]
-        first = w.value(0)
+        first = w.values(0, 1)[0]
         v = w.values(0, 2)
         v[0] = 99.0
-        assert w.value(0) == first != 99.0
+        assert w.values(0, 1)[0] == first != 99.0
 
     def test_concurrent_growth_is_consistent(self):
         mask = make_mask("bspline3")
@@ -114,21 +115,29 @@ class TestEigenExtend:
         )
         v = spectral.basis[idx]
         w = rf.eigen_extend(v, None, mask, 0.5)
-        y100 = abs(w.value(100) - w.value(0))
-        y200 = abs(w.value(200) - w.value(0))
+        y = w.values(0, 201)
+        y100, y200 = abs(y[100] - y[0]), abs(y[200] - y[0])
         assert y200 / y100 == pytest.approx(2.0, rel=1e-6)
 
+    # growth is |n|^(log2(1/|lam|)), so a legitimately tiny corner
+    # eigenvalue overflows within ~1e300^(1/100) ~ 1000 indices, on the
+    # side of its corner: below the window for c_0, above it for c_N
     @pytest.mark.filterwarnings("ignore::refinable.MaskSumWarning")
-    def test_overflow_raises_with_index(self):
-        # growth is |n|^(log2(1/|lam|)), so a legitimately tiny corner
-        # eigenvalue overflows within ~1e300^(1/100) ~ 1000 indices
-        mask = rf.mask_from_coefficients([1e-30, 1.0, 1.0, 1.0], name="adv")
-        e0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-        window = rf.eigen_extend(e0, None, mask, 1e-30)
+    @pytest.mark.parametrize(
+        "coefficients, corner, lo, hi, index",
+        [
+            ([1e-30, 1.0, 1.0, 1.0], 0, -1500, 4, -1025),
+            ([1.0, 1.0, 1.0, 1e-30], 3, 0, 1500, 1028),
+        ],
+        ids=["backward", "forward"],
+    )
+    def test_overflow_raises_with_index(self, coefficients, corner, lo, hi, index):
+        mask = rf.mask_from_coefficients(coefficients, name="adv")
+        window = rf.eigen_extend(np.eye(4, dtype=complex)[corner], None, mask, 1e-30)
         with pytest.raises(ExtensionOverflowError) as err:
-            window.values(-1500, 4)
-        assert err.value.index is not None
-        assert err.value.index < 0
+            window.values(lo, hi)
+        assert err.value.index == index
+        assert (window.lo, window.hi) == (0, 4)  # a failed growth keeps the window
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_sentinel_at_kernel_level(self):
@@ -154,6 +163,21 @@ KERNEL_MASKS = {
 
 
 class TestKernelOfL:
+    @pytest.mark.parametrize(
+        "coefficients, gcd",
+        [
+            (["1/4", "3/4", "3/4", "1/4"], [1]),  # bspline3: coprime halves
+            (["1/2", "1/2", "1/2", "1/2"], [1, 1]),  # even = odd = 1/2 + z/2
+            ([0.5, 0.5, 0.5, 0.5], [1, 1]),
+            ([1, 0, 1], [1, 1]),  # the odd half is zero and constrains nothing
+        ],
+    )
+    def test_subdivision_system_is_the_gcd_of_the_even_and_odd_halves(self, coefficients, gcd):
+        mask = rf.mask_from_coefficients(coefficients)
+        system = subdivision_system(mask)
+        np.testing.assert_array_equal(system.gcd, gcd)
+        assert system.exact_gcd == (tuple(gcd) if mask.is_rational else None)
+
     def test_half_mask_alternating_kernel(self, corpus):
         kernel = rf.kernel_of_L(corpus["half"])
         assert kernel.dimension == 1

@@ -213,20 +213,3 @@ class TestScaleMatrices:
             corners = np.array([1.0, -(mask.c(0) + mask.c(mask.n)), mask.c(0) * mask.c(mask.n)])
             product = np.polymul(np.atleast_1d(corners), np.atleast_1d(core_poly))
             np.testing.assert_allclose(full_poly, product, atol=1e-10 * max(1, np.abs(product).max()))
-
-
-class TestMaskPolynomials:
-    def test_even_odd_split(self):
-        polys = rf.mask_polynomials(make_mask("bspline3"))
-        np.testing.assert_allclose(polys.even.real, [0.25, 0.75])
-        np.testing.assert_allclose(polys.odd.real, [0.75, 0.25])
-        assert polys.exact_even == (Fraction(1, 4), Fraction(3, 4))
-        assert polys.exact_odd == (Fraction(3, 4), Fraction(1, 4))
-
-    def test_split_reassembles_the_mask(self, all_masks):
-        for mask in all_masks[:20]:
-            polys = rf.mask_polynomials(mask)
-            rebuilt = np.zeros(mask.n + 1, dtype=complex)
-            rebuilt[0::2] = polys.even
-            rebuilt[1::2] = polys.odd
-            np.testing.assert_array_equal(rebuilt, mask.coefficients)

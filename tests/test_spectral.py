@@ -24,16 +24,15 @@ from conftest import make_mask
 
 
 def chain_residual(spectral: rf.SpectralData, scale: rf.ScaleMatrices) -> float:
-    """max residual of v_j (T - lam I) = v_{j-1} over all chains."""
+    """max residual of v_j (T - lam I) = v_{j-1} over all chain rows."""
     worst = 0.0
-    for chain in spectral.chains:
-        lam = chain.eigenvalue
-        rows = chain.rows  # bottom-first global row indices
-        for pos, row in enumerate(rows):
-            v = spectral.basis[row]
-            shifted = v @ scale.shifted(lam)
-            want = spectral.basis[rows[pos - 1]] if pos > 0 else np.zeros_like(v)
-            worst = max(worst, float(np.abs(shifted - want).max()))
+    for info in spectral.rows:
+        if info.chain is None:
+            continue
+        v = spectral.basis[info.index]
+        shifted = v @ scale.shifted(info.eigenvalue)
+        want = spectral.basis[info.prev_row] if info.prev_row is not None else np.zeros_like(v)
+        worst = max(worst, float(np.abs(shifted - want).max()))
     return worst
 
 
@@ -208,12 +207,17 @@ class TestEigenStructure:
         for mask in all_masks[:20]:
             _, spectral, _, _ = pipeline(mask)
             assert [r.index for r in spectral.rows] == list(range(mask.n + 1))
-            for chain in spectral.chains:
-                for pos, row in enumerate(chain.rows):
-                    info = spectral.rows[row]
-                    if info.kind == "chain":
-                        assert info.position == pos
-                        assert abs(info.eigenvalue - chain.eigenvalue) < 1e-12
+            for info in spectral.rows:
+                if info.chain is None:
+                    assert info.prev_row is None
+                    continue
+                # the bottom has no predecessor; above it, the predecessor is
+                # the row one position down the same chain
+                assert (info.prev_row is None) == (info.position == 0)
+                if info.prev_row is not None:
+                    prev = spectral.rows[info.prev_row]
+                    assert (prev.chain, prev.position) == (info.chain, info.position - 1)
+                    assert prev.eigenvalue == info.eigenvalue
 
 
 class TestExactMode:

@@ -155,3 +155,94 @@ def test_injected_fault_fails_its_checks(inject, name, checks, monkeypatch):
     for check in checks:
         result = battery.check(check)
         assert not result.passed, (check, result.residual, result.tolerance)
+
+
+# ---------------------------------------------------------------------------
+# NaN residuals: a NaN in what a check sums must fail the check, with a NaN
+# residual, not drop out of the fold as smaller than every number
+
+LEVEL = 6
+TOL = 1e-8
+
+
+def with_nan_row(basis, row):
+    """The basis with every sample of one row NaN."""
+    samples = basis.samples.copy()
+    samples[row] = np.nan
+    functions = tuple(dataclasses.replace(f, values=samples[f.row]) for f in basis.functions)
+    return dataclasses.replace(basis, samples=samples, functions=functions)
+
+
+def with_nan_window(basis, row):
+    """The basis with one row's extension NaN on [-40, N + 41)."""
+    n = basis.spectral.n
+    window = rf.SequenceWindow(np.full(n + 81, np.nan), lo=-40, extender=ZEROS)
+    functions = tuple(
+        dataclasses.replace(f, window=window) if f.row == row else f for f in basis.functions
+    )
+    return dataclasses.replace(basis, functions=functions)
+
+
+def with_nan_sample(phi):
+    """phi with one NaN sample inside (0, 1)."""
+    values = phi.values.copy()
+    values[2 ** phi.level // 2] = np.nan
+    return dataclasses.replace(phi, values=values)
+
+
+def stage(name):
+    mask = make_mask(name)
+    spectral = rf.eigen_structure(mask)
+    basis = rf.build_homogeneous_basis(spectral, level=LEVEL)
+    return mask, spectral, basis
+
+
+def nan_origin():
+    basis = with_nan_row(stage("bspline3")[2], 1)
+    scales = [max(1.0, float(m)) for m in np.abs(basis.samples).max(axis=1)]
+    return verify._check_origin(basis, scales, TOL)
+
+
+def nan_extension():
+    return verify._check_extension(with_nan_window(stage("bspline3")[2], 1), TOL)
+
+
+def nan_accuracy():
+    mask, spectral, basis = stage("bspline3")
+    return verify._check_accuracy(mask, spectral, with_nan_sample(basis.phi), TOL)
+
+
+def nan_dependency_witness():
+    mask, spectral, basis = stage("half")
+    checks = verify._check_independence(mask, spectral, with_nan_sample(basis.phi), LEVEL, TOL)
+    return next(c for c in checks if c.name == "dependency-witness")
+
+
+@pytest.mark.parametrize("check", [nan_origin, nan_extension, nan_accuracy, nan_dependency_witness])
+def test_a_nan_residual_fails_its_check(check):
+    result = check()
+    assert not result.passed
+    assert np.isnan(result.residual)
+
+
+def test_a_nan_eigenvalue_gives_a_nan_distance():
+    assert np.isnan(verify._multiset_distance([1, np.nan], [1, 2]))
+    assert np.isnan(verify._multiset_distance([1, 2], [np.nan, 2]))
+    assert verify._multiset_distance([1, 2], [2, 1]) == 0.0
+
+
+def test_dependency_witness_is_judged_as_reported():
+    # each window's residual is relative to max(1, max |Y|) max(1, max |phi|),
+    # far from 1 for this mask, and the verdict is residual <= tolerance
+    mask = rf.mask_from_coefficients([1, 1, 1, 1, -1, -1], name="irrational")
+    battery = rf.run_battery(mask, level=8)
+    witness = battery.check("dependency-witness")
+    phi = rf.evaluate_phi(mask, 8)
+    reports = [
+        rf.verify_dependency(mask, window, level=8, phi=phi, tolerance=1.0)
+        for window in rf.kernel_of_L(mask).windows
+    ]
+    assert max(r.tolerance for r in reports) > 100
+    assert witness.residual == max(r.max_residual / r.tolerance for r in reports) > 0
+    assert witness.tolerance == battery.tolerance
+    assert witness.passed == (witness.residual <= witness.tolerance)
