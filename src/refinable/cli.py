@@ -26,7 +26,6 @@ from .evaluate import (
     DEFAULT_LEVEL,
     MAX_LEVEL,
     build_homogeneous_basis,
-    evaluate_phi,
     homogeneity_residual,
     reconstruct_phi,
 )
@@ -103,7 +102,7 @@ def _mask_doc(mask: Mask) -> dict:
 def _spectrum_doc(mask: Mask, *, exact: bool | None) -> dict:
     scale = build_scale_matrices(mask)
     spectral = eigen_structure(scale, exact=exact)
-    acc = accuracy(scale, exact=exact if spectral.is_exact else False)
+    acc = accuracy(scale, exact=spectral.is_exact)
     indep = independence_test(scale)
     return {
         "mask": _mask_doc(mask),
@@ -175,14 +174,11 @@ def cmd_basis(args: argparse.Namespace) -> int:
         raise UsageError("--interval must satisfy A <= 0 < B")
     _check_level_arg(args.level)
     spectral = eigen_structure(build_scale_matrices(mask), exact=True if args.exact else None)
-    phi = evaluate_phi(mask, args.level)
-    basis = build_homogeneous_basis(
-        spectral, level=args.level, interval=(int(lo), int(hi)), phi=phi
-    )
+    basis = build_homogeneous_basis(spectral, level=args.level, interval=(int(lo), int(hi)))
     rec = reconstruct_phi(basis)
     width = max(2, len(str(spectral.n)))
     out = _out_dir(args.out)
-    _write(dump_csv(phi.grid, phi.values), out, "phi.csv")
+    _write(dump_csv(basis.phi.grid, basis.phi.values), out, "phi.csv")
     rows = []
     for f in basis.functions:
         filename = f"h_{f.row:0{width}d}.csv"

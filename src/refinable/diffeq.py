@@ -62,16 +62,16 @@ class CombinationRule:
         return out
 
 
-def root_triples(coeffs_float, coeffs_exact):
+def root_triples(coeffs):
     """(complex root, multiplicity, exact root or None) triples of a polynomial.
 
-    With exact coefficients ``coeffs_float`` is not read: the rational
-    roots are exact and only the leftover factors fall back to clustered
-    float roots.
+    When every coefficient is an int or a Fraction, the rational roots are
+    exact and only the leftover factors fall back to clustered float
+    roots; otherwise every root is a clustered float root.
     """
-    if coeffs_exact is None:
-        return [(d, m, None) for d, m, _ in nm.clusters(nm.poly_roots(coeffs_float), ROOT_CLUSTER_RTOL)]
-    rational, leftovers = xq.rational_roots(list(coeffs_exact))
+    if not all(is_exact(c) for c in coeffs):
+        return [(d, m, None) for d, m, _ in nm.clusters(nm.poly_roots(coeffs), ROOT_CLUSTER_RTOL)]
+    rational, leftovers = xq.rational_roots(list(coeffs))
     out = [(complex(d), m, d) for d, m in rational]
     for factor, mult in leftovers:
         roots = nm.poly_roots(np.array([float(c) for c in factor], dtype=complex))
@@ -98,17 +98,17 @@ class DifferenceSystem:
     @cached_property
     def gcd_roots(self) -> tuple[tuple[complex, int], ...]:
         """(root, multiplicity) pairs, by decreasing modulus, then angle."""
-        out = root_triples(self.gcd, self.exact_gcd)
+        out = root_triples(self.gcd if self.exact_gcd is None else self.exact_gcd)
         out.sort(key=lambda e: (-abs(e[0]), round(float(np.angle(e[0])), 12)))
         return tuple((complex(d), int(m)) for d, m, _ in out)
 
 
-def _is_exact(v) -> bool:
+def is_exact(v) -> bool:
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
 
 def _check_coefficient(v) -> None:
-    if _is_exact(v):
+    if is_exact(v):
         return
     if isinstance(v, bool) or not isinstance(v, numbers.Complex) or not cmath.isfinite(v):
         raise DifferenceEquationError(
@@ -139,7 +139,7 @@ def difference_system(equations) -> DifferenceSystem:
     for eq in eqs:
         for v in eq:
             _check_coefficient(v)
-    if all(_is_exact(v) for eq in eqs for v in eq):
+    if all(is_exact(v) for eq in eqs for v in eq):
         g = _trim([Fraction(v) for v in eqs[0]])
         for eq in eqs[1:]:
             g = xq.poly_gcd(g, _trim([Fraction(v) for v in eq]))

@@ -246,8 +246,8 @@ def _extension(v, scale, eigenvalue) -> tuple[int, SequenceWindow]:
         return len(chain), _kernel_extension(v, scale)
     window = None
     for w in reversed(chain[1:]):
-        window = eigen_extend(w, window, scale.mask, eigenvalue, scale=scale)
-    return len(chain), eigen_extend(v, window, scale.mask, eigenvalue, scale=scale)
+        window = eigen_extend(w, window, scale, eigenvalue)
+    return len(chain), eigen_extend(v, window, scale, eigenvalue)
 
 
 def _kernel_extension(v, scale) -> SequenceWindow:
@@ -326,10 +326,8 @@ def build_homogeneous_basis(
     mask_or_spectral,
     level: int = DEFAULT_LEVEL,
     interval: tuple[int, int] = (-1, 1),
-    *,
-    phi: PhiValues | None = None,
 ) -> HomogeneousBasis:
-    """Sample h_v for every basis row of the spectral data on [lo, hi].
+    """Sample phi and h_v for every basis row of the spectral data on [lo, hi].
 
     Accepts a mask or its spectral data. Intervals are integer endpoints
     with lo <= 0 <= hi (so dyadic halving stays inside).
@@ -344,9 +342,15 @@ def build_homogeneous_basis(
     lo, hi = int(interval[0]), int(interval[1])
     if not (lo <= 0 <= hi and lo < hi):
         raise EvaluationError(f"interval must be integers with lo <= 0 <= hi, got {interval}")
-    if phi is None or phi.level != level:
-        phi = evaluate_phi(mask, level)
-    samples = np.zeros((len(spectral.rows), (hi - lo) * 2**level + 1), dtype=complex)
+    phi = evaluate_phi(mask, level)
+    shape = (len(spectral.rows), (hi - lo) * 2**level + 1)
+    try:
+        samples = np.zeros(shape, dtype=complex)
+    except ValueError as exc:
+        # numpy refuses a shape or a byte size past its index range outright
+        raise EvaluationError(
+            f"{shape[0]} basis rows of {shape[1]} samples are more than an array can hold"
+        ) from exc
     # a row that conjugates another (only a real mask, with a real phi, has
     # them) is its pair's extension and samples, conjugated; pairs first
     orders, windows = {}, {}
@@ -464,43 +468,31 @@ def reconstruct_phi(basis: HomogeneousBasis) -> ReconstructionResult:
 
 @dataclass(frozen=True)
 class DependencyReport:
-    """Numerical check that sum_k Y_k phi(x + k) vanishes identically."""
+    """Numerical check that sum_k Y_k phi(x + k) vanishes identically:
+    the largest |g| on the grid and the scale that judges it."""
 
     max_residual: float
-    tolerance: float
-    dependent: bool
+    scale: float  # max(1, max |Y|) max(1, max |phi|)
     interval: tuple[int, int]
     level: int
 
 
-def verify_dependency(
-    mask: Mask,
-    window: SequenceWindow,
-    level: int = DEFAULT_LEVEL,
-    *,
-    tolerance: float = 1e-8,
-    phi: PhiValues | None = None,
-) -> DependencyReport:
-    """Sample g(x) = sum_k Y_k phi(x + k) on [-4, 4] and test g == 0.
+def verify_dependency(phi: PhiValues, window: SequenceWindow) -> DependencyReport:
+    """Sample g(x) = sum_k Y_k phi(x + k) on [-4, 4] at the level of phi.
 
     A kernel sequence of the bi-infinite subdivision operator must make g
-    vanish identically; the residual is compared against ``tolerance`` scaled
-    by the magnitudes of Y and phi.
+    vanish identically; ``max_residual / scale`` is the residual relative
+    to the magnitudes of Y and phi.
     """
-    level = _check_level(level)
     lo, hi = -4, 4
-    if phi is None or phi.level != level:
-        phi = evaluate_phi(mask, level)
-    y_vals = window.values(-hi, mask.n - lo + 1)
+    y_vals = window.values(-hi, phi.mask.n - lo + 1)
     g = translate_sum(phi, y_vals, lo, hi)
-    scale_ref = max(1.0, float(np.abs(y_vals).max(initial=0.0))) * max(
+    scale = max(1.0, float(np.abs(y_vals).max(initial=0.0))) * max(
         1.0, float(np.abs(phi.values).max(initial=0.0))
     )
-    max_residual = float(np.abs(g).max(initial=0.0))
     return DependencyReport(
-        max_residual=max_residual,
-        tolerance=tolerance * scale_ref,
-        dependent=max_residual <= tolerance * scale_ref,
+        max_residual=float(np.abs(g).max(initial=0.0)),
+        scale=scale,
         interval=(lo, hi),
-        level=level,
+        level=phi.level,
     )

@@ -19,7 +19,7 @@ import numpy as np
 from . import kernels
 from .diffeq import DifferenceSystem, difference_system, solve_system
 from .errors import ExtensionError, ExtensionOverflowError
-from .mask import Mask, ScaleMatrices, build_scale_matrices
+from .mask import Mask, ScaleMatrices
 
 PRECONDITION_RTOL = 1e-7
 
@@ -148,28 +148,22 @@ class SequenceWindow:
 # eigen-extension
 
 def eigen_extend(
-    v,
-    chain_prev: SequenceWindow | None,
-    mask: Mask,
-    eigenvalue: complex,
-    *,
-    scale: ScaleMatrices | None = None,
+    v, chain_prev: SequenceWindow | None, scale: ScaleMatrices, eigenvalue: complex
 ) -> SequenceWindow:
     """Extend scale-matrix chain data v to a two-sided Y with Y L = lam Y + Y_prev.
 
-    ``v`` is a left chain vector of the scale matrix: v (T - lam I) must equal
-    the restriction of ``chain_prev`` to [0, N] (the zero sequence for an
-    eigenvector). On that window the recurrence *is* the matrix identity, so
-    the precondition is exactly what makes the extension exist; it is then
+    ``v`` is a left chain vector of the scale matrix T of ``scale``, whose
+    mask the recurrence runs on: v (T - lam I) must equal the restriction
+    of ``chain_prev`` to [0, N] (the zero sequence for an eigenvector). On
+    that window the recurrence *is* the matrix identity, so the
+    precondition is exactly what makes the extension exist; it is then
     unique because every outside entry is forced. The precondition holds to
     ``PRECONDITION_RTOL`` relative to the largest entry of v and prev.
     """
     lam = complex(eigenvalue)
     if lam == 0:
         raise ExtensionError("zero eigenvalues do not extend (recurrence divides by lambda)")
-    if scale is None:
-        scale = build_scale_matrices(mask)
-    n = mask.n
+    n = scale.n
     v = np.asarray(v, dtype=complex)
     if v.shape != (n + 1,):
         raise ExtensionError(f"chain data must have length N+1 = {n + 1}, got {v.shape}")
@@ -186,7 +180,7 @@ def eigen_extend(
             f"chain data does not satisfy v (T - lambda I) = prev (residual {worst:.3g})"
         )
     return SequenceWindow(
-        v, lo=0, extender=EigenExtender(mask, lam, chain_prev), name="eigen-extension"
+        v, lo=0, extender=EigenExtender(scale.mask, lam, chain_prev), name="eigen-extension"
     )
 
 

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import exact as xq
 from . import numeric as nm
-from .diffeq import root_triples
+from .diffeq import is_exact, root_triples
 from .errors import ClusteringError, SpectralError
 from .extension import subdivision_system
 from .mask import Mask, ScaleMatrices, build_scale_matrices
@@ -770,22 +770,20 @@ def power_chain(v, source, eigenvalue) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 # spectra of the submatrices
 
-def spectrum_of(matrix, exact_rows=None):
+def spectrum_of(matrix):
     """Eigenvalues with multiplicities, sorted by (-|lam|, angle).
 
     Returns (eigenvalue, multiplicity, exact eigenvalue or None) triples.
-    With exact rational rows the rational part of the spectrum is exact and
-    only irrational factors fall back to float roots; float eigenvalues are
-    clustered at ``CLUSTER_RTOL``.
+    When every entry is an int or a Fraction the rational part of the
+    spectrum is exact and only irrational factors fall back to float roots;
+    otherwise the float eigenvalues are clustered at ``CLUSTER_RTOL``.
     """
-    if exact_rows is not None:
-        if len(exact_rows) == 0:
+    if all(is_exact(x) for row in matrix for x in row):
+        if len(matrix) == 0:
             return []
-        out = root_triples(None, xq.charpoly(exact_rows))
+        out = root_triples(xq.charpoly(matrix))
     else:
-        a = np.atleast_2d(np.asarray(matrix, dtype=complex))
-        if a.size == 0:
-            return []
+        a = np.asarray(matrix, dtype=complex)
         out = [(lam, mult, None) for lam, mult, _ in nm.clusters(np.linalg.eigvals(a), CLUSTER_RTOL)]
     out.sort(key=lambda e: _group_key(e[0]))
     return out

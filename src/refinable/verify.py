@@ -19,7 +19,6 @@ from .evaluate import (
     DEFAULT_LEVEL,
     HomogeneousBasis,
     build_homogeneous_basis,
-    evaluate_phi,
     extend_vector,
     homogeneity_residual,
     reconstruct_phi,
@@ -92,10 +91,10 @@ def _multiset_distance(a, b) -> float:
 
 def _check_spectrum(scale, tol) -> CheckResult:
     rational = scale.mask.is_rational
-    full = _expand(spectrum_of(scale.full, scale.exact_rows() if rational else None))
-    core = _expand(spectrum_of(scale.core, scale.exact_core_rows() if rational else None))
-    head = _expand(spectrum_of(scale.head, None))
-    tail = _expand(spectrum_of(scale.tail, None))
+    full = _expand(spectrum_of(scale.exact_rows() if rational else scale.full))
+    core = _expand(spectrum_of(scale.exact_core_rows() if rational else scale.core))
+    head = _expand(spectrum_of(scale.head))
+    tail = _expand(spectrum_of(scale.tail))
     c0 = complex(scale.full[0, 0])
     cn = complex(scale.full[scale.n, scale.n])
     d_full = _multiset_distance(full, core + [c0, cn])
@@ -226,7 +225,7 @@ def _check_reconstruction(basis: HomogeneousBasis, tol) -> CheckResult:
     )
 
 
-def _check_accuracy(mask: Mask, spectral: SpectralData, phi, tol) -> CheckResult:
+def _check_accuracy(spectral: SpectralData, phi, tol) -> CheckResult:
     acc = accuracy(spectral.scale)
     step = 2**phi.level
     residuals = []
@@ -234,7 +233,7 @@ def _check_accuracy(mask: Mask, spectral: SpectralData, phi, tol) -> CheckResult
     for s in range(acc.order):
         coeffs = acc.coefficients[s]
         # p_s(k) for the translates k = -1..N that meet [0, 1]
-        pk = np.array([np.polynomial.polynomial.polyval(k, coeffs) for k in range(-1, mask.n + 1)])
+        pk = np.array([np.polynomial.polynomial.polyval(k, coeffs) for k in range(-1, spectral.n + 1)])
         g = translate_sum(phi, pk, 0, 1)
         target = xs.astype(complex) ** s
         scale_ref = max(1.0, float(np.abs(coeffs).max()))
@@ -249,7 +248,7 @@ def _check_accuracy(mask: Mask, spectral: SpectralData, phi, tol) -> CheckResult
     )
 
 
-def _check_independence(mask: Mask, spectral: SpectralData, phi, level, tol):
+def _check_independence(spectral: SpectralData, phi, tol):
     result = independence_test(spectral.scale)
     checks = [
         CheckResult(
@@ -261,11 +260,9 @@ def _check_independence(mask: Mask, spectral: SpectralData, phi, level, tol):
         )
     ]
     if result.gcd_degree > 0:
-        kernel = kernel_of_L(mask)
-        # at tolerance 1 a report's tolerance is the scale it judges by,
-        # max(1, max |Y|) max(1, max |phi|), so each residual is relative to it
-        reports = [verify_dependency(mask, w, level=level, phi=phi, tolerance=1.0) for w in kernel.windows]
-        worst = _worst([r.max_residual / r.tolerance for r in reports])
+        kernel = kernel_of_L(spectral.scale.mask)
+        reports = [verify_dependency(phi, w) for w in kernel.windows]
+        worst = _worst([r.max_residual / r.scale for r in reports])
         checks.append(
             CheckResult(
                 name="dependency-witness",
@@ -289,8 +286,7 @@ def run_battery(
     with the basis rows sampled on [-1, 1]."""
     scale = build_scale_matrices(mask)
     spectral = eigen_structure(scale, exact=exact)
-    phi = evaluate_phi(mask, level)
-    basis = build_homogeneous_basis(spectral, level=level, interval=(-1, 1), phi=phi)
+    basis = build_homogeneous_basis(spectral, level=level, interval=(-1, 1))
     # max(1, max |h|) of each row, the scale of its homogeneity and origin residuals
     scales = [max(1.0, float(m)) for m in np.abs(basis.samples).max(axis=1, initial=0.0)]
     checks = [
@@ -301,7 +297,7 @@ def run_battery(
         _check_homogeneity(basis, scales, tolerance),
         _check_origin(basis, scales, tolerance),
         _check_reconstruction(basis, tolerance),
-        _check_accuracy(mask, spectral, phi, tolerance),
+        _check_accuracy(spectral, basis.phi, tolerance),
     ]
-    checks.extend(_check_independence(mask, spectral, phi, level, tolerance))
+    checks.extend(_check_independence(spectral, basis.phi, tolerance))
     return BatteryResult(mask=mask, level=level, tolerance=tolerance, checks=tuple(checks))

@@ -137,11 +137,8 @@ def pipeline():
         if key not in cache:
             scale = rf.build_scale_matrices(mask)
             spectral = rf.eigen_structure(scale)
-            phi = rf.evaluate_phi(mask, level)
-            basis = rf.build_homogeneous_basis(
-                spectral, level=level, interval=interval, phi=phi
-            )
-            cache[key] = (scale, spectral, phi, basis)
+            basis = rf.build_homogeneous_basis(spectral, level=level, interval=interval)
+            cache[key] = (scale, spectral, basis.phi, basis)
         return cache[key]
 
     return get

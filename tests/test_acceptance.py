@@ -192,7 +192,7 @@ def test_criterion_4_dependent_mask(conclude):
         if abs(base) < 1e-12 or float(np.abs(vals - signs).max()) > 1e-10:
             failures.append("kernel sequence is not alternating")
         phi = rf.evaluate_phi(mask, 12)
-        report = rf.verify_dependency(mask, window, level=12, phi=phi)
+        report = rf.verify_dependency(phi, window)
         bound = 1e-8 * float(np.abs(phi.values).max())
         if report.max_residual > bound:
             failures.append(

@@ -257,6 +257,25 @@ class TestBasisCommand:
         assert code == 1
         assert err.startswith("error: Unable to allocate")
 
+    @pytest.mark.parametrize(
+        "hi, samples",
+        [
+            # past numpy's largest dimension
+            ("1e30", "4000000000000000079538499354629"),
+            # a dimension numpy takes, but a byte size past its index range
+            ("1e17", "400000000000000005"),
+        ],
+    )
+    def test_unallocatable_grid_is_a_computational_failure(self, hi, samples, tmp_path, capsys):
+        code, out, err = run(
+            capsys, "basis", "[1,1]", "--level", "2", "--interval", "-1", hi,
+            "--out", str(tmp_path / "D"),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: 2 basis rows of {samples} samples are more than an array can hold\n"
+        assert not (tmp_path / "D").exists()
+
 
 class TestVerifyCommand:
     def test_passes_on_half_with_dependency(self, capsys):

@@ -114,7 +114,7 @@ def recursive_extension(v, scale, lam):
     prev = None
     if rf.minimal_order(v, scale, lam) > 1:
         prev = recursive_extension(v @ scale.shifted(complex(lam)), scale, lam)
-    return rf.eigen_extend(v, prev, scale.mask, lam, scale=scale)
+    return rf.eigen_extend(v, prev, scale, lam)
 
 
 def oracle_mask(name: str) -> rf.Mask:
@@ -371,9 +371,9 @@ class TestDependency:
         mask = make_mask("half")
         kernel = rf.kernel_of_L(mask)
         assert len(kernel.windows) == 1
-        report = rf.verify_dependency(mask, kernel.windows[0], level=8)
-        assert report.dependent
-        assert report.max_residual <= report.tolerance
+        report = rf.verify_dependency(rf.evaluate_phi(mask, 8), kernel.windows[0])
+        assert (report.interval, report.level) == ((-4, 4), 8)
+        assert report.max_residual <= 1e-8 * report.scale
 
     def test_zero_eigenvector_extension_alternates(self):
         mask = make_mask("half")
@@ -386,16 +386,16 @@ class TestDependency:
         assert abs(base) > 1e-12
         want = base * np.array([(-1.0) ** k for k in range(-6, 10)])
         np.testing.assert_allclose(vals, want, atol=1e-10)
-        report = rf.verify_dependency(mask, window, level=8)
-        assert report.dependent
+        report = rf.verify_dependency(rf.evaluate_phi(mask, 8), window)
+        assert report.max_residual <= 1e-8 * report.scale
 
     def test_eigen_window_is_not_a_dependency(self):
         mask = make_mask("bspline3")
         spectral = rf.eigen_structure(mask)
         info = next(r for r in spectral.rows if abs(r.eigenvalue - 1) < 1e-9)
         window = rf.extend_vector(spectral.basis[info.index], spectral, info.eigenvalue)
-        report = rf.verify_dependency(mask, window, level=6)
-        assert not report.dependent
+        report = rf.verify_dependency(rf.evaluate_phi(mask, 6), window)
+        assert report.max_residual > 1e-8 * report.scale
         assert report.max_residual > 1e-2
 
 

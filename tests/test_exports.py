@@ -1,13 +1,18 @@
 """The public names: a star import binds every name in ``__all__``, each
 name resolves, and the helpers that no pipeline stage called stay deleted.
+Each public callable takes each input once: no mask next to the object
+built from it, and no exact copy of data that an argument holds.
 """
 
 from __future__ import annotations
 
+import inspect
+from fractions import Fraction
+
 import pytest
 
 import refinable as rf
-from refinable import extension
+from refinable import diffeq, extension
 
 DELETED = (
     "ChainInfo",
@@ -41,3 +46,44 @@ def test_sequence_window_is_the_one_window_class():
     # values(lo, hi) is the one read
     assert not hasattr(rf.SequenceWindow, "value")
     assert not hasattr(rf.SequenceWindow, "window")
+
+
+def _parameters():
+    """(name, parameter names) of every public callable with a signature."""
+    out = [("diffeq.root_triples", set(inspect.signature(diffeq.root_triples).parameters))]
+    for name in rf.__all__:
+        try:
+            out.append((name, set(inspect.signature(getattr(rf, name)).parameters)))
+        except ValueError:  # exception classes defined in C have none
+            continue
+    return out
+
+
+def test_no_callable_takes_a_mask_next_to_what_it_builds():
+    # the scale matrices, phi and the spectral data each carry their mask
+    both = [name for name, params in _parameters() if "mask" in params and params & {"scale", "phi", "spectral"}]
+    assert both == []
+
+
+def test_no_callable_takes_a_second_exact_copy():
+    # the entries of an argument decide between exact and float arithmetic
+    copies = [name for name, params in _parameters() if params & {"exact_rows", "coeffs_exact"}]
+    assert copies == []
+
+
+def test_spectrum_of_follows_its_entries():
+    floats = rf.spectrum_of([[0.5, 0.0], [1.0, 0.25]])
+    assert [exact for _, _, exact in floats] == [None, None]
+    assert [d for d, _, _ in floats] == pytest.approx([0.5, 0.25])
+    fractions = rf.spectrum_of([[Fraction(1, 2), 0], [1, Fraction(1, 4)]])
+    assert [exact for _, _, exact in fractions] == [Fraction(1, 2), Fraction(1, 4)]
+
+
+def test_root_triples_follows_its_coefficients():
+    # 2 - 3x + x^2 = (x - 1)(x - 2)
+    floats = diffeq.root_triples([2.0, -3.0, 1.0])
+    assert sorted(d.real for d, _, _ in floats) == pytest.approx([1.0, 2.0])
+    assert [exact for _, _, exact in floats] == [None, None]
+    fractions = diffeq.root_triples([2, Fraction(-3), 1])
+    assert sorted(exact for _, _, exact in fractions) == [1, 2]
+    assert all(type(exact) is Fraction for _, _, exact in fractions)

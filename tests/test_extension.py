@@ -25,7 +25,7 @@ class TestSequenceWindow:
         mask = corpus["bspline3"]
         spectral = rf.eigen_structure(mask)
         v = spectral.basis[1]
-        w = rf.eigen_extend(v, None, mask, spectral.rows[1].eigenvalue)
+        w = rf.eigen_extend(v, None, spectral.scale, spectral.rows[1].eigenvalue)
         assert (w.lo, w.hi) == (0, mask.n + 1)
         assert w.values(1, 2)[0] == v[1]
         np.testing.assert_array_equal(w.values(0, mask.n + 1), v)
@@ -52,11 +52,11 @@ class TestSequenceWindow:
         row = spectral.basis[1]  # eigenvalue 1/2 row
         lam = spectral.rows[1].eigenvalue
 
-        w = rf.eigen_extend(row, None, mask, lam)
+        w = rf.eigen_extend(row, None, scale, lam)
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
             futures = [pool.submit(w.values, -5 * i, 5 * i + 4) for i in range(1, 9)]
             results = [f.result() for f in futures]
-        reference = rf.eigen_extend(row, None, mask, lam)
+        reference = rf.eigen_extend(row, None, scale, lam)
         for i, got in enumerate(results, start=1):
             np.testing.assert_allclose(got, reference.values(-5 * i, 5 * i + 4), rtol=1e-12)
 
@@ -76,7 +76,7 @@ class TestEigenExtend:
                     prev = None
                 else:
                     prev = rf.extend_vector(shifted, scale, lam)
-                window = rf.eigen_extend(v, prev, mask, lam)
+                window = rf.eigen_extend(v, prev, scale, lam)
                 np.testing.assert_allclose(
                     window.values(0, mask.n + 1), v, atol=1e-10 * max(1, np.abs(v).max())
                 )
@@ -87,22 +87,22 @@ class TestEigenExtend:
         spectral = rf.eigen_structure(scale)
         v = spectral.basis[1]
         lam = spectral.rows[1].eigenvalue  # 1/2
-        w = rf.eigen_extend(v, None, mask, lam)
+        w = rf.eigen_extend(v, None, scale, lam)
         y = w.values(-30, 34)
         lhs = dense_subdivision(y, -30, mask.coefficients, -20, 41)
         rhs = lam * w.values(-20, 21)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9 * np.abs(y).max())
 
     def test_rejects_wrong_precondition(self, corpus):
-        mask = corpus["bspline3"]
+        scale = rf.build_scale_matrices(corpus["bspline3"])
         v = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
         with pytest.raises(ExtensionError):
-            rf.eigen_extend(v, None, mask, 0.5)
+            rf.eigen_extend(v, None, scale, 0.5)
 
     def test_rejects_zero_eigenvalue(self, corpus):
-        mask = corpus["half"]
+        scale = rf.build_scale_matrices(corpus["half"])
         with pytest.raises(ExtensionError):
-            rf.eigen_extend(np.zeros(4, dtype=complex), None, mask, 0.0)
+            rf.eigen_extend(np.zeros(4, dtype=complex), None, scale, 0.0)
 
     def test_polynomial_growth_rate(self, corpus):
         # the eigenvalue-1/2 extension of D4 samples a degree-1 polynomial:
@@ -114,7 +114,7 @@ class TestEigenExtend:
             i for i, r in enumerate(spectral.rows) if abs(r.eigenvalue - 0.5) < 1e-8
         )
         v = spectral.basis[idx]
-        w = rf.eigen_extend(v, None, mask, 0.5)
+        w = rf.eigen_extend(v, None, scale, 0.5)
         y = w.values(0, 201)
         y100, y200 = abs(y[100] - y[0]), abs(y[200] - y[0])
         assert y200 / y100 == pytest.approx(2.0, rel=1e-6)
@@ -133,7 +133,8 @@ class TestEigenExtend:
     )
     def test_overflow_raises_with_index(self, coefficients, corner, lo, hi, index):
         mask = rf.mask_from_coefficients(coefficients, name="adv")
-        window = rf.eigen_extend(np.eye(4, dtype=complex)[corner], None, mask, 1e-30)
+        scale = rf.build_scale_matrices(mask)
+        window = rf.eigen_extend(np.eye(4, dtype=complex)[corner], None, scale, 1e-30)
         with pytest.raises(ExtensionOverflowError) as err:
             window.values(lo, hi)
         assert err.value.index == index

@@ -391,9 +391,8 @@ class TestSpectrumOf:
         assert as_dict == {(2 + 0j): 2, (-1 + 0j): 1}
 
     def test_exact_rows_give_exact_values(self):
-        rows = [[Fraction(1, 2), Fraction(0)], [Fraction(1), Fraction(1, 2)]]
-        a = np.array([[0.5, 0.0], [1.0, 0.5]], dtype=complex)
-        pairs = rf.spectrum_of(a, rows)
+        rows = [[Fraction(1, 2), 0], [1, Fraction(1, 2)]]
+        pairs = rf.spectrum_of(rows)
         assert pairs[0][1] == 2
         assert pairs[0][2] == Fraction(1, 2)
 

@@ -3,7 +3,7 @@
 Usage::
 
     python3 tools/compare_outputs.py hash --src SRC --out HASHES.json \\
-        [--workload spectrum spectrum-exact spectrum-float spectrum-bspline verify verify-exact basis basis-deep basis-exact kernel]
+        [--workload spectrum spectrum-exact spectrum-float spectrum-bspline verify verify-exact basis basis-deep basis-exact kernel errors]
     python3 tools/compare_outputs.py diff A.json B.json
 
 ``hash`` imports ``refinable`` from ``SRC`` (default: this repository's
@@ -33,7 +33,15 @@ integer samples and exact zeros of exact-mode rows reach the CSV writer.
 whose even and odd polynomials share a factor of degree 2: a double
 rational root, the same mask in floats, a complex pair and an irrational
 pair, which the pools' masks (gcd degree at most 1, rational root) never
-reach in ``kernel_of_L``.  For every job it records
+reach in ``kernel_of_L``.  ``errors`` runs fixed argv that fail: bad
+JSON inline and on standard input (which is empty for every job), an
+invalid mask, an unreadable mask path, refused ``--out``, ``--interval``,
+``--level`` and ``--tolerance`` values, a flag that the subcommand does
+not take, ``--exact`` on a float mask and an interval too wide to sample,
+so that the usage and error branches of the command line are compared
+too.  A job that ends in an uncaught exception is recorded as the process
+would end: exit code 1, the exception's last line on standard error.
+For every job it records
 the SHA-256 of standard output, of standard error and of every file
 written, plus the exit code, and for a ``verify`` job the verdict of each
 check, as ``[name, passed]`` pairs read from its report.  A key that the
@@ -67,9 +75,11 @@ import json  # noqa: E402
 import shutil  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+import traceback  # noqa: E402
 import warnings  # noqa: E402
 from fractions import Fraction  # noqa: E402
 from pathlib import Path  # noqa: E402
+from unittest import mock  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_WORKLOADS = (
@@ -83,6 +93,7 @@ DEFAULT_WORKLOADS = (
     "basis-deep",
     "basis-exact",
     "kernel",
+    "errors",
 )
 # workloads derived from the masks of a benchmark pool: the pool, argv, and
 # for the rational masks alone whether "p/q" is written as a float, or None
@@ -111,6 +122,24 @@ KERNEL_ARGV = (
     ("verify", "{mask}", "--level", "8"),
     ("basis", "{mask}", "--level", "8", "--out", "{out}"),
 )
+# argv that fail, by job name; "{out}" names a directory that does not exist
+BSPLINE3 = '["1/4", "3/4", "3/4", "1/4"]'
+ERRORS = {
+    "invalid-json": ("spectrum", "[1, 1"),
+    "empty-stdin": ("spectrum", "-"),
+    "zero-c0": ("spectrum", "[0, 1, 1]"),
+    "unreadable-path": ("spectrum", "{out}"),
+    "unwritable-out": ("spectrum", BSPLINE3, "--out", "/dev/null/out"),
+    "spectrum-interval": ("spectrum", BSPLINE3, "--interval", "-1", "1"),
+    "exact-float-mask": ("spectrum", "[0.25, 0.75, 0.75, 0.25]", "--exact"),
+    "verify-level-25": ("verify", BSPLINE3, "--level", "25"),
+    "verify-tolerance-0": ("verify", BSPLINE3, "--tolerance", "0"),
+    "basis-no-out": ("basis", BSPLINE3),
+    "basis-level-25": ("basis", BSPLINE3, "--level", "25", "--out", "{out}"),
+    "basis-interval-half": ("basis", BSPLINE3, "--interval", "0.5", "1", "--out", "{out}"),
+    "basis-interval-positive": ("basis", BSPLINE3, "--interval", "1", "2", "--out", "{out}"),
+    "basis-interval-wide": ("basis", "[1, 1]", "--level", "2", "--interval", "-1", "1e30", "--out", "{out}"),
+}
 
 
 def _sha(data: bytes) -> str:
@@ -120,13 +149,21 @@ def _sha(data: bytes) -> str:
 def run_job(cli, job, out: Path, src: Path) -> dict:
     """One in-process CLI call reduced to hashes of everything it produced."""
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+    with (
+        contextlib.redirect_stdout(stdout),
+        contextlib.redirect_stderr(stderr),
+        mock.patch.object(sys, "stdin", io.StringIO()),
+        warnings.catch_warnings(),
+    ):
         # every warning is shown, whatever ran before this job
         warnings.simplefilter("always")
         try:
             rc = cli.main(job.cli_args(str(out)))
         except SystemExit as exc:
             rc = exc.code if isinstance(exc.code, int) else 2
+        except Exception as exc:  # the interpreter would print it and exit 1
+            rc = 1
+            stderr.write("".join(traceback.format_exception_only(exc)))
     files = {}
     if out.is_dir():
         files = {p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir())}
@@ -159,6 +196,8 @@ def pool(corpus, workload: str):
             corpus.Job(f"{workload}/bspline{m}", {"name": f"bspline{m}", "coefficients": corpus.bspline(m)}, argv)
             for m in BSPLINE_ORDERS
         ]
+    if workload == "errors":
+        return [corpus.Job(f"{workload}/{name}", {}, argv) for name, argv in ERRORS.items()]
     if workload == "kernel":
         return [
             corpus.Job(f"{workload}/{argv[0]}/{name}", {"name": name, "coefficients": c}, argv)
