@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from pathlib import Path
@@ -29,7 +28,7 @@ from .evaluate import (
     homogeneity_residual,
     reconstruct_phi,
 )
-from .mask import Mask, build_scale_matrices, mask_from_coefficients, parse_mask
+from .mask import Mask, build_scale_matrices, parse_mask
 from .report import dump_csv, dump_json
 from .spectral import accuracy, eigen_structure, independence_test
 from .verify import run_battery
@@ -55,13 +54,7 @@ def _load_mask(spec: str) -> Mask:
             raise UsageError(f"cannot read mask file {spec}: {exc}") from exc
         source = str(path)
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{source}: not valid JSON: {exc}") from exc
-    try:
-        if isinstance(payload, list):
-            return mask_from_coefficients(payload)
-        return parse_mask(payload)
+        return parse_mask(text)
     except MaskError as exc:
         raise UsageError(f"{source}: {exc}") from exc
 
@@ -305,7 +298,11 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    try:
+        args = _shared_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help, the version or its refusal (code 2)
+        return exc.code
     try:
         return args.func(args)
     except (UsageError, MaskError) as exc:

@@ -57,8 +57,8 @@ from . import numeric as nm
 from .diffeq import CombinationRule
 from .errors import EvaluationError
 from .extension import RuleExtender, SequenceWindow, eigen_extend, kernel_of_L
-from .mask import Mask, build_scale_matrices
-from .spectral import SpectralData, eigen_structure, power_chain
+from .mask import Mask, ScaleMatrices, build_scale_matrices
+from .spectral import SpectralData, power_chain
 
 ZERO_EIGENVALUE_TOL = 1e-10
 FIT_RTOL = 1e-8  # zero-sum test and least-squares fits of the extensions and samples
@@ -68,10 +68,9 @@ DEFAULT_LEVEL = 12
 
 
 def _check_level(level: int) -> int:
-    level = int(level)
-    if not 0 <= level <= MAX_LEVEL:
-        raise EvaluationError(f"level must be between 0 and {MAX_LEVEL}, got {level}")
-    return level
+    if int(level) != level or not 0 <= level <= MAX_LEVEL:
+        raise EvaluationError(f"level must be an integer between 0 and {MAX_LEVEL}, got {level}")
+    return int(level)
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +217,12 @@ def translate_sum(phi: PhiValues, coeffs, lo: int, hi: int, out: np.ndarray | No
     return out
 
 
-def extend_vector(v, spectral_or_scale, eigenvalue) -> SequenceWindow:
+def extend_vector(v, scale: ScaleMatrices, eigenvalue) -> SequenceWindow:
     """Extension of a generalized left eigenvector, bottom-up along its chain.
 
     The predecessors are recomputed as v (T - lam I)^j, so insertion-mode
     basis rows, whose predecessors are not rows of the basis, extend too.
     """
-    if isinstance(spectral_or_scale, SpectralData):
-        scale = spectral_or_scale.scale
-    else:
-        scale = spectral_or_scale
     return _extension(v, scale, eigenvalue)[1]
 
 
@@ -323,26 +318,23 @@ class HomogeneousBasis:
 
 
 def build_homogeneous_basis(
-    mask_or_spectral,
+    spectral: SpectralData,
     level: int = DEFAULT_LEVEL,
     interval: tuple[int, int] = (-1, 1),
 ) -> HomogeneousBasis:
     """Sample phi and h_v for every basis row of the spectral data on [lo, hi].
 
-    Accepts a mask or its spectral data. Intervals are integer endpoints
-    with lo <= 0 <= hi (so dyadic halving stays inside).
+    Intervals are integer endpoints with lo <= 0 <= hi (so dyadic halving
+    stays inside). The sample matrix is allocated before the cascade runs,
+    so a grid too large to hold is refused at once.
     """
-    if isinstance(mask_or_spectral, SpectralData):
-        spectral = mask_or_spectral
-        mask = spectral.scale.mask
-    else:
-        mask = mask_or_spectral
-        spectral = eigen_structure(build_scale_matrices(mask))
+    if not isinstance(spectral, SpectralData):
+        raise TypeError(f"expected SpectralData (eigen_structure(scale)), got {type(spectral).__name__}")
+    mask = spectral.scale.mask
     level = _check_level(level)
     lo, hi = int(interval[0]), int(interval[1])
-    if not (lo <= 0 <= hi and lo < hi):
+    if (lo, hi) != (interval[0], interval[1]) or not (lo <= 0 <= hi and lo < hi):
         raise EvaluationError(f"interval must be integers with lo <= 0 <= hi, got {interval}")
-    phi = evaluate_phi(mask, level)
     shape = (len(spectral.rows), (hi - lo) * 2**level + 1)
     try:
         samples = np.zeros(shape, dtype=complex)
@@ -351,6 +343,7 @@ def build_homogeneous_basis(
         raise EvaluationError(
             f"{shape[0]} basis rows of {shape[1]} samples are more than an array can hold"
         ) from exc
+    phi = evaluate_phi(mask, level)
     # a row that conjugates another (only a real mask, with a real phi, has
     # them) is its pair's extension and samples, conjugated; pairs first
     orders, windows = {}, {}

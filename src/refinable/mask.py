@@ -125,24 +125,27 @@ def mask_from_coefficients(values, name=None) -> Mask:
     )
 
 
-def parse_mask(source) -> Mask:
-    """Parse a mask document: {"name": str?, "coefficients": [num | "p/q", ...]}.
+# the JSON type of each value that json.loads returns besides objects and arrays
+_JSON_TYPES = {str: "a string", int: "a number", float: "a number", bool: "a boolean", type(None): "null"}
 
-    ``source`` may be the JSON text (str/bytes) or an already-decoded dict.
+
+def parse_mask(text: str) -> Mask:
+    """Parse a mask document: {"name": str?, "coefficients": [num | "p/q", ...]},
+    or the bare coefficient array.
+
     Plain JSON numbers are IEEE doubles (integers stay exact); 'p/q' strings
     parse as exact rationals.
     """
-    if isinstance(source, (str, bytes)):
-        try:
-            doc = json.loads(source)
-        except json.JSONDecodeError as e:
-            raise MaskError(f"mask document is not valid JSON: {e}") from e
-    elif isinstance(source, dict):
-        doc = source
-    else:
-        raise MaskError(f"unsupported mask source type {type(source).__name__}")
+    if not isinstance(text, str):
+        raise TypeError(f"expected the JSON text as a str, got {type(text).__name__}")
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise MaskError(f"not valid JSON: {e}") from e
+    if isinstance(doc, list):
+        return mask_from_coefficients(doc)
     if not isinstance(doc, dict):
-        raise MaskError("mask document must be a JSON object")
+        raise MaskError(f"mask document must be a JSON object or array, not {_JSON_TYPES[type(doc)]}")
     if "coefficients" not in doc:
         raise MaskError("mask document is missing the 'coefficients' array")
     coeffs = doc["coefficients"]

@@ -56,7 +56,7 @@ from . import numeric as nm
 from .diffeq import is_exact, root_triples
 from .errors import ClusteringError, SpectralError
 from .extension import subdivision_system
-from .mask import Mask, ScaleMatrices, build_scale_matrices
+from .mask import ScaleMatrices
 
 CLUSTER_RTOL = 1e-8
 RESIDUAL_RTOL = 1e-7  # minimal_order's zero test; regauge and accuracy residuals
@@ -68,14 +68,9 @@ VERDICT_DEPENDENT = "translates DEPENDENT"
 VERDICT_INDEPENDENT = "independence not contradicted"
 
 
-def _scale_of(source) -> ScaleMatrices:
-    if isinstance(source, ScaleMatrices):
-        return source
-    if isinstance(source, SpectralData):
-        return source.scale
-    if isinstance(source, Mask):
-        return build_scale_matrices(source)
-    raise TypeError(f"expected a Mask, ScaleMatrices, or SpectralData, got {type(source)!r}")
+def _check_scale(scale) -> None:
+    if not isinstance(scale, ScaleMatrices):
+        raise TypeError(f"expected ScaleMatrices (build_scale_matrices(mask)), got {type(scale).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +702,7 @@ def _layout_insertion(field, group_chains):
 # ---------------------------------------------------------------------------
 # entry point
 
-def eigen_structure(source, *, exact: bool | None = None) -> SpectralData:
+def eigen_structure(scale: ScaleMatrices, *, exact: bool | None = None) -> SpectralData:
     """Left Jordan basis of the scale matrix with corner-row conventions.
 
     ``exact=True`` demands Fraction arithmetic (rational mask with fully
@@ -719,7 +714,7 @@ def eigen_structure(source, *, exact: bool | None = None) -> SpectralData:
     of its checks fails it raises ClusteringError, whose ``values`` are the
     eigenvalues.
     """
-    scale = _scale_of(source)
+    _check_scale(scale)
     fallback = None
     if exact or (exact is None and scale.mask.is_rational):
         try:
@@ -738,18 +733,18 @@ def eigen_structure(source, *, exact: bool | None = None) -> SpectralData:
     return replace(spectral, exact_fallback=fallback) if fallback else spectral
 
 
-def minimal_order(v, source, eigenvalue) -> int:
+def minimal_order(v, scale: ScaleMatrices, eigenvalue) -> int:
     """Smallest r with v (T - lam I)^r = 0 (to ``RESIDUAL_RTOL``); 0 for v = 0.
 
     Raises SpectralError when v is not a generalized left eigenvector for the
     eigenvalue (no r up to the matrix dimension works).
     """
-    return len(power_chain(v, source, eigenvalue))
+    return len(power_chain(v, scale, eigenvalue))
 
 
-def power_chain(v, source, eigenvalue) -> list[np.ndarray]:
+def power_chain(v, scale: ScaleMatrices, eigenvalue) -> list[np.ndarray]:
     """[v, v S, ..., v S^(r-1)] with S = T - lam I and r = ``minimal_order``."""
-    scale = _scale_of(source)
+    _check_scale(scale)
     size = scale.n + 1
     w = np.asarray(v, dtype=complex)
     if w.shape != (size,):
@@ -809,7 +804,7 @@ class AccuracyResult:
     exact_coefficients: tuple[tuple[Fraction, ...], ...] | None = None
 
 
-def accuracy(source, *, exact: bool | None = None) -> AccuracyResult:
+def accuracy(scale: ScaleMatrices, *, exact: bool | None = None) -> AccuracyResult:
     """Polynomial reproduction order of the mask's refinable function.
 
     One routine for Fractions and complex values; a quantity is zero when it
@@ -824,7 +819,7 @@ def accuracy(source, *, exact: bool | None = None) -> AccuracyResult:
       ``RESIDUAL_RTOL`` (|V||a|)|T| + 2^-s |V||a|; the order stops at the
       first degree that fails it.
     """
-    scale = _scale_of(source)
+    _check_scale(scale)
     if exact is None:
         exact = scale.mask.is_rational
     if exact:
@@ -905,9 +900,9 @@ class IndependenceResult:
     diagnostic: str | None = None
 
 
-def independence_test(source) -> IndependenceResult:
+def independence_test(scale: ScaleMatrices) -> IndependenceResult:
     """Check whether the integer translates of phi can be locally dependent."""
-    scale = _scale_of(source)
+    _check_scale(scale)
     if scale.n < 2:
         kernel_dimension = 0  # empty core
     elif scale.mask.is_rational:

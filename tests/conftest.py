@@ -49,6 +49,10 @@ def make_mask(name: str) -> rf.Mask:
     return rf.mask_from_coefficients(CORPUS_SPECS[name], name=name)
 
 
+def make_scale(name: str) -> rf.ScaleMatrices:
+    return rf.build_scale_matrices(make_mask(name))
+
+
 def _draw_coefficients(rng: np.random.Generator, n: int, imag: bool = False) -> np.ndarray:
     while True:
         c = rng.normal(size=n + 1)

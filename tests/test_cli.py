@@ -315,6 +315,14 @@ class TestInputErrors:
         assert code == 2
         assert "not valid JSON" in err
 
+    @pytest.mark.parametrize("text, kind", [("42", "a number"), ("null", "null"), ('"[1, 1]"', "a string")])
+    def test_json_that_is_neither_object_nor_array(self, text, kind, tmp_path, capsys):
+        path = tmp_path / "scalar.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "spectrum", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: mask document must be a JSON object or array, not {kind}\n"
+
     def test_mask_too_short(self, capsys):
         code, _, err = run(capsys, "spectrum", "[1]")
         assert code == 2
@@ -340,6 +348,31 @@ class TestInputErrors:
         assert code == 2
         assert out == ""
         assert f"coefficient {position} is too small" in err and "Traceback" not in err
+
+
+class TestArgumentParsing:
+    # argparse's own refusals, help and version return their exit code from
+    # main, as every other usage error does, instead of raising SystemExit
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["spectrum", BSPLINE3, "--interval", "-1", "1"], "error: unrecognized arguments: --interval -1 1"),
+            (["basis", BSPLINE3, "--level", "2.5"], "error: argument --level: invalid int value: '2.5'"),
+            (["frobnicate", BSPLINE3], "error: argument command: invalid choice: 'frobnicate'"),
+        ],
+        ids=["flag-not-taken", "non-integer-level", "unknown-subcommand"],
+    )
+    def test_refused_command_line_returns_two(self, argv, message, capsys):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: refinable")
+        assert message in err
+
+    def test_version_and_help_return_zero(self, capsys):
+        assert run(capsys, "--version") == (0, f"refinable {__version__}\n", "")
+        code, out, err = run(capsys, "verify", "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: refinable verify")
 
 
 @pytest.fixture(scope="module")
@@ -413,10 +446,7 @@ class TestConsoleScript:
         codes = []
         for name, args in runs:
             out = tmp_path / "in_process" / name
-            try:
-                code = main(argv(args, out))
-            except SystemExit as exc:
-                code = exc.code
+            code = main(argv(args, out))
             codes.append(code)
             captured = capsys.readouterr()
             fresh_out = tmp_path / "fresh" / name

@@ -29,7 +29,7 @@ from refinable.evaluate import MAX_LEVEL, translate_sum
 from refinable.extension import RuleExtender
 from refinable.spectral import CLUSTER_RTOL
 
-from conftest import GRID_MASK_NAMES, SQRT3, bits, grid_masks, make_mask
+from conftest import GRID_MASK_NAMES, SQRT3, bits, grid_masks, make_mask, make_scale
 
 
 def closed_form(name: str, x) -> np.ndarray:
@@ -235,6 +235,11 @@ class TestCascade:
         with pytest.raises(EvaluationError):
             rf.evaluate_phi(mask, MAX_LEVEL + 1)
         assert len(rf.evaluate_phi(mask, 0).values) == 2
+        # a non-integral level is refused, not truncated (3.7 gave level 3)
+        with pytest.raises(EvaluationError, match="got 3.7"):
+            rf.evaluate_phi(mask, 3.7)
+        phi = rf.evaluate_phi(mask, 3.0)
+        assert phi.level == 3 and type(phi.level) is int
 
 
 class TestHomogeneousBasis:
@@ -304,13 +309,31 @@ class TestHomogeneousBasis:
                 assert rf.homogeneity_residual(g) <= 1e-8 * ref
 
     def test_interval_and_level_validation(self):
-        mask = make_mask("haar")
+        spectral = rf.eigen_structure(make_scale("haar"))
         with pytest.raises(EvaluationError):
-            rf.build_homogeneous_basis(mask, interval=(1, 2), level=3)
+            rf.build_homogeneous_basis(spectral, interval=(1, 2), level=3)
         with pytest.raises(EvaluationError):
-            rf.build_homogeneous_basis(mask, interval=(0, 0), level=3)
+            rf.build_homogeneous_basis(spectral, interval=(0, 0), level=3)
         with pytest.raises(EvaluationError):
-            rf.build_homogeneous_basis(mask, interval=(-1, 1), level=-2)
+            rf.build_homogeneous_basis(spectral, interval=(-1, 1), level=-2)
+        # non-integral values are refused, not truncated: level 2.9 on
+        # (-1.5, 1.2) sampled level 2 on (-1, 1)
+        for level, interval in [(2.9, (-1, 1)), (2, (-1.5, 1)), (2, (-1, 1.2)), (2.9, (-1.5, 1.2))]:
+            with pytest.raises(EvaluationError, match="integer"):
+                rf.build_homogeneous_basis(spectral, level=level, interval=interval)
+        basis = rf.build_homogeneous_basis(spectral, level=2.0, interval=(-1.0, 2.0))
+        assert (basis.level, basis.interval) == (2, (-1, 2))
+
+    def test_unallocatable_grid_is_refused_before_the_cascade(self, monkeypatch):
+        from refinable import evaluate
+
+        def no_cascade(*args, **kwargs):
+            raise AssertionError("the cascade ran before the sample matrix was allocated")
+
+        monkeypatch.setattr(evaluate, "evaluate_phi", no_cascade)
+        spectral = rf.eigen_structure(make_scale("haar"))
+        with pytest.raises(EvaluationError, match="2 basis rows of 4000000000000000079538499354629 samples"):
+            rf.build_homogeneous_basis(spectral, level=2, interval=(-1, 1e30))
 
     def test_one_pass_extension_is_the_recursion(self, all_masks, pipeline):
         # orders and windows from one pass of predecessors, bit for bit the
@@ -345,7 +368,7 @@ class TestHomogeneousBasis:
         assert sorted(orders.values()) == [1, 1, 2]
         top = next(i for i, r in orders.items() if r == 2)
         with pytest.raises(EvaluationError):
-            rf.extend_vector(spectral.basis[top], spectral, spectral.rows[top].eigenvalue)
+            rf.extend_vector(spectral.basis[top], scale, spectral.rows[top].eigenvalue)
 
 
 class TestReconstruction:
@@ -360,8 +383,8 @@ class TestReconstruction:
             assert result.residual <= bound, (name, result.residual)
 
     def test_interval_must_cover_unit_interval(self):
-        mask = make_mask("bspline3")
-        basis = rf.build_homogeneous_basis(mask, level=4, interval=(-1, 0))
+        spectral = rf.eigen_structure(make_scale("bspline3"))
+        basis = rf.build_homogeneous_basis(spectral, level=4, interval=(-1, 0))
         with pytest.raises(EvaluationError):
             rf.reconstruct_phi(basis)
 
@@ -391,9 +414,10 @@ class TestDependency:
 
     def test_eigen_window_is_not_a_dependency(self):
         mask = make_mask("bspline3")
-        spectral = rf.eigen_structure(mask)
+        scale = rf.build_scale_matrices(mask)
+        spectral = rf.eigen_structure(scale)
         info = next(r for r in spectral.rows if abs(r.eigenvalue - 1) < 1e-9)
-        window = rf.extend_vector(spectral.basis[info.index], spectral, info.eigenvalue)
+        window = rf.extend_vector(spectral.basis[info.index], scale, info.eigenvalue)
         report = rf.verify_dependency(rf.evaluate_phi(mask, 6), window)
         assert report.max_residual > 1e-8 * report.scale
         assert report.max_residual > 1e-2
@@ -535,7 +559,8 @@ class TestConjugatePairs:
         assert not np.signbit(row.imag[zero]).any()
 
     def test_conjugate_window_reads_through_its_source(self):
-        basis = rf.build_homogeneous_basis(grid_masks()["grid_real12"], level=4)
+        spectral = rf.eigen_structure(rf.build_scale_matrices(grid_masks()["grid_real12"]))
+        basis = rf.build_homogeneous_basis(spectral, level=4)
         r, q = conjugate_pairs(basis.spectral)[0]
         view, source = basis.functions[r].window, basis.functions[q].window
         assert isinstance(view, rf.SequenceWindow) and view is not source
@@ -575,7 +600,7 @@ class TestConjugatePairs:
             return [(c + 1e-4j * tol if abs(c.imag) <= tol else c, m, s) for c, m, s in clusters(values, rtol)]
 
         monkeypatch.setattr(nm, "clusters", tilted)
-        spectral = rf.eigen_structure(mask)
+        spectral = rf.eigen_structure(rf.build_scale_matrices(mask))
         tilted_rows = [info for info in spectral.rows if 1e-13 < info.eigenvalue.imag <= 1e-6]
         assert len(tilted_rows) == 9
         assert all(info.conjugate_of is None for info in tilted_rows)
@@ -583,9 +608,9 @@ class TestConjugatePairs:
 
     @pytest.mark.parametrize("how", ["moved", "dropped"])
     def test_an_unpaired_complex_cluster_is_refused(self, how, monkeypatch):
-        mask = grid_masks()["grid_real12"]
+        scale = rf.build_scale_matrices(grid_masks()["grid_real12"])
         clusters = nm.clusters
-        values = np.linalg.eigvals(rf.build_scale_matrices(mask).full)
+        values = np.linalg.eigvals(scale.full)
         upper = max((c for c, _, _ in clusters(values, CLUSTER_RTOL)), key=lambda c: c.imag)
 
         def unpaired(values, rtol):
@@ -601,4 +626,4 @@ class TestConjugatePairs:
 
         monkeypatch.setattr(nm, "clusters", unpaired)
         with pytest.raises(rf.ClusteringError, match=rf"complex cluster {re.escape(f'{upper:.6g}')} has no conjugate partner"):
-            rf.eigen_structure(mask)
+            rf.eigen_structure(scale)

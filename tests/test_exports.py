@@ -1,18 +1,21 @@
 """The public names: a star import binds every name in ``__all__``, each
 name resolves, and the helpers that no pipeline stage called stay deleted.
 Each public callable takes each input once: no mask next to the object
-built from it, and no exact copy of data that an argument holds.
+built from it, and no exact copy of data that an argument holds. Each
+pipeline stage takes one input type, the one the pipeline hands it.
 """
 
 from __future__ import annotations
 
 import inspect
+import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import refinable as rf
-from refinable import diffeq, extension
+from refinable import diffeq, extension, spectral
 
 DELETED = (
     "ChainInfo",
@@ -87,3 +90,41 @@ def test_root_triples_follows_its_coefficients():
     fractions = diffeq.root_triples([2, Fraction(-3), 1])
     assert sorted(exact for _, _, exact in fractions) == [1, 2]
     assert all(type(exact) is Fraction for _, _, exact in fractions)
+
+
+BSPLINE3 = rf.mask_from_coefficients(["1/4", "3/4", "3/4", "1/4"])
+E0 = np.eye(4)[0]  # a left eigenvector for c_0 = 1/4
+# each stage as a function of its one input: ScaleMatrices, or for the
+# basis SpectralData
+STAGES = {
+    "eigen_structure": rf.eigen_structure,
+    "accuracy": rf.accuracy,
+    "independence_test": rf.independence_test,
+    "power_chain": lambda scale: spectral.power_chain(E0, scale, 0.25),
+    "minimal_order": lambda scale: rf.minimal_order(E0, scale, 0.25),
+    "extend_vector": lambda scale: rf.extend_vector(E0, scale, 0.25),
+    "build_homogeneous_basis": lambda spec: rf.build_homogeneous_basis(spec, level=2),
+}
+
+
+def _inputs():
+    scale = rf.build_scale_matrices(BSPLINE3)
+    return {"mask": BSPLINE3, "scale": scale, "spectral": rf.eigen_structure(scale)}
+
+
+@pytest.mark.parametrize("name", STAGES)
+def test_each_stage_takes_one_input_type(name):
+    inputs = _inputs()
+    taken = "spectral" if name == "build_homogeneous_basis" else "scale"
+    STAGES[name](inputs.pop(taken))
+    for value in inputs.values():
+        with pytest.raises(TypeError, match="ScaleMatrices" if taken == "scale" else "SpectralData"):
+            STAGES[name](value)
+
+
+def test_parse_mask_takes_the_json_text_only():
+    doc = {"coefficients": ["1/4", "3/4", "3/4", "1/4"]}
+    assert rf.parse_mask(json.dumps(doc)).exact == BSPLINE3.exact
+    for source in (doc, json.dumps(doc).encode()):
+        with pytest.raises(TypeError, match="str"):
+            rf.parse_mask(source)

@@ -23,7 +23,7 @@ from conftest import dense_subdivision, make_mask
 class TestSequenceWindow:
     def test_initial_values_and_bounds(self, corpus):
         mask = corpus["bspline3"]
-        spectral = rf.eigen_structure(mask)
+        spectral = rf.eigen_structure(rf.build_scale_matrices(mask))
         v = spectral.basis[1]
         w = rf.eigen_extend(v, None, spectral.scale, spectral.rows[1].eigenvalue)
         assert (w.lo, w.hi) == (0, mask.n + 1)

@@ -57,11 +57,13 @@ class TestParsing:
 
     def test_parse_mask_document(self):
         doc = {"name": "b", "coefficients": ["1/4", "3/4", "3/4", "1/4"]}
-        m = rf.parse_mask(doc)
+        m = rf.parse_mask(json.dumps(doc))
         assert m.name == "b"
         assert m.n == 3
-        m2 = rf.parse_mask(json.dumps(doc))
+        # the bare coefficient array is the same mask, unnamed
+        m2 = rf.parse_mask(json.dumps(doc["coefficients"]))
         assert m2.exact == m.exact
+        assert m2.name is None
 
     def test_c_accessor_is_zero_outside_support(self):
         m = make_mask("bspline3")
@@ -105,7 +107,15 @@ class TestParsing:
     )
     def test_parse_mask_rejects_bad_documents(self, doc):
         with pytest.raises(MaskError):
-            rf.parse_mask(doc)
+            rf.parse_mask(doc if isinstance(doc, str) else json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "text, kind",
+        [("42", "a number"), ("1.5", "a number"), ('"1, 1"', "a string"), ("true", "a boolean"), ("null", "null")],
+    )
+    def test_parse_mask_names_the_json_type_it_refuses(self, text, kind):
+        with pytest.raises(MaskError, match=f"^mask document must be a JSON object or array, not {kind}$"):
+            rf.parse_mask(text)
 
     @pytest.mark.parametrize("huge", ["1e400", "-1e400", 10**400, Fraction(10**400, 3)])
     def test_rejects_exact_coefficient_beyond_float_range(self, huge):

@@ -20,7 +20,7 @@ import refinable as rf
 from refinable.errors import SpectralError
 from refinable.spectral import VERDICT_DEPENDENT, VERDICT_INDEPENDENT
 
-from conftest import make_mask
+from conftest import make_mask, make_scale
 
 
 def chain_residual(spectral: rf.SpectralData, scale: rf.ScaleMatrices) -> float:
@@ -222,7 +222,7 @@ class TestEigenStructure:
 
 class TestExactMode:
     def test_bspline3_exact_spectrum(self):
-        spectral = rf.eigen_structure(make_mask("bspline3"), exact=True)
+        spectral = rf.eigen_structure(make_scale("bspline3"), exact=True)
         assert spectral.is_exact
         assert spectral.residual == 0.0
         exact = sorted(
@@ -236,8 +236,8 @@ class TestExactMode:
         import refinable.exact as xq
 
         for name in ("bspline3", "jordan13", "half", "haar"):
-            spectral = rf.eigen_structure(make_mask(name), exact=True)
-            scale = rf.build_scale_matrices(make_mask(name))
+            scale = make_scale(name)
+            spectral = rf.eigen_structure(scale, exact=True)
             basis = [list(row) for row in spectral.exact_basis]
             jordan = [list(row) for row in spectral.exact_jordan]
             lhs = xq.mat_mul(basis, scale.exact_rows())
@@ -252,10 +252,11 @@ class TestExactMode:
     def test_exact_mode_requires_rational_spectrum(self):
         # rational mask whose core has irrational eigenvalues
         mask = rf.mask_from_coefficients(["1/2", "1/4", "1", "3/4", "1/2"], name="irr")
+        scale = rf.build_scale_matrices(mask)
         with pytest.raises(SpectralError):
-            rf.eigen_structure(mask, exact=True)
+            rf.eigen_structure(scale, exact=True)
         # auto mode falls back to float and records why
-        spectral = rf.eigen_structure(mask)
+        spectral = rf.eigen_structure(scale)
         assert not spectral.is_exact
         assert "with no rational root" in spectral.exact_fallback
 
@@ -265,7 +266,7 @@ class TestExactMode:
         mask = rf.mask_from_coefficients(
             ["65/16", "93/16", "7/16", "33/8", "-9/8", "-7/16", "-29/16", "-1/16", "-9/16", "-135/16"]
         )
-        spectral = rf.eigen_structure(mask)
+        spectral = rf.eigen_structure(rf.build_scale_matrices(mask))
         assert not spectral.is_exact
         assert spectral.exact_fallback == (
             "exact spectral mode needs a fully rational spectrum; "
@@ -273,32 +274,33 @@ class TestExactMode:
         )
 
     def test_no_fallback_reason_without_a_fallback(self):
-        assert rf.eigen_structure(make_mask("bspline3")).exact_fallback is None
-        assert rf.eigen_structure(make_mask("bspline3"), exact=False).exact_fallback is None
-        assert rf.eigen_structure(make_mask("d4")).exact_fallback is None
+        assert rf.eigen_structure(make_scale("bspline3")).exact_fallback is None
+        assert rf.eigen_structure(make_scale("bspline3"), exact=False).exact_fallback is None
+        assert rf.eigen_structure(make_scale("d4")).exact_fallback is None
 
     def test_bspline_orders_1_to_24_match_the_recorded_structure(self):
         for order in range(1, 25):
-            spectral = rf.eigen_structure(bspline(order), exact=True)
+            spectral = rf.eigen_structure(rf.build_scale_matrices(bspline(order)), exact=True)
             assert spectral.is_exact and spectral.residual == 0.0, order
             groups = [(str(g.exact_eigenvalue), g.algebraic, g.chain_lengths) for g in spectral.groups]
             assert groups == BSPLINE_EXACT_GROUPS[order], order
 
     def test_exact_mode_rejects_float_mask(self):
         with pytest.raises(SpectralError):
-            rf.eigen_structure(make_mask("d4"), exact=True)
+            rf.eigen_structure(make_scale("d4"), exact=True)
 
     def test_random_short_rational_masks_have_zero_residual(self):
         for mask in short_rational_masks():
-            spectral = rf.eigen_structure(mask, exact=True)
+            spectral = rf.eigen_structure(rf.build_scale_matrices(mask), exact=True)
             assert spectral.is_exact and spectral.residual == 0.0
 
     def test_float_and_exact_paths_agree_on_the_structure(self, corpus):
         masks = [m for m in corpus.values() if m.is_rational]
         masks += [bspline(order) for order in range(1, 11)] + short_rational_masks()
         for mask in masks:
-            exact = rf.eigen_structure(mask, exact=True)
-            flt = rf.eigen_structure(mask, exact=False)
+            scale = rf.build_scale_matrices(mask)
+            exact = rf.eigen_structure(scale, exact=True)
+            flt = rf.eigen_structure(scale, exact=False)
             for attr in ("jordan_canonical", "convention_first", "convention_last"):
                 assert getattr(exact, attr) == getattr(flt, attr), (mask.name, attr)
             assert [(g.algebraic, g.geometric, g.chain_lengths) for g in exact.groups] == [
@@ -316,8 +318,7 @@ class TestExactMode:
 @pytest.mark.parametrize("exact", [None, False])  # exact and float insertion layouts
 class TestJordan13:
     def test_insertion_mode_with_true_chain_lengths(self, exact):
-        mask = make_mask("jordan13")
-        spectral = rf.eigen_structure(mask, exact=exact)
+        spectral = rf.eigen_structure(make_scale("jordan13"), exact=exact)
         assert spectral.is_exact == (exact is None)
         assert not spectral.jordan_canonical
         group = next(g for g in spectral.groups if abs(g.eigenvalue - 1 / 3) < 1e-9)
@@ -329,9 +330,8 @@ class TestJordan13:
     def test_two_chain_bottom_is_the_corner_difference(self, exact):
         # the length-2 chain bottom must lie in ker(T - I/3) ∩ im(T - I/3),
         # which is spanned by e_0 - e_3; recover it from the kept chain row
-        mask = make_mask("jordan13")
-        scale = rf.build_scale_matrices(mask)
-        spectral = rf.eigen_structure(mask, exact=exact)
+        scale = make_scale("jordan13")
+        spectral = rf.eigen_structure(scale, exact=exact)
         lam = 1.0 / 3.0
         tops = [
             r
@@ -399,19 +399,19 @@ class TestSpectrumOf:
 
 class TestAccuracy:
     def test_bspline3_polynomials(self):
-        acc = rf.accuracy(make_mask("bspline3"), exact=True)
+        acc = rf.accuracy(make_scale("bspline3"), exact=True)
         assert acc.order == 3
         assert acc.exact_coefficients[0] == (Fraction(1),)
         assert acc.exact_coefficients[1] == (Fraction(3, 2), Fraction(-1))
         assert acc.exact_coefficients[2] == (Fraction(2), Fraction(-3), Fraction(1))
 
     def test_leading_coefficient_is_signed_unit(self):
-        acc = rf.accuracy(make_mask("bspline3"))
+        acc = rf.accuracy(make_scale("bspline3"))
         for s, coeffs in enumerate(acc.coefficients):
             assert coeffs[-1] == pytest.approx((-1.0) ** s)
 
     def test_d4_order_two(self):
-        acc = rf.accuracy(make_mask("d4"))
+        acc = rf.accuracy(make_scale("d4"))
         assert acc.order == 2
         # first moment of the reproduction polynomial: (3 - sqrt(3)) / 2
         assert acc.coefficients[1][0].real == pytest.approx(
@@ -422,46 +422,46 @@ class TestAccuracy:
         # the float residual of an exact solution grows with k^p; it must
         # not veto a degree (orders 22-24 used to come out as 20, 21, 21)
         for order in range(1, 25):
-            assert rf.accuracy(bspline(order), exact=True).order == order
+            assert rf.accuracy(rf.build_scale_matrices(bspline(order)), exact=True).order == order
 
     def test_float_bspline_accuracy_equals_the_order(self):
         # (1 + z)^m divides the symbol; the float path that solved a
         # Vandermonde nullspace per degree gave 8, 8, 7, 7, 7, 6, ..., 5 for
         # orders 9-24
         for order in range(1, 25):
-            assert rf.accuracy(bspline(order), exact=False).order == order
+            assert rf.accuracy(rf.build_scale_matrices(bspline(order)), exact=False).order == order
 
     @pytest.mark.parametrize("order", [10, 16, 20])
     def test_perturbed_float_bspline_keeps_its_order(self, order):
         rng = np.random.default_rng(order)
         c = bspline(order).coefficients.real
         mask = rf.mask_from_coefficients(list(c * (1 + 1e-15 * rng.standard_normal(order + 1))))
-        assert rf.accuracy(mask).order == order
+        assert rf.accuracy(rf.build_scale_matrices(mask)).order == order
 
     @pytest.mark.filterwarnings("ignore::refinable.MaskSumWarning")
     @pytest.mark.parametrize("coeffs", [["1/2", "1/2"], ["1/8", "3/8", "3/8", "1/8"]])
     def test_sum_rules_without_sum_two_give_order_zero(self, coeffs):
         # (1 + z) divides the symbol, but the constants are reproduced only
         # when the mask sums to 2
-        mask = rf.mask_from_coefficients(coeffs)
+        scale = rf.build_scale_matrices(rf.mask_from_coefficients(coeffs))
         for exact in (True, False):
-            assert rf.accuracy(mask, exact=exact).order == 0
+            assert rf.accuracy(scale, exact=exact).order == 0
 
     def test_exact_and_float_agree_on_worked_masks(self):
         for name in ("bspline3", "half", "jordan13"):
-            mask = make_mask(name)
-            exact, flt = rf.accuracy(mask, exact=True), rf.accuracy(mask, exact=False)
+            scale = make_scale(name)
+            exact, flt = rf.accuracy(scale, exact=True), rf.accuracy(scale, exact=False)
             assert exact.order == flt.order
             for want, got in zip(exact.exact_coefficients, flt.coefficients):
                 np.testing.assert_allclose(got, [float(x) for x in want], rtol=1e-14)
 
     def test_exact_accuracy_needs_a_rational_mask(self):
         with pytest.raises(SpectralError):
-            rf.accuracy(make_mask("d4"), exact=True)
+            rf.accuracy(make_scale("d4"), exact=True)
 
     def test_jordan13_and_half_order_one(self):
-        assert rf.accuracy(make_mask("jordan13")).order == 1
-        assert rf.accuracy(make_mask("half")).order == 1
+        assert rf.accuracy(make_scale("jordan13")).order == 1
+        assert rf.accuracy(make_scale("half")).order == 1
 
     def test_eigen_residuals_verified(self, all_masks, pipeline):
         for mask in all_masks[:20]:
@@ -474,7 +474,7 @@ class TestAccuracy:
 
 class TestIndependence:
     def test_half_is_dependent_and_consistent(self):
-        result = rf.independence_test(make_mask("half"))
+        result = rf.independence_test(make_scale("half"))
         assert result.verdict == VERDICT_DEPENDENT
         assert result.gcd_degree == 1
         assert result.kernel_dimension == 1
@@ -483,7 +483,7 @@ class TestIndependence:
         assert result.diagnostic is None
 
     def test_bspline3_not_contradicted(self):
-        result = rf.independence_test(make_mask("bspline3"))
+        result = rf.independence_test(make_scale("bspline3"))
         assert result.verdict == VERDICT_INDEPENDENT
         assert result.gcd_degree == 0
         assert result.core_invertible
@@ -491,11 +491,11 @@ class TestIndependence:
 
     def test_verdicts_never_claim_independence(self, all_masks):
         for mask in all_masks[:30]:
-            verdict = rf.independence_test(mask).verdict
+            verdict = rf.independence_test(rf.build_scale_matrices(mask)).verdict
             assert verdict in (VERDICT_DEPENDENT, VERDICT_INDEPENDENT)
 
     def test_haar_has_empty_core(self):
-        result = rf.independence_test(make_mask("haar"))
+        result = rf.independence_test(make_scale("haar"))
         assert result.core_invertible  # vacuously: the core is 0 x 0
         assert result.gcd_degree == 0
 
@@ -516,7 +516,7 @@ class TestIndependence:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", rf.MaskSumWarning)
             mask = rf.mask_from_coefficients(coeffs)
-        result = rf.independence_test(mask)
+        result = rf.independence_test(rf.build_scale_matrices(mask))
         assert result.gcd_degree == degree
         assert result.gcd[-1] == 1  # monic
         np.testing.assert_allclose(result.gcd, gcd, atol=1e-12)
@@ -535,7 +535,7 @@ class TestIndependence:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", rf.MaskSumWarning)
             mask = rf.mask_from_coefficients(list(coeffs * 2 / coeffs.sum()))
-        result = rf.independence_test(mask)
+        result = rf.independence_test(rf.build_scale_matrices(mask))
         assert result.gcd_degree == 2
         assert result.kernel_dimension == 1
         assert not result.core_invertible
@@ -554,11 +554,11 @@ class TestFloatSingleAttempt:
         # eigenvalues without an error, so a refusal is the right answer
         for order in range(1, 25):
             try:
-                flt = rf.eigen_structure(bspline(order), exact=False)
+                flt = rf.eigen_structure(rf.build_scale_matrices(bspline(order)), exact=False)
             except rf.ClusteringError:
                 assert order >= 18, order
                 continue
-            ref = rf.eigen_structure(bspline(order), exact=True)
+            ref = rf.eigen_structure(rf.build_scale_matrices(bspline(order)), exact=True)
             assert jordan_structure(flt) == jordan_structure(ref), order
             got = np.array([g.eigenvalue for g in flt.groups])
             want = np.array([g.eigenvalue for g in ref.groups])
@@ -571,19 +571,19 @@ class TestFloatSingleAttempt:
         # float checks
         coeffs = ["-5/128", "-37/128", "-113/128", "-43/32", "-49/64", "49/64",
                   "119/64", "53/32", "103/128", "27/128", "3/128"]
-        ref = rf.eigen_structure(rf.mask_from_coefficients(coeffs), exact=True)
+        ref = rf.eigen_structure(rf.build_scale_matrices(rf.mask_from_coefficients(coeffs)), exact=True)
         pair = next(g for g in ref.groups if g.exact_eigenvalue == Fraction(3, 128))
         assert pair.chain_lengths == (2,)
         floats = rf.mask_from_coefficients([float(Fraction(c)) for c in coeffs])
         try:
-            flt = rf.eigen_structure(floats, exact=False)
+            flt = rf.eigen_structure(rf.build_scale_matrices(floats), exact=False)
         except rf.ClusteringError:
             return
         assert jordan_structure(flt) == jordan_structure(ref)
 
     def test_refusal_carries_the_eigenvalues(self):
         with pytest.raises(rf.ClusteringError, match="rtol 1e-08") as info:
-            rf.eigen_structure(bspline(18), exact=False)
+            rf.eigen_structure(rf.build_scale_matrices(bspline(18)), exact=False)
         assert len(info.value.values) == 19
         want = sorted(2.0**-s for s in range(18)) + [2.0**-17]
         np.testing.assert_allclose(sorted(v.real for v in info.value.values), sorted(want), atol=1e-3)
@@ -595,8 +595,8 @@ class TestFloatSingleAttempt:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", rf.MaskSumWarning)
             mask = rf.mask_from_coefficients([0.5 + eps, 1.0, 0.5, 1.0, 0.5 - eps])
-        spectral = rf.eigen_structure(mask)
         scale = rf.build_scale_matrices(mask)
+        spectral = rf.eigen_structure(scale)
         lhs = spectral.basis @ scale.full
         rhs = spectral.jordan @ spectral.basis
         assert np.abs(lhs - rhs).max() <= 1e-6

@@ -15,7 +15,7 @@ from refinable import evaluate, verify
 from refinable.diffeq import CombinationRule
 from refinable.extension import RuleExtender
 
-from conftest import make_mask
+from conftest import make_mask, make_scale
 
 CHECK_NAMES = [
     "spectrum-decomposition",
@@ -191,7 +191,7 @@ def with_nan_sample(phi):
 
 
 def stage(name):
-    spectral = rf.eigen_structure(make_mask(name))
+    spectral = rf.eigen_structure(make_scale(name))
     return spectral, rf.build_homogeneous_basis(spectral, level=LEVEL)
 
 
