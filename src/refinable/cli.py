@@ -17,6 +17,7 @@ import argparse
 import functools
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -28,7 +29,7 @@ from .evaluate import (
     homogeneity_residual,
     reconstruct_phi,
 )
-from .mask import Mask, build_scale_matrices, parse_mask
+from .mask import Mask, MaskSumWarning, build_scale_matrices, parse_mask
 from .report import dump_csv, dump_json
 from .spectral import accuracy, eigen_structure, independence_test
 from .verify import run_battery
@@ -297,21 +298,32 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _show_warning(show, message, category, filename, lineno, file=None, line=None):
+    """Print a package warning as one ``warning: <message>`` line on stderr,
+    with no source location; hand any other warning to ``show``."""
+    if issubclass(category, MaskSumWarning):
+        print(f"warning: {message}", file=sys.stderr)
+    else:
+        show(message, category, filename, lineno, file, line)
+
+
 def main(argv=None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse has printed the help, the version or its refusal (code 2)
         return exc.code
-    try:
-        return args.func(args)
-    except (UsageError, MaskError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RefinableError, MemoryError) as exc:
-        # numpy refuses an oversized grid allocation at once with a MemoryError
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = functools.partial(_show_warning, warnings.showwarning)
+        try:
+            return args.func(args)
+        except (UsageError, MaskError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (RefinableError, MemoryError) as exc:
+            # numpy refuses an oversized grid allocation at once with a MemoryError
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -23,14 +23,16 @@ element by element and in the same order. Each factor is a numpy scalar,
 so the operand order of the complex product, which is not bitwise
 commutative, does not depend on whether numpy reuses a temporary array.
 
-The grid takes its number type from the input. For a real mask whose
-integer samples are real, phi is ``float64``, and ``translate_sum`` sums
-the real and the imaginary parts of its coefficients times each real
-slice in one ``float64`` accumulator. The samples keep their bits: a
-complex product with one factor of imaginary part exactly zero rounds each
-part once, to the real product, and every accumulator starts at +0, so the
-signs of zero wash out. The h rows stay ``complex128``, as rows of one
-sample matrix per basis.
+The cascade runs in ``float64`` when no mask coefficient and no integer
+sample has a nonzero imaginary part, as for every mask the command line
+reads, and in ``complex128`` otherwise. ``translate_sum`` has one loop for
+either: each product is complex, and the h rows are ``complex128``, rows
+of one sample matrix per basis. ``build_homogeneous_basis`` gives its row
+sums one complex copy of phi, made once per basis, so that no product
+converts its slice again. The samples keep the bits of real arithmetic: a
+complex product in which one factor has an imaginary part of exactly zero
+rounds each part once, to the real product, and every sum starts at +0, so
+the signs of zero wash out.
 
 For a real mask the spectral layer builds the rows of conj(lambda) as the
 conjugates of the rows of lambda (``RowInfo.conjugate_of``), and
@@ -46,7 +48,7 @@ row on its own values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
@@ -174,11 +176,10 @@ def translate_sum(phi: PhiValues, coeffs, lo: int, hi: int, out: np.ndarray | No
 
     ``coeffs`` holds one value for each k = -hi..N-lo, the translates that
     meet [lo, hi]. Zero coefficients are skipped; every other k adds y times
-    one contiguous slice of phi, in ascending k. On a real phi the real and
-    imaginary parts of y multiply the real slice apart, in ``float64``,
-    which is the complex product with a zero imaginary part. The sum goes
-    into ``out``, a zeroed ``complex128`` row (a new one by default), which
-    is returned.
+    one contiguous slice of phi, in ascending k, into ``out``, a zeroed
+    ``complex128`` row (a new one by default), which is returned. A real
+    slice is made complex for each product; a caller with many sums over
+    one real phi passes a complex copy of it instead.
     """
     step = 2**phi.level
     out_len = (hi - lo) * step + 1
@@ -190,30 +191,14 @@ def translate_sum(phi: PhiValues, coeffs, lo: int, hi: int, out: np.ndarray | No
         )
     if out is None:
         out = np.zeros(out_len, dtype=complex)
-    coeffs = np.asarray(coeffs, dtype=complex)
-    real = not np.iscomplexobj(values)
-    if real:
-        # one float64 accumulator, a row for the real parts of the sum and
-        # one for the imaginary parts when a coefficient has them: its
-        # contiguous rows, copied into the row at the end, sum faster than
-        # the strided parts of the row, and the slices stay real
-        ys = np.array([coeffs.real, coeffs.imag] if coeffs.imag.any() else [coeffs.real])
-        acc = np.zeros((len(ys), out_len))
-    for i, y in enumerate(coeffs):
+    for i, y in enumerate(np.asarray(coeffs, dtype=complex)):
         if y == 0:
             continue
         shift = (lo - hi + i) * step  # out[j] reads phi[j + shift]: x + k, k = i - hi
         a, b = max(0, -shift), min(out_len, n_phi - shift)
         if a >= b:
             continue
-        if real:
-            acc[:, a:b] += ys[:, i : i + 1] * values[a + shift : b + shift]
-        else:
-            out[a:b] += y * values[a + shift : b + shift]
-    if real:
-        out.real = acc[0]
-        if len(acc) == 2:
-            out.imag = acc[1]
+        out[a:b] += y * values[a + shift : b + shift]
     return out
 
 
@@ -344,6 +329,9 @@ def build_homogeneous_basis(
             f"{shape[0]} basis rows of {shape[1]} samples are more than an array can hold"
         ) from exc
     phi = evaluate_phi(mask, level)
+    # the row sums read phi as complex, copied once for a real phi, so that
+    # no product converts its slice
+    sums_phi = replace(phi, values=phi.values.astype(complex, copy=False))
     # a row that conjugates another (only a real mask, with a real phi, has
     # them) is its pair's extension and samples, conjugated; pairs first
     orders, windows = {}, {}
@@ -351,7 +339,7 @@ def build_homogeneous_basis(
         r, pair = info.index, info.conjugate_of
         if pair is None:
             orders[r], windows[r] = _extension(spectral.basis[r], spectral.scale, info.eigenvalue)
-            translate_sum(phi, windows[r].values(-hi, mask.n - lo + 1), lo, hi, out=samples[r])
+            translate_sum(sums_phi, windows[r].values(-hi, mask.n - lo + 1), lo, hi, out=samples[r])
         else:
             orders[r], windows[r] = orders[pair], windows[pair].conjugate()
             np.conjugate(samples[pair], out=samples[r])

@@ -6,10 +6,10 @@ ascending coefficient lists. The scale matrix of a degree-N mask is
 in N: the characteristic polynomial is computed over the integers and
 rational roots are found from float roots checked by exact evaluation.
 
-The gcd, the squarefree split and the root split take and return monic
-Fractions but clear each polynomial to a primitive integer one: gcds run
-the primitive remainder sequence, Yun's algorithm divides by them with
-exact integer quotients, a candidate root p/q is tested by the integer
+The gcd and the root split take and return monic Fractions but clear
+each polynomial to a primitive integer one: gcds run the primitive
+remainder sequence, the root split's squarefree factors come from Yun's
+algorithm, which divides by them with exact integer quotients, a candidate root p/q is tested by the integer
 sum of a_i p^i q^(d-i) and divided out by q x - p. Monic factors and
 gcds are unique, so the results are the ones Fraction arithmetic gives.
 
@@ -320,11 +320,6 @@ def _squarefree(f):
 def poly_gcd(p, q):
     """Monic gcd; [] when both are zero."""
     return poly_monic(_gcd(_integer_poly(p), _integer_poly(q)))
-
-
-def squarefree_factors(p):
-    """Yun's algorithm: list of (factor, multiplicity), factors monic."""
-    return [(poly_monic(a), i) for a, i in _squarefree(_integer_poly(p))]
 
 
 def _convergents(num: int, den: int, max_den: int):

@@ -112,8 +112,9 @@ def mask_from_coefficients(values, name=None) -> Mask:
     else:
         off = abs(total - 2.0) > 1e-12
     if off:
+        shown = total if total.imag else total.real  # a real sum reads as a real number
         warnings.warn(
-            f"mask coefficients sum to {total:.6g}, not 2; continuing (scale is a free choice)",
+            f"mask coefficients sum to {shown:.6g}, not 2; continuing (scale is a free choice)",
             MaskSumWarning,
             stacklevel=2,
         )

@@ -70,6 +70,15 @@ def _worst(residuals) -> float:
     return float(np.max(residuals, initial=0.0))
 
 
+def _residual_check(name: str, residuals, tolerance: float, detail: str) -> CheckResult:
+    """The check that passes when the worst of the residuals is at most the
+    tolerance; a NaN residual fails it."""
+    worst = _worst(residuals)
+    return CheckResult(
+        name=name, passed=worst <= tolerance, residual=worst, tolerance=tolerance, detail=detail
+    )
+
+
 def _expand(spectrum):
     out = []
     for value, mult, _ in spectrum:
@@ -100,14 +109,12 @@ def _check_spectrum(scale, tol) -> CheckResult:
     d_full = _multiset_distance(full, core + [c0, cn])
     d_head = _multiset_distance(head, core + [c0])
     d_tail = _multiset_distance(tail, core + [cn])
-    worst = _worst([d_full, d_head, d_tail])
     scale_ref = max(1.0, float(np.abs(scale.full).max()))
-    return CheckResult(
-        name="spectrum-decomposition",
-        passed=worst <= tol * scale_ref * 10,
-        residual=worst,
-        tolerance=tol * scale_ref * 10,
-        detail="eig(T) = {c0, cN} + eig(M); eig(T0) = {c0} + eig(M); eig(T1) = {cN} + eig(M)",
+    return _residual_check(
+        "spectrum-decomposition",
+        [d_full, d_head, d_tail],
+        tol * scale_ref * 10,
+        "eig(T) = {c0, cN} + eig(M); eig(T0) = {c0} + eig(M); eig(T1) = {cN} + eig(M)",
     )
 
 
@@ -125,13 +132,11 @@ def _jordan_residual(spectral: SpectralData) -> float:
 
 def _check_jordan(spectral: SpectralData, tol) -> CheckResult:
     scale_ref = max(1.0, float(np.abs(spectral.scale.full).max()))
-    residual = _jordan_residual(spectral)
-    return CheckResult(
-        name="jordan-identity",
-        passed=residual <= tol * scale_ref,
-        residual=residual,
-        tolerance=tol * scale_ref,
-        detail="max |basis T - jordan basis|"
+    return _residual_check(
+        "jordan-identity",
+        [_jordan_residual(spectral)],
+        tol * scale_ref,
+        "max |basis T - jordan basis|"
         + ("" if spectral.jordan_canonical else " (insertion mode, similarity jordan)"),
     )
 
@@ -175,24 +180,20 @@ def _check_extension(basis: HomogeneousBasis, tol) -> CheckResult:
         rhs = lam * f.window.values(n_lo, n_hi + 1) + prev
         scale_ref = max(1.0, float(np.abs(y_vals).max(initial=0.0)))
         residuals.append(float(np.abs(lhs - rhs).max(initial=0.0)) / scale_ref)
-    worst = _worst(residuals)
-    return CheckResult(
-        name="extension-recurrence",
-        passed=worst <= tol,
-        residual=worst,
-        tolerance=tol,
-        detail="Y L = lam Y + Y_prev rechecked through the subdivision operator",
+    return _residual_check(
+        "extension-recurrence",
+        residuals,
+        tol,
+        "Y L = lam Y + Y_prev rechecked through the subdivision operator",
     )
 
 
 def _check_homogeneity(basis: HomogeneousBasis, scales, tol) -> CheckResult:
-    worst = _worst([homogeneity_residual(f) / s for f, s in zip(basis.functions, scales)])
-    return CheckResult(
-        name="homogeneity",
-        passed=worst <= tol,
-        residual=worst,
-        tolerance=tol,
-        detail="sum_k C(r,k)(-lam)^(r-k) h(x/2^k) = 0 on the dyadic grid",
+    return _residual_check(
+        "homogeneity",
+        [homogeneity_residual(f) / s for f, s in zip(basis.functions, scales)],
+        tol,
+        "sum_k C(r,k)(-lam)^(r-k) h(x/2^k) = 0 on the dyadic grid",
     )
 
 
@@ -202,26 +203,22 @@ def _check_origin(basis: HomogeneousBasis, scales, tol) -> CheckResult:
         for f, scale_ref in zip(basis.functions, scales)
         if not abs(f.eigenvalue - 1.0) <= 1e-6
     ]
-    worst, checked = _worst(residuals), len(residuals)
-    return CheckResult(
-        name="zero-at-origin",
-        passed=worst <= tol,
-        residual=worst,
-        tolerance=tol,
-        detail=f"h(0) = 0 for the {checked} rows with eigenvalue != 1",
+    return _residual_check(
+        "zero-at-origin",
+        residuals,
+        tol,
+        f"h(0) = 0 for the {len(residuals)} rows with eigenvalue != 1",
     )
 
 
 def _check_reconstruction(basis: HomogeneousBasis, tol) -> CheckResult:
     rec = reconstruct_phi(basis)
     scale_ref = max(1.0, float(np.abs(rec.reference).max(initial=0.0)))
-    bound = tol * max(1.0, rec.condition) * scale_ref
-    return CheckResult(
-        name="reconstruction",
-        passed=rec.residual <= bound,
-        residual=rec.residual,
-        tolerance=bound,
-        detail=f"phi on [0,1] from the h rows; basis block condition {rec.condition:.6g}",
+    return _residual_check(
+        "reconstruction",
+        [rec.residual],
+        tol * max(1.0, rec.condition) * scale_ref,
+        f"phi on [0,1] from the h rows; basis block condition {rec.condition:.6g}",
     )
 
 
@@ -238,13 +235,11 @@ def _check_accuracy(spectral: SpectralData, phi, tol) -> CheckResult:
         target = xs.astype(complex) ** s
         scale_ref = max(1.0, float(np.abs(coeffs).max()))
         residuals.append(float(np.abs(g - target).max()) / scale_ref)
-    worst = _worst(residuals)
-    return CheckResult(
-        name="accuracy-reproduction",
-        passed=worst <= tol,
-        residual=worst,
-        tolerance=tol,
-        detail=f"sum_k p_s(k) phi(x+k) = x^s on [0,1] for s < {acc.order}",
+    return _residual_check(
+        "accuracy-reproduction",
+        residuals,
+        tol,
+        f"sum_k p_s(k) phi(x+k) = x^s on [0,1] for s < {acc.order}",
     )
 
 
@@ -262,14 +257,12 @@ def _check_independence(spectral: SpectralData, phi, tol):
     if result.gcd_degree > 0:
         kernel = kernel_of_L(spectral.scale.mask)
         reports = [verify_dependency(phi, w) for w in kernel.windows]
-        worst = _worst([r.max_residual / r.scale for r in reports])
         checks.append(
-            CheckResult(
-                name="dependency-witness",
-                passed=worst <= tol,
-                residual=worst,
-                tolerance=tol,
-                detail=f"{kernel.dimension} kernel sequences annihilate the translates",
+            _residual_check(
+                "dependency-witness",
+                [r.max_residual / r.scale for r in reports],
+                tol,
+                f"{kernel.dimension} kernel sequences annihilate the translates",
             )
         )
     return checks

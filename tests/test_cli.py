@@ -350,6 +350,30 @@ class TestInputErrors:
         assert f"coefficient {position} is too small" in err and "Traceback" not in err
 
 
+SUM_WARNING = "warning: mask coefficients sum to {}, not 2; continuing (scale is a free choice)\n"
+
+
+class TestWarnings:
+    # a package warning is one line on stderr, with no source location, and
+    # a real sum reads as a real number
+    @pytest.mark.parametrize(
+        "mask, total",
+        [("[1, 1, 1]", "3"), ('{"coefficients": [1, 1, 1]}', "3"), ("[0.5, 0.5, 0.5]", "1.5")],
+    )
+    def test_sum_warning_is_one_line(self, mask, total, capsys):
+        code, out, err = run(capsys, "spectrum", mask)
+        assert code == 0
+        assert json.loads(out)["mask"]["degree"] == 2
+        assert err == SUM_WARNING.format(total)
+
+    def test_sum_warning_comes_before_the_error(self, capsys):
+        code, _, err = run(capsys, "verify", '["1/2", "1/2"]', "--level", "4")
+        assert code == 1
+        first, second = err.splitlines(keepends=True)
+        assert first == SUM_WARNING.format("1")
+        assert second.startswith("error: ")
+
+
 class TestArgumentParsing:
     # argparse's own refusals, help and version return their exit code from
     # main, as every other usage error does, instead of raising SystemExit
@@ -409,6 +433,15 @@ class TestConsoleScript:
             env=subprocess_env(),
         )
         assert proc.returncode == 2
+
+    def test_sum_warning_bytes(self, script):
+        proc = subprocess.run(
+            [*script, "spectrum", "[1,1,1]"],
+            capture_output=True,
+            env=subprocess_env(),
+            check=True,
+        )
+        assert proc.stderr == SUM_WARNING.format("3").encode()
 
     def test_reports_are_byte_identical_across_processes(self, script):
         # byte-determinism across two fresh processes, the trailing newline

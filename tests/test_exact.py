@@ -528,31 +528,6 @@ class TestPolynomials:
         assert xq.poly_gcd([Fraction(0), Fraction(-4)], []) == x
         assert xq.poly_gcd([], [Fraction(0)]) == []
 
-    def test_squarefree_factors(self):
-        # p = (x-1)^2 (x+3)
-        p = poly_mul(
-            poly_mul([Fraction(-1), Fraction(1)], [Fraction(-1), Fraction(1)]),
-            [Fraction(3), Fraction(1)],
-        )
-        factors = xq.squarefree_factors(p)
-        flat = {}
-        for factor, mult in factors:
-            flat[tuple(xq.poly_monic(factor))] = mult
-        assert flat[(Fraction(-1), Fraction(1))] == 2
-        assert flat[(Fraction(3), Fraction(1))] == 1
-        assert xq.squarefree_factors([]) == xq.squarefree_factors([Fraction(-5, 2)]) == []
-
-    def test_squarefree_factors_equal_fraction_yun(self):
-        rng = np.random.default_rng(20261020)
-        for _ in range(150):
-            p = random_split_polynomial(rng)
-            if rng.random() < 0.3:
-                p = poly_mul(p, [Fraction(0)] * int(rng.integers(1, 4)) + [Fraction(1)])  # zero roots
-            want = squarefree_factors_fraction(p)
-            for v in rescaled(p):
-                got = xq.squarefree_factors(v)
-                assert got == want and all(all_fractions([f]) for f, _ in got), v
-
     def test_rational_roots_with_multiplicity(self):
         # p = (x - 1/2)^2 (x + 3) (x^2 + 1): rational part found exactly,
         # irrational/complex part returned as a leftover factor.
@@ -642,7 +617,6 @@ class TestRationalRoots:
         # polynomials repeat roots 2^-s and, cleared to integers, lead with up to 2^299
         hard = xq.charpoly(rf.build_scale_matrices(rf.mask_from_coefficients(HARD_N9)).exact_rows())
         for p in [hard] + [bspline_charpoly(m) for m in range(1, 25)]:
-            want_factors, want_split = squarefree_factors_fraction(p), rational_roots_fraction(p)
+            want = rational_roots_fraction(p)
             for v in rescaled(p)[::2]:
-                assert xq.squarefree_factors(v) == want_factors
-                assert xq.rational_roots(v) == want_split
+                assert xq.rational_roots(v) == want

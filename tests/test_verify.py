@@ -229,6 +229,16 @@ def test_a_nan_eigenvalue_gives_a_nan_distance():
     assert verify._multiset_distance([1, 2], [2, 1]) == 0.0
 
 
+@pytest.mark.parametrize(
+    "residuals, worst, passed",
+    [([], 0.0, True), ([0.5, 1.0], 1.0, True), ([1.0, 1.5], 1.5, False), ([1.0, np.nan, 0.0], np.nan, False)],
+)
+def test_every_residual_check_passes_at_most_its_tolerance(residuals, worst, passed):
+    result = verify._residual_check("x", residuals, 1.0, "d")
+    assert result == verify.CheckResult("x", passed, result.residual, 1.0, "d")
+    np.testing.assert_equal(result.residual, worst)
+
+
 def test_dependency_witness_is_judged_as_reported():
     # each window's residual is relative to max(1, max |Y|) max(1, max |phi|),
     # far from 1 for this mask, and the verdict is residual <= tolerance

@@ -33,15 +33,20 @@ integer samples and exact zeros of exact-mode rows reach the CSV writer.
 whose even and odd polynomials share a factor of degree 2: a double
 rational root, the same mask in floats, a complex pair and an irrational
 pair, which the pools' masks (gcd degree at most 1, rational root) never
-reach in ``kernel_of_L``.  ``errors`` runs fixed argv that fail: bad
+reach in ``kernel_of_L``.  It runs them too on a float mask whose
+polynomials share ``1 + z`` without being proportional, which takes the
+cofactor solve of ``numeric.float_poly_gcd``, and on ``masks/half.json``
+read from its file.  ``errors`` runs fixed argv that fail or warn: bad
 JSON inline and on standard input (which is empty for every job), an
 invalid mask, an unreadable mask path, refused ``--out``, ``--interval``,
 ``--level`` and ``--tolerance`` values, a flag that the subcommand does
-not take, ``--exact`` on a float mask and an interval too wide to sample,
-so that the usage and error branches of the command line are compared
-too.  A job that ends in an uncaught exception is recorded as the process
-would end: exit code 1, the exception's last line on standard error.
-For every job it records
+not take, ``--exact`` on a float mask, an interval too wide to sample,
+the float B-spline of order 18, whose clustering fails, a mask whose
+scale matrix has no eigenvalue 1, and a mask that does not sum to 2, so
+that the usage, error and warning branches of the command line are
+compared too.  A job that ends in an uncaught exception is recorded as
+the process would end: exit code 1, the exception's last line on
+standard error.  For every job it records
 the SHA-256 of standard output, of standard error and of every file
 written, plus the exit code, and for a ``verify`` job the verdict of each
 check, as ``[name, passed]`` pairs read from its report.  A key that the
@@ -78,6 +83,7 @@ import tempfile  # noqa: E402
 import traceback  # noqa: E402
 import warnings  # noqa: E402
 from fractions import Fraction  # noqa: E402
+from math import comb  # noqa: E402
 from pathlib import Path  # noqa: E402
 from unittest import mock  # noqa: E402
 
@@ -110,13 +116,17 @@ DERIVED = {
     ),
 }
 BSPLINE_ORDERS = range(12, 25)
-# masks with a degree-2 gcd of the even and odd polynomials, by gcd roots
+# masks whose even and odd polynomials share a factor, by gcd roots
 KERNEL_MASKS = {
     "double": ["1/4", "1/4", "1/2", "1/2", "1/4", "1/4"],
     "double-float": [0.25, 0.25, 0.5, 0.5, 0.25, 0.25],
     "complex": ["1/3"] * 6,
     "irrational": [1, 1, 1, 1, -1, -1],
+    # gcd 1 + z of 2/7 (1 + z)(1 + 2z) and 1/7 (1 + z)
+    "cofactor-float": [2 / 7, 1 / 7, 6 / 7, 1 / 7, 4 / 7],
 }
+# the mask that the kernel argv also read from a file
+MASK_FILE = ROOT / "masks" / "half.json"
 KERNEL_ARGV = (
     ("spectrum", "{mask}", "--out", "{out}"),
     ("verify", "{mask}", "--level", "8"),
@@ -139,6 +149,9 @@ ERRORS = {
     "basis-interval-half": ("basis", BSPLINE3, "--interval", "0.5", "1", "--out", "{out}"),
     "basis-interval-positive": ("basis", BSPLINE3, "--interval", "1", "2", "--out", "{out}"),
     "basis-interval-wide": ("basis", "[1, 1]", "--level", "2", "--interval", "-1", "1e30", "--out", "{out}"),
+    "clustering-bspline18": ("spectrum", json.dumps([comb(18, k) / 2**17 for k in range(19)])),
+    "no-eigenvalue-1": ("verify", "[10, -18, 10]", "--level", "8"),
+    "sum-warning": ("spectrum", "[1, 1, 1]"),
 }
 
 
@@ -171,7 +184,7 @@ def run_job(cli, job, out: Path, src: Path) -> dict:
     if job.argv[0] == "verify":
         record["checks"] = _checks(stdout.getvalue())
 
-    # Paths of the two trees differ, e.g. in the location of a warning.
+    # Paths of the two runs differ, e.g. in an error that names the output directory.
     def text(s: str) -> bytes:
         return s.replace(str(src), "<src>").replace(str(out), "<out>").encode()
 
@@ -203,6 +216,13 @@ def pool(corpus, workload: str):
             corpus.Job(f"{workload}/{argv[0]}/{name}", {"name": name, "coefficients": c}, argv)
             for argv in KERNEL_ARGV
             for name, c in KERNEL_MASKS.items()
+        ] + [
+            corpus.Job(
+                f"{workload}/{argv[0]}/{MASK_FILE.stem}-file",
+                {},
+                tuple(str(MASK_FILE) if a == "{mask}" else a for a in argv),
+            )
+            for argv in KERNEL_ARGV
         ]
     if workload not in DERIVED:
         return corpus.pool(workload)
