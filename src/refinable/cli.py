@@ -30,7 +30,7 @@ from .evaluate import (
     reconstruct_phi,
 )
 from .mask import Mask, MaskSumWarning, build_scale_matrices, parse_mask
-from .report import dump_csv, dump_json
+from .report import dump_csv, dump_csv_rows, dump_json
 from .spectral import accuracy, eigen_structure, independence_test
 from .verify import run_battery
 
@@ -50,8 +50,8 @@ def _load_mask(spec: str) -> Mask:
     else:
         path = Path(spec)
         try:
-            text = path.read_text()
-        except OSError as exc:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read mask file {spec}: {exc}") from exc
         source = str(path)
     try:
@@ -78,7 +78,10 @@ def _write(text: str, directory: Path | None, filename: str) -> None:
         return
     path = directory / filename
     try:
-        path.write_text(text)
+        # UTF-8 with LF endings whatever the locale; text that came in
+        # through argv or stdin under a locale that is not UTF-8 holds the
+        # bytes it could not decode as surrogates, which go out as those bytes
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -173,10 +176,11 @@ def cmd_basis(args: argparse.Namespace) -> int:
     width = max(2, len(str(spectral.n)))
     out = _out_dir(args.out)
     _write(dump_csv(basis.phi.grid, basis.phi.values), out, "phi.csv")
+    texts = dump_csv_rows(basis.grid, basis.samples, [info.conjugate_of for info in spectral.rows])
     rows = []
-    for f in basis.functions:
+    for f, text in zip(basis.functions, texts):
         filename = f"h_{f.row:0{width}d}.csv"
-        _write(dump_csv(f.grid, f.values), out, filename)
+        _write(text, out, filename)
         rows.append(
             {
                 "row": f.row,

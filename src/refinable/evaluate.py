@@ -301,6 +301,12 @@ class HomogeneousBasis:
     interval: tuple[int, int]
     samples: np.ndarray  # (rows x grid points), complex128, read-only
 
+    @property
+    def grid(self) -> np.ndarray:
+        """The grid points of the columns of ``samples``, each function's grid."""
+        lo, hi = self.interval
+        return lo + np.arange(self.samples.shape[1]) * 2.0 ** (-self.level)
+
 
 def build_homogeneous_basis(
     spectral: SpectralData,

@@ -11,17 +11,27 @@ objects in one step.
 The CSV columns are formatted in numpy, with CPython's ``%.17g`` bytes
 (``_format_column``).  Each value is scaled to 17 digits by one
 ``np.longdouble`` product and rounded; its text is written into a slot of
-fixed byte positions, and one ``translate`` of each finished block of rows
+fixed byte positions, and one ``translate`` of each finished run of rows
 drops the unused ones.  Values whose rounding the product leaves
 undecided, and NaN and +-inf, take CPython's own text (Loitsch 2010,
 "Printing floating-point numbers quickly and accurately": a fast path that
-knows when it may fail, plus an exact fallback).  The grid column of a CSV
-is formatted once and shared by consecutive calls on the same grid, such
-as the ``h_*.csv`` files of one ``basis`` call.
+knows when it may fail, plus an exact fallback).
+
+``dump_csv_rows`` writes the CSV text of every row of a sample matrix on
+one grid, such as the ``h_*.csv`` files of one ``basis`` call, and
+``dump_csv`` is its one-row case.  The grid column is formatted once and
+shared by consecutive calls on the same grid.  The values are formatted
+in blocks of grid points that may span rows, one ``_format_column`` call
+each, into buffers reused from block to block.  A partner row, the
+conjugate of its pair row (``RowInfo.conjugate_of``), is not formatted:
+its text is its pair's slots with the sign byte of each im slot flipped,
+and only a value that CPython's text writes without a sign byte is
+rendered again.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -154,8 +164,10 @@ def dump_json(obj) -> str:
 # An empty byte is 0, and the text of the slot is its nonzero bytes.
 _WORD = np.dtype("<u8")
 _SLOT_WORDS = 6
-_BLOCK_ROWS = 1024  # CSV rows formatted at a time, which bounds the temporaries
+_BLOCK_ROWS = 1024  # CSV rows formatted at a time, across files, which bounds the buffers
 _SEPARATOR = {ch: np.uint64(ord(ch)) << np.uint64(56) for ch in ",\n"}
+_TEXT_WIDTH = _SLOT_WORDS * _WORD.itemsize - 1  # the bytes before the separator
+_MINUS = ord("-")
 
 # Tables by the decimal exponent E of |x|, E in [-_E0, _E0): 10**(16 - E)
 # as one longdouble each, parsed from its decimal string so that it is
@@ -221,13 +233,14 @@ _DIGITS, _ZEROS, _KEEP, _FRAME = _digit_tables()
 _ZEROS4, _ZEROS8, _ZEROS12 = _ZEROS + 4, _ZEROS + 8, _ZEROS + 12
 _LEAD = (np.arange(10, dtype=_WORD) + 48) << np.uint64(48)
 _SIGN = np.array([0, ord("-")], _WORD)
-_ZERO_SLOT = np.zeros(_SLOT_WORDS, _WORD)
-_ZERO_SLOT[0] = _LEAD[0]
+# the last word of a re slot that ends its CSV row: the empty bytes 5 and 6
+# and the separator byte hold ",0\n", an im column of 0
+_REAL_END = np.frombuffer(b"\0" * 5 + b",0\n", _WORD)[0]
 
 
 def _format_column(x: np.ndarray, out: np.ndarray) -> None:
-    """Write the slots of the float64 array ``x`` into ``out``, which has
-    the shape of ``x`` plus a last axis of ``_SLOT_WORDS`` contiguous words;
+    """Write the slots of the flat float64 array ``x`` into ``out``, of
+    shape ``(len(x), _SLOT_WORDS)`` with contiguous words in each slot;
     the separator byte is left 0.  The text of each slot is
     ``'%.17g' % (v + 0.0)``."""
     if _BAND < 0.5:
@@ -235,16 +248,19 @@ def _format_column(x: np.ndarray, out: np.ndarray) -> None:
     else:
         out[..., -1] = 0
         fallback = np.ones(x.shape, bool)
-    (i,) = np.nonzero(fallback.ravel())
+    (i,) = np.nonzero(fallback)
     if i.size:
-        with np.errstate(invalid="ignore"):  # a signalling NaN
-            values = (x.ravel()[i] + 0.0).tolist()
-        # one %-template pads each text with spaces, which no text holds,
-        # to the bytes before the separator
-        width = _SLOT_WORDS * _WORD.itemsize - 1
-        text = f"%-{width}.17g" * i.size % tuple(values)
-        slots = np.frombuffer(text.encode().replace(b" ", b"\0"), np.uint8).reshape(-1, width)
-        out.view(np.uint8)[np.unravel_index(i, x.shape) + (slice(0, width),)] = slots
+        out.view(np.uint8)[i, :_TEXT_WIDTH] = _cpython_text(x[i])
+
+
+def _cpython_text(x: np.ndarray) -> np.ndarray:
+    """The bytes before the separator of the slots of the values ``x``,
+    from CPython's ``'%.17g' % (v + 0.0)``: one %-template pads each text
+    with spaces, which no text holds, and the spaces become empty bytes."""
+    with np.errstate(invalid="ignore"):  # a signalling NaN
+        values = (x + 0.0).tolist()
+    text = f"%-{_TEXT_WIDTH}.17g" * len(values) % tuple(values)
+    return np.frombuffer(text.encode().replace(b" ", b"\0"), np.uint8).reshape(-1, _TEXT_WIDTH)
 
 
 def _fast_slots(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -330,45 +346,170 @@ def _blocks(n: int) -> list[slice]:
 
 @lru_cache(maxsize=1)
 def _grid_column(grid: bytes) -> np.ndarray:
-    """The slots of a float64 grid given by its bytes, with their comma;
-    one slot of cache, so a run of calls on the same grid formats it once."""
+    """The slots of a float64 grid given by its bytes, with their comma,
+    less the words that are empty at every point; one slot of cache, so a
+    run of calls on the same grid formats it once."""
     xs = np.frombuffer(grid)
     slots = np.empty((len(xs), _SLOT_WORDS), _WORD)
     for part in _blocks(len(xs)):
         _format_column(xs[part], slots[part])
     slots[:, -1] |= _SEPARATOR[","]
+    # a word that is empty at every point holds no text: leave it out
+    slots = slots[:, slots.any(axis=0)]
     slots.setflags(write=False)
     return slots
 
 
 def dump_csv(xs, values) -> str:
-    """Sample table: header ``x,re,im`` then one %.17g row per grid point.
-
-    The x slots come from ``_grid_column``.  The re and im columns of a
-    block of rows are formatted by one ``_format_column`` call, or re alone
-    with an im column of ``0`` when the imaginary parts are all zero.  -0.0
-    is written as ``0``, as ``format_float`` does.
-    """
+    """Sample table: header ``x,re,im`` then one %.17g row per grid point;
+    the one-row case of ``dump_csv_rows``."""
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=complex)
     if xs.ndim != 1 or xs.shape != values.shape:
         raise ValueError(
             f"dump_csv needs one value per grid point, got {xs.shape} and {values.shape}"
         )
-    grid = _grid_column(xs.tobytes())
-    imag = values.imag.any()  # NaN counts as nonzero
-    rows = np.empty((min(len(xs), _BLOCK_ROWS), 3, _SLOT_WORDS), _WORD)
-    text = [CSV_HEADER + "\n"]
-    for part in _blocks(len(xs)):
-        z = values[part]
-        block = rows[: len(z)]
-        block[:, 0] = grid[part]
-        if imag:
-            _format_column(np.stack((z.real, z.imag)), block[:, 1:].transpose(1, 0, 2))
-        else:  # the im column is all +-0.0
-            _format_column(z.real, block[:, 1])
-            block[:, 2] = _ZERO_SLOT
-        block[:, 1, -1] |= _SEPARATOR[","]
-        block[:, 2, -1] |= _SEPARATOR["\n"]
-        text.append(block.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(text)
+    (text,) = _csv_texts(xs, values[None], {})
+    return text
+
+
+def dump_csv_rows(xs, samples, conjugate_of=None) -> Iterator[str]:
+    """The ``dump_csv`` text of each row of the matrix ``samples`` on the
+    grid ``xs``, in row order, each made as it is taken.
+
+    ``conjugate_of[r]``, if given, is None or the row q whose conjugate
+    row r is (``RowInfo.conjugate_of``): row r must equal ``conj(row q)``
+    but for the sign of a zero, which no text shows.  Such a partner row
+    is not formatted: its text is read off its pair's slots.
+    """
+    xs = np.asarray(xs, dtype=float)
+    samples = np.asarray(samples, dtype=complex)
+    if xs.ndim != 1 or samples.ndim != 2 or samples.shape[1:] != xs.shape:
+        raise ValueError(
+            f"dump_csv_rows needs one column per grid point, got {xs.shape} and {samples.shape}"
+        )
+    pairs = [None] * len(samples) if conjugate_of is None else list(conjugate_of)
+    if len(pairs) != len(samples):
+        raise ValueError(f"conjugate_of has {len(pairs)} entries for {len(samples)} rows")
+    partner = {}
+    for r, q in enumerate(pairs):
+        if q is None:
+            continue
+        single = 0 <= q < len(pairs) and pairs[q] is None and q not in partner
+        if not (single and _conjugates(samples[r], samples[q])):
+            raise ValueError(f"row {r} is not the conjugate of row {q}, or row {q} has another partner")
+        partner[q] = r
+    return _csv_texts(xs, samples, partner)
+
+
+def _conjugates(z: np.ndarray, w: np.ndarray) -> bool:
+    """Whether ``z`` is ``conj(w)``, NaN for NaN, but for the sign of a zero."""
+    return np.array_equal(z.real, w.real, equal_nan=True) and np.array_equal(z.imag, -w.imag, equal_nan=True)
+
+
+def _csv_texts(xs: np.ndarray, samples: np.ndarray, partner: dict[int, int]) -> Iterator[str]:
+    """The texts of ``dump_csv_rows``; ``partner`` maps each pair row to
+    its partner row.
+
+    The grid points of the other rows, in row order, are cut into blocks
+    of ``_BLOCK_ROWS`` that may span rows.  The values of a block fill one
+    reused buffer, re and im of a row, or re alone when its imaginary
+    parts are all zero, and one ``_format_column`` call formats them into
+    one reused buffer of slots.  Each row's part of the block is laid out
+    as CSV rows in one reused buffer of words, after the x slots from
+    ``_grid_column``, and read off by one ``translate``; a row whose im
+    column is all ``0`` gets no im slot, the ``,0`` and the line end go
+    into the last word of its re slot.  Then the im slots of a pair row
+    take the signs of its partner's values in place and are read off again
+    as the partner's part.  -0.0 is written as ``0``, as ``format_float``
+    does.
+    """
+    rows, points = samples.shape
+    texts = [[CSV_HEADER + "\n"] for _ in range(rows)]
+    finished = [False] * rows
+    sources = sorted(set(range(rows)) - set(partner.values()))
+    size = min(_BLOCK_ROWS, points * len(sources))
+    if size:
+        grid = _grid_column(xs.tobytes())
+        x_words = grid.shape[1]
+        imag = samples.imag.any(axis=1).tolist()  # NaN counts as nonzero
+        values = np.empty(2 * size)
+        slots = np.empty((2 * size, _SLOT_WORDS), _WORD)
+        buffer = np.empty(size * (x_words + 2 * _SLOT_WORDS), _WORD)
+    done = 0  # the rows before this one have been taken
+    for part in _spans(sources, points, size):
+        k = 0
+        for r, a, b in part:
+            z = samples[r, a:b]
+            if imag[r]:
+                values[k : k + 2 * len(z)].view(complex)[:] = z
+                k += 2 * len(z)
+            else:
+                values[k : k + len(z)] = z.real
+                k += len(z)
+        _format_column(values[:k], slots[:k])
+        at = k = 0
+        for r, a, b in part:
+            n = (1 + imag[r]) * (b - a)  # the slots of row r in the block
+            lines = buffer[at : at + (b - a) * x_words + n * _SLOT_WORDS].reshape(b - a, -1)
+            lines[:, :x_words] = grid[a:b]
+            lines[:, x_words:] = slots[k : k + n].reshape(b - a, -1)
+            if imag[r]:
+                lines[:, x_words + _SLOT_WORDS - 1] |= _SEPARATOR[","]
+                lines[:, -1] |= _SEPARATOR["\n"]
+            else:
+                lines[:, -1] |= _REAL_END
+            text = _text(lines)
+            texts[r].append(text)
+            finished[r] = b == points
+            if r in partner:
+                if imag[r]:
+                    _conjugate_im(lines[:, -_SLOT_WORDS:], samples[partner[r], a:b].imag)
+                    text = _text(lines)
+                texts[partner[r]].append(text)
+                finished[partner[r]] = finished[r]
+            at += lines.size
+            k += n
+        while done < rows and finished[done]:
+            yield "".join(texts[done])
+            texts[done] = None
+            done += 1
+    for r in range(done, rows):
+        yield "".join(texts[r])
+
+
+def _spans(sources: list[int], points: int, size: int) -> Iterator[list[tuple[int, int, int]]]:
+    """The grid points of the rows ``sources``, in order, in blocks of
+    ``size`` (the last may be shorter), each a list of (row, start, stop)."""
+    part, filled = [], 0
+    for r in sources:
+        a = 0
+        while a < points:
+            b = min(points, a + size - filled)
+            part.append((r, a, b))
+            filled += b - a
+            a = b
+            if filled == size:
+                yield part
+                part, filled = [], 0
+    if part:
+        yield part
+
+
+def _text(lines: np.ndarray) -> str:
+    """The text of a run of finished CSV rows: their nonzero bytes."""
+    return lines.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _conjugate_im(im: np.ndarray, conjugate: np.ndarray) -> None:
+    """Turn the im slots ``im`` of a pair row into those of its partner,
+    whose im values are ``conjugate``: the sign byte is dropped where there
+    is one and set where the slot holds a nonzero value without one.  Only
+    CPython's text of a value of no sign, which starts at byte 0, is
+    rendered again."""
+    text = im.view(np.uint8)
+    sign = text[:, 0]
+    redo = (sign != 0) & (sign != _MINUS)
+    sign[:] = np.where((sign == 0) & (conjugate != 0), _MINUS, 0)
+    if redo.any():
+        text[redo, :_TEXT_WIDTH] = _cpython_text(conjugate[redo])

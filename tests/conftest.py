@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import refinable as rf
+from refinable import report
 
 SEED = 20260814
 
@@ -90,6 +91,17 @@ def dense_subdivision(alpha, alpha_lo, coeffs, out_lo, out_len) -> np.ndarray:
             if 0 <= k <= nmask:
                 out[jj] += alpha[i - alpha_lo] * coeffs[k]
     return out
+
+
+def dump_csv_by_row(xs, values) -> str:
+    """The per-row writer the table formatter replaced; a byte oracle."""
+    lines = [report.CSV_HEADER]
+    values = np.asarray(values, dtype=complex)
+    for x, z in zip(xs, values):
+        lines.append(
+            f"{report.format_float(float(x))},{report.format_float(z.real)},{report.format_float(z.imag)}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def bits(a) -> np.ndarray:

@@ -15,10 +15,11 @@ from pathlib import Path
 
 import pytest
 
+import refinable as rf
 from refinable import __version__
 from refinable.cli import main
 
-from conftest import subprocess_env
+from conftest import dump_csv_by_row, random_masks, subprocess_env
 
 try:
     import tomllib
@@ -196,6 +197,24 @@ class TestBasisCommand:
             assert sorted(p.name for p in out.glob("*.csv")) == names
             for filename in names:
                 assert (out / filename).read_bytes() == (golden / filename).read_bytes(), (i, filename)
+
+    def test_partner_rows_match_the_row_writer(self, tmp_path, capsys):
+        # the golden files are exact mode, which has no partner rows: a
+        # seeded float mask with complex eigenvalues has them
+        mask = next(m for m in random_masks() if m.n >= 5 and any(
+            info.conjugate_of is not None for info in rf.eigen_structure(rf.build_scale_matrices(m)).rows
+        ))
+        text = json.dumps({"name": mask.name, "coefficients": [float(c.real) for c in mask.coefficients]})
+        code, _, _ = run(capsys, "basis", text, "--level", "5", "--interval", "-2", "2", "--out", str(tmp_path))
+        assert code == 0
+        basis = rf.build_homogeneous_basis(
+            rf.eigen_structure(rf.build_scale_matrices(rf.parse_mask(text))), level=5, interval=(-2, 2)
+        )
+        assert any(info.conjugate_of is not None for info in basis.spectral.rows)
+        files = sorted(tmp_path.glob("h_*.csv"))
+        assert [int(f.stem[2:]) for f in files] == list(range(len(basis.samples)))
+        for f, row in zip(files, basis.samples):
+            assert f.read_text() == dump_csv_by_row(basis.grid, row), f.name
 
     def test_requires_out_directory(self, capsys):
         code, _, err = run(capsys, "basis", BSPLINE3)
@@ -459,6 +478,27 @@ class TestConsoleScript:
         assert outputs[0] == outputs[1]
         assert outputs[0].endswith(b"\n")
         assert b"\r" not in outputs[0]
+
+    def test_report_files_do_not_depend_on_the_locale(self, script, tmp_path):
+        # under the C locale, with neither coercion nor UTF-8 mode, the
+        # name's bytes reach Python as surrogates; the files must still be
+        # the UTF-8 bytes of a default run, read back from a file as well
+        mask = '{"name": "café", "coefficients": [1, 1]}'
+        (tmp_path / "mask.json").write_bytes(mask.encode("utf-8"))
+        c_locale = subprocess_env(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        runs = {}
+        for name, env, source in (
+            ("default", subprocess_env(), mask),
+            ("c", c_locale, mask),
+            ("c_file", c_locale, str(tmp_path / "mask.json")),
+        ):
+            out = tmp_path / name
+            for argv in (["spectrum", source], ["basis", source, "--level", "2"]):
+                proc = subprocess.run([*script, *argv, "--out", str(out)], capture_output=True, env=env)
+                assert (proc.returncode, proc.stderr) == (0, b""), (name, argv[0], proc.stderr)
+            runs[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert "café".encode("utf-8") in runs["default"]["spectrum.json"]
+        assert runs["c"] == runs["c_file"] == runs["default"]
 
     def test_repeated_calls_in_one_process_match_fresh_processes(self, script, tmp_path, capsys):
         # main keeps one parser for the process; a usage error and then
