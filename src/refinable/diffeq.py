@@ -71,10 +71,11 @@ def root_triples(coeffs):
     """
     if not all(is_exact(c) for c in coeffs):
         return [(d, m, None) for d, m, _ in nm.clusters(nm.poly_roots(coeffs), ROOT_CLUSTER_RTOL)]
-    rational, leftovers = xq.rational_roots(list(coeffs))
+    rational, leftovers = xq.rational_roots(xq.integer_poly(coeffs))
     out = [(complex(d), m, d) for d, m in rational]
     for factor, mult in leftovers:
-        roots = nm.poly_roots(np.array([float(c) for c in factor], dtype=complex))
+        # the monic factor, each coefficient rounded once
+        roots = nm.poly_roots(np.array([c / factor[-1] for c in factor], dtype=complex))
         for d, m, _ in nm.clusters(roots, ROOT_CLUSTER_RTOL):
             out.append((d, m * mult, None))
     return out

@@ -88,14 +88,15 @@ def integer_samples(mask: Mask) -> np.ndarray:
     scale = build_scale_matrices(mask)
     size = mask.n + 1
     if scale.exact_full is not None:
-        rows = scale.exact_rows()
-        shifted = [
-            [rows[i][j] - (1 if i == j else 0) for j in range(size)] for i in range(size)
-        ]
-        basis = xq.nullspace(shifted)
-        candidates = np.array(
-            [[complex(float(c)) for c in vec] for vec in basis], dtype=complex
-        )
+        rows, den = scale.integer_rows()
+        shifted = [[x - den if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        # each kernel row divided by its entry in its free column, its last
+        # nonzero entry (positive): the canonical kernel vector, rounded once
+        candidates = []
+        for vec in xq.nullspace(shifted):
+            free = next(x for x in reversed(vec) if x)
+            candidates.append([complex(x / free) for x in vec])
+        candidates = np.array(candidates, dtype=complex)
     else:
         shifted = scale.full - np.eye(size, dtype=complex)
         candidates = nm.nullspace(shifted)

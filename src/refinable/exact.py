@@ -1,23 +1,30 @@
 """Exact linear algebra and polynomial arithmetic over the rationals.
 
-Matrices are lists of rows of :class:`fractions.Fraction`; polynomials are
-ascending coefficient lists. The scale matrix of a degree-N mask is
-(N+1)x(N+1) with no fixed bound on N, so the spectral steps stay polynomial
-in N: the characteristic polynomial is computed over the integers and
-rational roots are found from float roots checked by exact evaluation.
+Matrices are lists of integer rows; a rational matrix is a pair (rows, d)
+that stands for rows / d, and ``integer_rows`` clears a Fraction matrix
+to that form. Polynomials are ascending coefficient lists. The scale
+matrix of a degree-N mask is (N+1)x(N+1) with no fixed bound on N, so the
+spectral steps stay polynomial in N: the characteristic polynomial is
+computed over the integers and rational roots are found from float roots
+checked by exact evaluation.
 
-The gcd and the root split take and return monic Fractions but clear
-each polynomial to a primitive integer one: gcds run the primitive
-remainder sequence, the root split's squarefree factors come from Yun's
-algorithm, which divides by them with exact integer quotients, a candidate root p/q is tested by the integer
-sum of a_i p^i q^(d-i) and divided out by q x - p. Monic factors and
-gcds are unique, so the results are the ones Fraction arithmetic gives.
+The matrix routines take and return integers. Products are integer
+products, and the RREF eliminates without fractions: each step replaces a
+row by an integer combination of two rows divided by its content, so each
+of its rows is a positive multiple of the rational RREF row. A kernel
+vector is the primitive integer multiple, with the same sign, of the
+canonical one read off the RREF; ``solve`` and ``inverse`` return their
+rational results over one common denominator. The RREF and every product
+are unique, so the values are the ones Fraction arithmetic gives; callers
+build Fractions only for what they report.
 
-The matrix routines take and return Fractions but do their arithmetic on
-Python integers: products clear each operand to one common denominator,
-and the RREF eliminates without fractions. The RREF and every product
-are unique, so the results are the ones Fraction arithmetic gives; only
-the number of gcds taken on the way changes.
+The root split takes an integer polynomial and the gcd takes and returns
+monic Fractions; both work on primitive integer polynomials: gcds run the
+primitive remainder sequence, the root split's squarefree factors come
+from Yun's algorithm, which divides by them with exact integer quotients,
+a candidate root p/q is tested by the integer sum of a_i p^i q^(d-i) and
+divided out by q x - p. Monic factors and gcds are unique, so the results
+are the ones Fraction arithmetic gives.
 """
 
 from __future__ import annotations
@@ -36,14 +43,6 @@ ONE = Fraction(1)
 # ---------------------------------------------------------------------------
 # matrices
 
-def identity(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def zeros(rows, cols):
-    return [[ZERO] * cols for _ in range(rows)]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
@@ -55,20 +54,14 @@ def integer_rows(a):
 
 
 def mat_mul(a, b):
-    ai, da = integer_rows(a)
-    bt, db = integer_rows(transpose(b))
-    den = da * db
-    return [[Fraction(sum(map(mul, row, col)), den) for col in bt] for row in ai]
+    """Product of two integer matrices."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def vec_mat(v, a):
-    """Row vector times matrix."""
-    if not a:
-        return []
-    (vi,), dv = integer_rows([v])
-    at, da = integer_rows(transpose(a))
-    den = dv * da
-    return [Fraction(sum(map(mul, vi, col)), den) for col in at]
+    """Integer row vector times integer matrix."""
+    return [sum(map(mul, v, col)) for col in zip(*a)]
 
 
 def _primitive(row):
@@ -78,18 +71,20 @@ def _primitive(row):
 
 
 def rref(a):
-    """Reduced row echelon form; returns (rows, pivot_columns).
+    """Reduced row echelon form of an integer matrix, up to row scaling;
+    returns (rows, pivot_columns).
 
-    The rows are cleared to integers and every elimination step replaces a
-    row by ``p * row - f * pivot_row`` divided by its content, with p the
-    pivot and f the row's entry in the pivot column. That is a nonzero
-    multiple of the row that Fraction elimination would produce, so the
-    zero pattern, and with it the choice of every pivot, is the same; the
-    pivot rows are divided by their pivots once at the end.
+    The rows are made primitive and every elimination step replaces a row
+    by ``p * row - f * pivot_row`` divided by its content, with p the pivot
+    and f the row's entry in the pivot column. That is a nonzero multiple
+    of the row that Fraction elimination would produce, so the zero
+    pattern, and with it the choice of every pivot, is the same. Row r of
+    the result is the primitive multiple of rational RREF row r with a
+    positive pivot; the rows past the last pivot row are zero.
     """
     if not a:
         return [], []
-    m = [_primitive(row) for row in integer_rows(a)[0]]
+    m = [_primitive(list(row)) for row in a]
     rows, cols = len(m), len(m[0])
     pivots = []
     r = 0
@@ -112,11 +107,14 @@ def rref(a):
         r += 1
         if r == rows:
             break
-    out = [
-        [Fraction(x, m[i][c]) if x else ZERO for x in m[i]] for i, c in enumerate(pivots)
-    ]
-    out += [[ZERO] * cols for _ in range(rows - r)]
+    out = [row if row[c] > 0 else [-x for x in row] for row, c in zip(m, pivots)]
+    out += [[0] * cols for _ in range(rows - r)]
     return out, pivots
+
+
+def _pivot_lcm(red, pivots):
+    """The lcm of the pivots: a common denominator of the rational RREF."""
+    return lcm(*(red[r][c] for r, c in enumerate(pivots)))
 
 
 def rank(a):
@@ -124,72 +122,73 @@ def rank(a):
 
 
 def nullspace(a):
-    """Canonical basis of {x : a x = 0} read off the RREF free columns."""
+    """Basis of {x : a x = 0} for an integer matrix: the canonical basis read
+    off the RREF free columns (1 in its free column, 0 in the others), each
+    vector made a primitive integer row by a positive scale."""
     if not a:
         return []
     cols = len(a[0])
     red, pivots = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
+    den = _pivot_lcm(red, pivots)
     basis = []
-    for fc in free:
-        vec = [ZERO] * cols
-        vec[fc] = ONE
+    for fc in (c for c in range(cols) if c not in pivots):
+        vec = [0] * cols
+        vec[fc] = den
         for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(vec)
+            vec[pc] = -red[r][fc] * (den // red[r][pc])
+        basis.append(_primitive(vec))
     return basis
 
 
 def left_nullspace(a):
-    """Basis of row vectors v with v a = 0."""
+    """Basis of integer row vectors v with v a = 0."""
     return nullspace(transpose(a))
 
 
 def solve(a, b):
-    """One exact solution of a x = b (free variables 0), or None if inconsistent."""
+    """One exact solution of a x = b (free variables 0) for integer a and b,
+    as (integer x, d) standing for x / d, or None if inconsistent."""
     if not a:
-        return [] if all(x == 0 for x in b) else None
+        return ([], 1) if all(x == 0 for x in b) else None
     cols = len(a[0])
-    aug = [row[:] + [bv] for row, bv in zip(a, b)]
-    red, pivots = rref(aug)
+    red, pivots = rref([row + [bv] for row, bv in zip(a, b)])
     if cols in pivots:
         return None
-    x = [ZERO] * cols
+    den = _pivot_lcm(red, pivots)
+    x = [0] * cols
     for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x
+        x[pc] = red[r][cols] * (den // red[r][pc])
+    return x, den
 
 
 def inverse(a):
-    """Exact inverse; raises ValueError when singular."""
+    """Exact inverse of an integer matrix as (rows, d) standing for rows / d;
+    raises ValueError when singular."""
     n = len(a)
-    aug = [row[:] + ident_row[:] for row, ident_row in zip(a, identity(n))]
-    red, pivots = rref(aug)
+    red, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    den = _pivot_lcm(red, pivots)
+    return [[x * (den // row[r]) for x in row[n:]] for r, row in enumerate(red)], den
 
 
-def charpoly(a):
-    """Monic characteristic polynomial det(xI - A), ascending coefficients.
+def charpoly(a, den=1):
+    """den^n det(xI - a / den) for an integer n x n matrix a: an integer
+    polynomial with leading coefficient den^n, ascending.
 
-    Faddeev-LeVerrier recursion on the integer matrix B = L A, where L is the
-    common denominator of the entries of A. Every division by k in the
-    recursion over B is exact, and det(xI - A) has coefficient c_k(B) / L^k
-    at x^(n-k).
+    Faddeev-LeVerrier recursion on a: every division by k in it is exact,
+    and det(yI - a) = sum_k c_k y^(n-k) gives den^n det(xI - a / den) =
+    sum_k c_k den^(n-k) x^(n-k).
     """
     n = len(a)
-    b, den = integer_rows(a)
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
+    coeffs = [0] * (n + 1)
+    coeffs[n] = den**n
     mk = [[int(i == j) for j in range(n)] for i in range(n)]
-    scale = 1
     for k in range(1, n + 1):
         cols = list(zip(*mk))
-        bm = [[sum(map(mul, row, col)) for col in cols] for row in b]
+        bm = [[sum(map(mul, row, col)) for col in cols] for row in a]
         ck = -sum(bm[i][i] for i in range(n)) // k
-        scale *= den
-        coeffs[n - k] = Fraction(ck, scale)
+        coeffs[n - k] = ck * den ** (n - k)
         for i in range(n):
             bm[i][i] += ck
         mk = bm
@@ -230,7 +229,7 @@ def poly_eval(p, x):
 # Trimmed integer polynomials, each standing for its rational multiples:
 # the steps below keep a polynomial only up to a nonzero constant.
 
-def _integer_poly(p):
+def integer_poly(p):
     """The primitive integer polynomial that is a rational multiple of p."""
     return _primitive(integer_rows([poly_trim(p)])[0][0])
 
@@ -319,7 +318,7 @@ def _squarefree(f):
 
 def poly_gcd(p, q):
     """Monic gcd; [] when both are zero."""
-    return poly_monic(_gcd(_integer_poly(p), _integer_poly(q)))
+    return poly_monic(_gcd(integer_poly(p), integer_poly(q)))
 
 
 def _convergents(num: int, den: int, max_den: int):
@@ -348,12 +347,15 @@ def _vanishes_at(g, p, q):
 
 
 def rational_roots(p):
-    """Split a rational polynomial into rational linear factors and leftovers.
+    """Split a nonzero integer polynomial into rational linear factors and
+    leftovers.
 
     Returns (roots, leftovers): ``roots`` is a list of (Fraction root,
     multiplicity), ascending within each squarefree factor; ``leftovers`` a
-    list of (monic rational polynomial, multiplicity), the parts of the
-    squarefree factors in which the search found no rational root.
+    list of (primitive integer polynomial with a positive leading
+    coefficient, multiplicity), the parts of
+    degree 2 or more of the squarefree factors in which the search found no
+    rational root.
 
     Each squarefree factor g is an integer polynomial with leading term L
     and constant term a_0. Its candidate roots are the continued-fraction
@@ -362,11 +364,12 @@ def rational_roots(p):
     L and g(p/q) == 0 exactly; it is then divided out as the exact integer
     quotient by q x - p. By Legendre's theorem a root p/q is among the
     candidates whenever its float approximation lies within 1 / (2 q^2) of
-    it, and a root that the float guide misses stays inside a leftover.
+    it. A root that the float guide misses stays inside a leftover, unless
+    the leftover has degree 1: then it is its root -g_0 / g_1.
     """
     roots = []
     leftovers = []
-    for g, mult in _squarefree(_integer_poly(p)):
+    for g, mult in _squarefree(_primitive(poly_trim(p))):
         while g[0] == 0:
             g = g[1:]
             roots.append((ZERO, mult))
@@ -390,9 +393,12 @@ def rational_roots(p):
                     and _vanishes_at(g, num, den)
                 ):
                     found.add((num, den))
-        for root in sorted(Fraction(num, den) for num, den in found):
+        factor_roots = [Fraction(num, den) for num, den in found]
+        for root in factor_roots:
             g = _quotient(g, [-root.numerator, root.denominator])
-            roots.append((root, mult))
-        if len(g) > 1:
-            leftovers.append((poly_monic(g), mult))
+        if len(g) == 2:
+            factor_roots.append(Fraction(-g[0], g[1]))
+        elif len(g) > 2:
+            leftovers.append((g if g[-1] > 0 else [-x for x in g], mult))
+        roots += [(root, mult) for root in sorted(factor_roots)]
     return roots, leftovers

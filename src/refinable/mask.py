@@ -106,15 +106,16 @@ def mask_from_coefficients(values, name=None) -> Mask:
         raise MaskError("c_0 must be nonzero (support assumption)")
     if floats[-1] == 0:
         raise MaskError("c_N must be nonzero (support assumption)")
-    total = floats.sum()
     if exacts is not None:
-        off = sum(exacts) != 2
+        total = sum(exacts)
+        off, shown = total != 2, str(total)
     else:
+        total = floats.sum()
         off = abs(total - 2.0) > 1e-12
+        shown = f"{total if total.imag else total.real:.6g}"  # a real sum reads as a real number
     if off:
-        shown = total if total.imag else total.real  # a real sum reads as a real number
         warnings.warn(
-            f"mask coefficients sum to {shown:.6g}, not 2; continuing (scale is a free choice)",
+            f"mask coefficients sum to {shown}, not 2; continuing (scale is a free choice)",
             MaskSumWarning,
             stacklevel=2,
         )
@@ -186,6 +187,15 @@ class ScaleMatrices:
     def exact_core_rows(self):
         rows = self.exact_rows()
         return [row[1:-1] for row in rows[1:-1]]
+
+    def integer_rows(self):
+        """(rows, d): T == rows / d with integer rows, d the lcm of the
+        denominators of the mask."""
+        if self.exact_full is None:
+            raise MaskError("mask has no exact rational representation")
+        (c,), den = xq.integer_rows([self.mask.exact])
+        size = self.n + 1
+        return [[c[2 * i - j] if 0 <= 2 * i - j < size else 0 for j in range(size)] for i in range(size)], den
 
     def shifted(self, lam: complex) -> np.ndarray:
         """T - lam*I."""

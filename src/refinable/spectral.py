@@ -20,10 +20,12 @@ in numpy: eigenvalues clustered at ``CLUSTER_RTOL``, SVD rank decisions,
 and a condition-number and residual check; its failures raise ``_Retry``,
 which ``eigen_structure`` reports as ClusteringError with no second try (a
 coarser clustering can merge eigenvalues into a wrong structure that passes
-the checks). ``_ExactField`` works with Fractions through ``exact``:
-rational roots, RREF ranks, equality tests, and the exact identity basis T
-== jordan basis; its failures raise SpectralError, on which auto mode falls
-back to floats.
+the checks). ``_ExactField`` works on integers through ``exact``: every
+matrix is integer rows over one common denominator, rational roots, RREF
+ranks, equality tests, and the exact identity basis T == jordan basis; it
+builds Fractions once, for the exact basis, Jordan matrix and
+eigenvalues of the result. Its failures raise SpectralError, on which
+auto mode falls back to floats.
 
 For a real scale matrix the float path builds each conjugate pair once.
 Clusters with Im lambda above the clustering tolerance are the pairs; each
@@ -38,16 +40,17 @@ tolerance, and the pairs keep the clustering and chains they would have
 alone; a partner row records its pair row in ``RowInfo.conjugate_of``.
 Complex matrices, which only the Python API builds, are not paired.
 
-``accuracy`` is one routine over Fractions or complex values: the sum rules
-counted by synthetic division of the symbol, one triangular solve per
-reproduced polynomial, and v T = 2^-s v as the certificate.
+``accuracy`` counts the sum rules by synthetic division of the symbol,
+makes one triangular solve per reproduced polynomial and takes v T = 2^-s v
+as the certificate: in complex floats against tolerances, or on integers
+over one common denominator per polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 import numpy as np
 
@@ -161,15 +164,15 @@ def _partition_from_weyr(weyr):
 
 # ---------------------------------------------------------------------------
 # arithmetic: the only steps of the pipeline that differ between floats
-# and Fractions. Vectors are numpy rows or Fraction lists; matrices are
-# numpy arrays or lists of Fraction rows.
+# and exact rationals. Float vectors are numpy rows and matrices numpy
+# arrays; an exact vector is a pair (integer row, d) and an exact matrix a
+# pair (integer rows, d), each standing for its integers divided by d.
 
 class _FloatField:
     """numpy arithmetic: SVD rank decisions, tolerances and residual checks."""
 
     exact = False
     failure = _Retry
-    one = 1.0
 
     def __init__(self, scale: ScaleMatrices):
         self.t = scale.full
@@ -215,8 +218,8 @@ class _FloatField:
     def identity(self):
         return np.eye(self.size, dtype=complex)
 
-    def zeros(self):
-        return np.zeros((self.size, self.size), dtype=complex)
+    def unit(self, index):
+        return self.identity()[index]
 
     def shift(self, lam):
         return self.t - lam * np.eye(self.size, dtype=complex)
@@ -289,6 +292,19 @@ class _FloatField:
                 kept.append(i)
         return kept
 
+    def matrix(self, vectors):
+        return np.array(vectors, dtype=complex)
+
+    def jordan(self, diagonal, prev_rows):
+        """The Jordan matrix with ``diagonal`` on its diagonal and a 1 at
+        (i, prev_rows[i]) where that is not None."""
+        jordan = np.zeros((self.size, self.size), dtype=complex)
+        for i, (lam, prev_row) in enumerate(zip(diagonal, prev_rows)):
+            jordan[i, i] = lam
+            if prev_row is not None:
+                jordan[i, prev_row] = 1.0
+        return jordan
+
     def certify(self, basis, jordan):
         """(jordan, residual) after the condition and residual checks; an
         insertion layout passes jordan=None and gets basis T basis^-1."""
@@ -302,13 +318,20 @@ class _FloatField:
             raise _Retry(f"jordan residual {residual:.3g} too large")
         return jordan, residual
 
-    def to_complex(self, matrix):
-        return matrix
+    def export(self, matrix):
+        """(complex array, exact entries or None) of a matrix."""
+        return matrix, None
 
 
 class _ExactField:
-    """Fraction arithmetic through ``exact``: RREF ranks, equality tests and
+    """Integer arithmetic through ``exact``: RREF ranks, equality tests and
     the exact identity basis T == jordan basis.
+
+    T and every power of T - lam I are integer rows over one common
+    denominator, and so are the basis and the Jordan matrix. A chain vector
+    is an integer row over a denominator of its own; a kernel vector or a
+    candidate top, whose direction is all that matters, is a primitive
+    integer row over 1. Eigenvalues are the Fractions of the root split.
 
     The helpers are looked up on the ``exact`` module at call time, so that
     wrappers installed there see every call.
@@ -316,16 +339,21 @@ class _ExactField:
 
     exact = True
     failure = SpectralError
-    one = xq.ONE
 
     def __init__(self, scale: ScaleMatrices):
         if scale.exact_full is None:
             raise SpectralError("exact spectral mode needs a rational mask")
-        self.t = scale.exact_rows()
+        self.t, self.den = scale.integer_rows()
         self.size = scale.n + 1
 
     def eigenvalues(self):
-        roots, leftovers = xq.rational_roots(xq.charpoly(self.t))
+        # d^(N+1) det(xI - T) from the core M: det(xI - T) is
+        # (x - c_0)(x - c_N) det(xI - M), and each corner is T's only
+        # nonzero entry in its row
+        poly = xq.charpoly([row[1:-1] for row in self.t[1:-1]], self.den)
+        for corner in (self.t[0][0], self.t[-1][-1]):
+            poly = [a - b for a, b in zip([0] + [self.den * x for x in poly], [corner * x for x in poly] + [0])]
+        roots, leftovers = xq.rational_roots(poly)
         if leftovers:
             degrees = [xq.poly_degree(f) for f, _ in leftovers]
             raise SpectralError(
@@ -338,57 +366,72 @@ class _ExactField:
         return complex(float(lam)), lam
 
     def is_corner(self, lam, spread, index):
-        return lam == self.t[index][index]
+        return lam.numerator * self.den == self.t[index][index] * lam.denominator
 
     def conjugate_pairs(self, clusters):
         return {}  # a rational spectrum is real
 
     def identity(self):
-        return xq.identity(self.size)
+        return [[int(i == j) for j in range(self.size)] for i in range(self.size)], 1
 
-    def zeros(self):
-        return xq.zeros(self.size, self.size)
+    def unit(self, index):
+        return [int(j == index) for j in range(self.size)], 1
 
     def shift(self, lam):
-        return [[x - (lam if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(self.t)]
+        p, q = lam.numerator, lam.denominator
+        diagonal = p * self.den
+        rows = [[x * q - diagonal if i == j else x * q for j, x in enumerate(row)] for i, row in enumerate(self.t)]
+        return rows, self.den * q
 
     def mat_mul(self, a, b):
-        return xq.mat_mul(a, b)
+        return xq.mat_mul(a[0], b[0]), a[1] * b[1]
 
     def vec_mat(self, v, a):
-        return xq.vec_mat(v, a)
+        return xq.vec_mat(v[0], a[0]), v[1] * a[1]
 
     def left_kernel(self, power, k, spread):
-        return xq.left_nullspace(power)
+        return [(row, 1) for row in xq.left_nullspace(power[0])]
 
     def new_tops(self, base_rows, cands, count):
         return [cands[i] for i in self.complete(base_rows, cands, count)]
 
     def normalize(self, vectors):
-        """Scale a chain so that the first nonzero entry of its bottom is 1."""
-        lead = next((c for c in vectors[0] if c != 0), None)
+        """Scale a chain so that the first nonzero entry of its bottom is 1:
+        over one denominator, the chain's integer rows divided by that entry."""
+        den = lcm(*(d for _, d in vectors))
+        rows = [[x * (den // d) for x in row] for row, d in vectors]
+        lead = next((x for x in rows[0] if x), None)
         if lead is None:
             raise SpectralError("degenerate zero chain bottom")
-        inv = xq.ONE / lead
-        return [[c * inv for c in v] for v in vectors]
+        if lead < 0:
+            rows, lead = [[-x for x in row] for row in rows], -lead
+        g = gcd(lead, *(x for row in rows for x in row))
+        return [([x // g for x in row], lead // g) for row in rows]
 
     def regauge_coefficients(self, bottoms, target):
-        alpha = xq.solve(xq.transpose(bottoms), target)
-        if alpha is None:
+        """alpha with sum alpha_i bottoms_i = target, each alpha_i a pair
+        (numerator, denominator), and the indices of its nonzero entries."""
+        fit = xq.solve(xq.transpose([row for row, _ in bottoms]), target[0])
+        if fit is None:
             return None
-        return alpha, [i for i, a in enumerate(alpha) if a != 0]
+        beta, den = fit  # sum beta_i / den * rows_i = target rows
+        alpha = [(b * d, den * target[1]) for b, (_, d) in zip(beta, bottoms)]
+        return alpha, [i for i, b in enumerate(beta) if b != 0]
 
     def combine(self, coeffs, vectors):
-        out = [xq.ZERO] * self.size
-        for a, v in zip(coeffs, vectors):
-            out = [x + a * y for x, y in zip(out, v)]
-        return out
+        den = lcm(*(b * d for (_, b), (_, d) in zip(coeffs, vectors)))
+        out = [0] * self.size
+        for (a, b), (row, d) in zip(coeffs, vectors):
+            f = a * (den // (b * d))
+            out = [x + f * y for x, y in zip(out, row)]
+        g = gcd(den, *out)
+        return [x // g for x in out], den // g
 
     def complete(self, preset, cands, count):
-        base = list(preset)
+        base = [row for row, _ in preset]
         current = xq.rank(base) if base else 0
         kept = []
-        for i, vec in enumerate(cands):
+        for i, (vec, _) in enumerate(cands):
             if len(kept) == count:
                 break
             trial = base + [vec]
@@ -398,15 +441,36 @@ class _ExactField:
                 kept.append(i)
         return kept
 
+    def matrix(self, vectors):
+        """The rows over their least common denominator."""
+        den = lcm(*(d for _, d in vectors))
+        return [row if d == den else [x * (den // d) for x in row] for row, d in vectors], den
+
+    def jordan(self, diagonal, prev_rows):
+        den = lcm(*(lam.denominator for lam in diagonal))
+        rows = [[0] * self.size for _ in range(self.size)]
+        for i, (lam, prev_row) in enumerate(zip(diagonal, prev_rows)):
+            rows[i][i] = lam.numerator * (den // lam.denominator)
+            if prev_row is not None:
+                rows[i][prev_row] = den
+        return rows, den
+
     def certify(self, basis, jordan):
+        b = basis[0]
+        bt = xq.mat_mul(b, self.t)  # basis T == bt / (d_b d_T)
         if jordan is None:
-            jordan = xq.mat_mul(xq.mat_mul(basis, self.t), xq.inverse(basis))
-        if xq.mat_mul(basis, self.t) != xq.mat_mul(jordan, basis):
+            inv, den = xq.inverse(b)  # basis^-1 == d_b inv / den
+            jordan = xq.mat_mul(bt, inv), self.den * den
+        # basis T == jordan basis  <=>  bt d_J == (j b) d_T
+        j, dj = jordan
+        if any(x * dj != y * self.den for row, other in zip(bt, xq.mat_mul(j, b)) for x, y in zip(row, other)):
             raise SpectralError("exact Jordan identity failed (internal error)")
         return jordan, 0.0
 
-    def to_complex(self, matrix):
-        return np.array([[complex(float(c)) for c in row] for row in matrix])
+    def export(self, matrix):
+        rows, den = matrix
+        values = np.array([[complex(x / den) for x in row] for row in rows])
+        return values, tuple(tuple(Fraction(x, den) if x else xq.ZERO for x in row) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +569,7 @@ def _group(field, corners, lam, algebraic, spread):
     conventions = [tag for tag, i in corners.items() if field.is_corner(lam, spread, i)]
     canonical = True
     for tag in conventions:
-        if not _regauge(field, chains, field.identity()[corners[tag]], tag):
+        if not _regauge(field, chains, field.unit(corners[tag]), tag):
             canonical = False
     eigenvalue, exact_eigenvalue = field.label(lam)
     group = EigenvalueGroup(
@@ -552,17 +616,17 @@ def _build(scale: ScaleMatrices, field) -> SpectralData:
     groups = [built[i][1] for i in range(len(clusters))]
     jordan_canonical = all(entry[3] for entry in group_chains)
     if jordan_canonical:
-        basis, rows, jordan = _layout_canonical(field, group_chains)
+        vectors, rows, diagonal = _layout_canonical(field, group_chains)
+        jordan = field.jordan(diagonal, [info.prev_row for info in rows])
     else:
-        basis, rows = _layout_insertion(field, group_chains)
+        vectors, rows = _layout_insertion(field, group_chains)
         jordan = None
+    basis = field.matrix(vectors)
     jordan, residual = field.certify(basis, jordan)
+    basis, exact_basis = field.export(basis)
+    jordan, exact_jordan = field.export(jordan)
     if pairs:
         rows = _conjugate_rows(rows, basis, pairs, groups)
-    exact_basis = exact_jordan = None
-    if field.exact:
-        exact_basis = tuple(tuple(row) for row in basis)
-        exact_jordan = tuple(tuple(row) for row in jordan)
     # Each convention is now a chain bottom (e_N's on the last row) or an
     # inserted row (e_0 first in its group, e_N last); a layout that put
     # either twice fails the certification above.
@@ -570,8 +634,8 @@ def _build(scale: ScaleMatrices, field) -> SpectralData:
         scale=scale,
         groups=tuple(groups),
         rows=tuple(rows),
-        basis=field.to_complex(basis),
-        jordan=field.to_complex(jordan),
+        basis=basis,
+        jordan=jordan,
         jordan_canonical=jordan_canonical,
         convention_first=any("e0" in entry[2] for entry in group_chains),
         convention_last=any("eN" in entry[2] for entry in group_chains),
@@ -616,8 +680,9 @@ def _canonical_order(group_chains):
 
 
 def _layout_canonical(field, group_chains):
-    basis = field.zeros()
-    jordan = field.zeros()
+    """(row vectors, RowInfo rows, diagonal of the Jordan matrix) in row order."""
+    vectors = []
+    diagonal = []
     rows = []
     r = 0
     for number, (lam, chain, flipped) in enumerate(_canonical_order(group_chains)):
@@ -627,7 +692,8 @@ def _layout_canonical(field, group_chains):
             positions.reverse()
         row_of = {}
         for pos in positions:
-            basis[r] = chain.vectors[pos]
+            vectors.append(chain.vectors[pos])
+            diagonal.append(lam)
             row_of[pos] = r
             r += 1
         for pos in positions:
@@ -643,21 +709,19 @@ def _layout_canonical(field, group_chains):
                     prev_row=prev_row,
                 )
             )
-            jordan[index][index] = lam
-            if prev_row is not None:
-                jordan[index][prev_row] = field.one
     rows.sort(key=lambda info: info.index)
-    return basis, rows, jordan
+    return vectors, rows, diagonal
 
 
 def _layout_insertion(field, group_chains):
-    """Basis with e_0 / e_N literally inserted; chain rows complete greedily.
+    """Row vectors with e_0 / e_N literally inserted, and their RowInfo
+    rows; chain rows complete greedily.
 
     Each eigenvalue group keeps exactly its algebraic multiplicity of rows:
     the inserted corner eigenvectors plus a maximal independent subset of the
     group's chain vectors. The e_N row is pulled to the global last position.
     """
-    e0, en = field.identity()[0], field.identity()[-1]
+    e0, en = field.unit(0), field.unit(field.size - 1)
     vectors = []
     rows_meta = []  # (lam, kind, position)
     tail = None
@@ -682,10 +746,8 @@ def _layout_insertion(field, group_chains):
         rows_meta.append((tail, "convention", 0))
     if len(vectors) != field.size:
         raise field.failure(f"insertion layout produced {len(vectors)} rows for dimension {field.size}")
-    basis = field.zeros()
     rows = []
     for r, (lam, kind, pos) in enumerate(rows_meta):
-        basis[r] = vectors[r]
         rows.append(
             RowInfo(
                 index=r,
@@ -696,7 +758,7 @@ def _layout_insertion(field, group_chains):
                 prev_row=None,
             )
         )
-    return basis, rows
+    return vectors, rows
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +838,7 @@ def spectrum_of(matrix):
     if all(is_exact(x) for row in matrix for x in row):
         if len(matrix) == 0:
             return []
-        out = root_triples(xq.charpoly(matrix))
+        out = root_triples(xq.charpoly(*xq.integer_rows(matrix)))
     else:
         a = np.asarray(matrix, dtype=complex)
         out = [(lam, mult, None) for lam, mult, _ in nm.clusters(np.linalg.eigvals(a), CLUSTER_RTOL)]
@@ -807,8 +869,9 @@ class AccuracyResult:
 def accuracy(scale: ScaleMatrices, *, exact: bool | None = None) -> AccuracyResult:
     """Polynomial reproduction order of the mask's refinable function.
 
-    One routine for Fractions and complex values; a quantity is zero when it
-    is 0 exactly, or in floats when within a tolerance of what it sums.
+    In exact rationals for ``exact`` (default: for a rational mask), else
+    in complex floats, where a quantity is zero when within a tolerance of
+    what it sums.
     - Order: the number k of factors (1 + z) of the symbol c(z), each one
       synthetic division, once sum c = 2 (else 0). The float remainder is
       held against ``SUM_RULE_RTOL`` times the running sum of |terms|.
@@ -822,29 +885,38 @@ def accuracy(scale: ScaleMatrices, *, exact: bool | None = None) -> AccuracyResu
     _check_scale(scale)
     if exact is None:
         exact = scale.mask.is_rational
-    if exact:
-        field, c, one = _ExactField(scale), list(scale.mask.exact), xq.ONE
-        division_rtol = residual_rtol = 0
-    else:
-        field, c, one = _FloatField(scale), [complex(x) for x in scale.mask.coefficients], 1.0
-        division_rtol, residual_rtol = SUM_RULE_RTOL, RESIDUAL_RTOL
-    half = one / 2
-    k = _sum_rules(c, division_rtol)
-    mu = [half * sum(x * l**r for l, x in enumerate(c)) for r in range(k)]
-    pow2 = [half**p for p in range(k)]
+    if not exact:
+        return _float_accuracy(scale)
+    if not scale.mask.is_rational:
+        raise SpectralError("exact spectral mode needs a rational mask")
+    polys = _exact_polynomials(scale)
+    return AccuracyResult(
+        order=len(polys),
+        coefficients=tuple(np.array([complex(x / d) for x in a]) for a, _, d in polys),
+        vectors=tuple(np.array([complex(x / d) for x in v]) for _, v, d in polys),
+        residuals=(0.0,) * len(polys),
+        exact_coefficients=tuple(tuple(Fraction(x, d) for x in a) for a, _, d in polys),
+    )
+
+
+def _float_accuracy(scale: ScaleMatrices) -> AccuracyResult:
+    c = [complex(x) for x in scale.mask.coefficients]
+    k = _sum_rules(c, SUM_RULE_RTOL)
+    mu = [0.5 * sum(x * l**r for l, x in enumerate(c)) for r in range(k)]
+    pow2 = [0.5**p for p in range(k)]
     # A[q][p] for p > q: the action of T on the monomial x^p, coefficient of x^q
     action = [[pow2[p] * comb(p, q) * mu[p - q] if p > q else 0 for p in range(k)] for q in range(k)]
     samples, t_mag = range(scale.n + 1), np.abs(scale.full)
     polys, vectors, residuals = [], [], []
     for s in range(k):
-        a = [0] * s + [one * (-1) ** s]
+        a = [0] * s + [1.0 * (-1) ** s]
         for q in range(s - 1, -1, -1):
             a[q] = -sum(action[q][p] * a[p] for p in range(q + 1, s + 1)) / (pow2[q] - pow2[s])
         v = [xq.poly_eval(a, x) for x in samples]
-        residual = [abs(x - pow2[s] * y) for x, y in zip(field.vec_mat(v, field.t), v)]
+        residual = [abs(x - pow2[s] * y) for x, y in zip(np.array(v) @ scale.full, v)]
         a_mag = [float(abs(x)) for x in a]
         v_mag = np.array([xq.poly_eval(a_mag, x) for x in samples])  # |V||a|
-        bound = residual_rtol * (v_mag @ t_mag + 2.0**-s * v_mag)
+        bound = RESIDUAL_RTOL * (v_mag @ t_mag + 2.0**-s * v_mag)
         if any(r > b for r, b in zip(residual, bound)):
             break
         polys.append(a)
@@ -855,13 +927,44 @@ def accuracy(scale: ScaleMatrices, *, exact: bool | None = None) -> AccuracyResu
         coefficients=tuple(np.array([complex(x) for x in a]) for a in polys),
         vectors=tuple(vectors),
         residuals=tuple(residuals),
-        exact_coefficients=tuple(tuple(a) for a in polys) if exact else None,
     )
 
 
-def _sum_rules(c, rtol) -> int:
-    """Number of factors (1 + z) of c(z) = sum_l c_l z^l when sum c = 2, else 0."""
-    if abs(sum(c) - 2) > rtol * sum(abs(x) for x in c):
+def _exact_polynomials(scale: ScaleMatrices) -> list[tuple[list[int], list[int], int]]:
+    """(a, v, d) for each reproduced degree s: p_s = a / d in ascending
+    integer coefficients, v / d its samples p_s(0..N).
+
+    With c = c' / D in integers and M_r = sum_l c'_l l^r, mu_r = M_r / (2D),
+    so the back-substitution step for coefficient q of p_s is
+    a_q = -sum_p C(p, q) M_{p-q} a_p 2^(s-p) / (2 D (2^(s-q) - 1)) over the
+    current denominator; the certificate v T = 2^-s v is 2^s (v t) == d_T v
+    for T = t / d_T.
+    """
+    (c,), den = xq.integer_rows([scale.mask.exact])
+    k = _sum_rules(c, 0, 2 * den)
+    moments = [sum(x * l**r for l, x in enumerate(c)) for r in range(k)]
+    t, t_den = scale.integer_rows()
+    polys = []
+    for s in range(k):
+        a, d = [0] * s + [(-1) ** s], 1
+        for q in range(s - 1, -1, -1):
+            x = sum(comb(p, q) * moments[p - q] * a[p] << (s - p) for p in range(q + 1, s + 1))
+            step = 2 * den * ((1 << (s - q)) - 1)
+            a = [y * step for y in a]
+            a[q] = -x
+            g = gcd(d * step, *a)
+            a, d = [y // g for y in a], d * step // g
+        v = [xq.poly_eval(a, x) for x in range(scale.n + 1)]
+        if [y << s for y in xq.vec_mat(v, t)] != [y * t_den for y in v]:
+            break
+        polys.append((a, v, d))
+    return polys
+
+
+def _sum_rules(c, rtol, total=2) -> int:
+    """Number of factors (1 + z) of c(z) = sum_l c_l z^l when sum c = total,
+    else 0."""
+    if abs(sum(c) - total) > rtol * sum(abs(x) for x in c):
         return 0
     degree = len(c) - 1
     for k in range(degree):
@@ -906,8 +1009,9 @@ def independence_test(scale: ScaleMatrices) -> IndependenceResult:
     if scale.n < 2:
         kernel_dimension = 0  # empty core
     elif scale.mask.is_rational:
-        core_rows = scale.exact_core_rows()
-        kernel_dimension = len(core_rows) - xq.rank(core_rows)
+        rows, _ = scale.integer_rows()
+        core = [row[1:-1] for row in rows[1:-1]]
+        kernel_dimension = len(core) - xq.rank(core)
     else:
         kernel_dimension = len(scale.core) - nm.svd_rank(scale.core, vectors=False).rank
     system = subdivision_system(scale.mask)

@@ -119,13 +119,17 @@ def _check_spectrum(scale, tol) -> CheckResult:
 
 
 def _jordan_residual(spectral: SpectralData) -> float:
-    """max |B T - J B|, recomputed from the basis: over Fractions for exact
-    data, else in the float arithmetic of ``eigen_structure``."""
+    """max |B T - J B|, recomputed from the basis: exactly, on the integer
+    rows of the exact data over their common denominators, else in the
+    float arithmetic of ``eigen_structure``."""
     if spectral.exact_basis is not None:
-        b = spectral.exact_basis
-        lhs = xq.mat_mul(b, spectral.scale.exact_rows())
-        rhs = xq.mat_mul(spectral.exact_jordan, b)
-        return float(max(abs(x - y) for row, other in zip(lhs, rhs) for x, y in zip(row, other)))
+        b, db = xq.integer_rows(spectral.exact_basis)
+        j, dj = xq.integer_rows(spectral.exact_jordan)
+        t, dt = spectral.scale.integer_rows()
+        # B T - J B == (b t dj - j b dt) / (db dt dj)
+        lhs, rhs = xq.mat_mul(b, t), xq.mat_mul(j, b)
+        top = max(abs(x * dj - y * dt) for row, other in zip(lhs, rhs) for x, y in zip(row, other))
+        return top / (db * dt * dj)
     b = spectral.basis
     return float(np.abs(b @ spectral.scale.full - spectral.jordan @ b).max())
 

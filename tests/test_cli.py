@@ -120,6 +120,16 @@ class TestSpectrumCommand:
         assert code2 == 0
         assert json.loads(out)["exact_mode"] is False
 
+    @pytest.mark.filterwarnings("ignore::refinable.MaskSumWarning")
+    def test_root_missed_by_the_float_guide_stays_exact(self, capsys):
+        # spectrum {2, 10^-21}: the float guide misses 10^-21, which is the
+        # root of the factor of degree 1 that is left over
+        code, out, _ = run(capsys, "spectrum", TINY_C0)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["exact_mode"] is True
+        assert [g["exact_eigenvalue"] for g in doc["groups"]] == ["2", "1/1000000000000000000000"]
+
 
 class TestBasisCommand:
     def test_writes_all_files(self, tmp_path, capsys):
@@ -370,6 +380,7 @@ class TestInputErrors:
 
 
 SUM_WARNING = "warning: mask coefficients sum to {}, not 2; continuing (scale is a free choice)\n"
+TINY_C0 = '["1/1000000000000000000000", "2"]'
 
 
 class TestWarnings:
@@ -384,6 +395,12 @@ class TestWarnings:
         assert code == 0
         assert json.loads(out)["mask"]["degree"] == 2
         assert err == SUM_WARNING.format(total)
+
+    def test_rational_sum_warning_is_the_exact_sum(self, capsys):
+        # in floats this sum reads as 2
+        code, _, err = run(capsys, "spectrum", TINY_C0)
+        assert code == 0
+        assert err == SUM_WARNING.format("2000000000000000000001/1000000000000000000000")
 
     def test_sum_warning_comes_before_the_error(self, capsys):
         code, _, err = run(capsys, "verify", '["1/2", "1/2"]', "--level", "4")

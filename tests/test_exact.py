@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refinable as rf
 import refinable.exact as xq
@@ -16,6 +18,14 @@ RNG = np.random.default_rng(987654321)
 
 
 # Fraction helpers that only the tests need, kept here as oracles.
+
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def zeros(rows, cols):
+    return [[Fraction(0)] * cols for _ in range(rows)]
+
 
 def trace(a):
     return sum(a[i][i] for i in range(len(a)))
@@ -92,6 +102,21 @@ def rref_fraction(a):
     return m, pivots
 
 
+def nullspace_fraction(a):
+    """The canonical kernel basis read off the Fraction RREF: 1 in its
+    free column, 0 in the other free columns."""
+    cols = len(a[0])
+    red, pivots = rref_fraction(a)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        vec = [Fraction(0)] * cols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][fc]
+        basis.append(vec)
+    return basis
+
+
 def random_matrix(rows, cols, den=8, lo=-6, hi=6):
     return [
         [Fraction(int(RNG.integers(lo, hi + 1)), int(RNG.integers(1, den))) for _ in range(cols)]
@@ -107,9 +132,9 @@ def leverrier_fraction(a):
     """Reference charpoly: Faddeev-LeVerrier directly over the Fractions."""
     n = len(a)
     coeffs = [Fraction(0)] * n + [Fraction(1)]
-    mk = xq.identity(n)
+    mk = identity(n)
     for k in range(1, n + 1):
-        am = xq.mat_mul(a, mk)
+        am = mat_mul_fraction(a, mk)
         ck = -trace(am) / k
         coeffs[n - k] = ck
         mk = [[am[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
@@ -235,7 +260,7 @@ def rescaled(p):
 
 def bspline_charpoly(order):
     coeffs = [Fraction(comb(order, k), 2 ** (order - 1)) for k in range(order + 1)]
-    return xq.charpoly(rf.build_scale_matrices(rf.mask_from_coefficients(coeffs)).exact_rows())
+    return charpoly_q(rf.build_scale_matrices(rf.mask_from_coefficients(coeffs)).exact_rows())
 
 
 def _divisors(n):
@@ -292,21 +317,87 @@ def random_split_polynomial(rng):
     return p
 
 
+# The traced routines of ``exact`` take and return integers; these convert
+# at the boundary, so that the Fraction oracles above stay as they are.
+
+def ints(a):
+    return xq.integer_rows(a)[0]
+
+
+def mat_mul_q(a, b):
+    (x, dx), (y, dy) = xq.integer_rows(a), xq.integer_rows(b)
+    return [[Fraction(v, dx * dy) for v in row] for row in xq.mat_mul(x, y)]
+
+
+def vec_mat_q(v, a):
+    ((x,), dx), (y, dy) = xq.integer_rows([v]), xq.integer_rows(a)
+    return [Fraction(w, dx * dy) for w in xq.vec_mat(x, y)]
+
+
+def rref_q(a):
+    """The rational RREF: each integer pivot row divided by its pivot."""
+    rows, pivots = xq.rref(ints(a))
+    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
+    return out + [[Fraction(x) for x in row] for row in rows[len(pivots):]], pivots
+
+
+def rank_q(a):
+    return xq.rank(ints(a))
+
+
+def solve_q(a, b):
+    """a and b cleared over one denominator, which leaves a x = b as it is."""
+    rows = ints([row + [bv] for row, bv in zip(a, b)])
+    fit = xq.solve([row[:-1] for row in rows], [row[-1] for row in rows])
+    return None if fit is None else [Fraction(x, fit[1]) for x in fit[0]]
+
+
+def inverse_q(a):
+    rows, den = xq.integer_rows(a)
+    inv, d = xq.inverse(rows)  # (rows / den)^-1 == den inv / d
+    return [[Fraction(x * den, d) for x in row] for row in inv]
+
+
+def charpoly_q(a):
+    return xq.poly_monic(xq.charpoly(*xq.integer_rows(a)))
+
+
+def rational_roots_q(p):
+    roots, leftovers = xq.rational_roots(xq.integer_poly(p))
+    return roots, [(xq.poly_monic(f), mult) for f, mult in leftovers]
+
+
+def is_positive_multiple(row, vec):
+    """Whether the integer row is s * vec for some rational s > 0."""
+    i = next(i for i, x in enumerate(vec) if x != 0)
+    s = Fraction(row[i]) / vec[i]
+    return s > 0 and all(x == s * y for x, y in zip(row, vec))
+
+
+def kernel_matches(got, want):
+    """Primitive integer rows, each a positive multiple of its Fraction
+    kernel vector."""
+    return len(got) == len(want) and all(
+        all(type(x) is int for x in row) and gcd(*row) == 1 and is_positive_multiple(row, vec)
+        for row, vec in zip(got, want)
+    )
+
+
 class TestBasics:
     def test_matrix_arithmetic_matches_numpy(self):
         for _ in range(10):
             a = random_matrix(3, 4)
             b = random_matrix(4, 2)
-            np.testing.assert_allclose(to_float(xq.mat_mul(a, b)), to_float(a) @ to_float(b))
+            np.testing.assert_allclose(to_float(mat_mul_q(a, b)), to_float(a) @ to_float(b))
         a = random_matrix(3, 3)
         v = [Fraction(1), Fraction(-2), Fraction(3)]
         np.testing.assert_allclose(
-            [float(x) for x in xq.vec_mat(v, a)], np.array([1.0, -2.0, 3.0]) @ to_float(a)
+            [float(x) for x in vec_mat_q(v, a)], np.array([1.0, -2.0, 3.0]) @ to_float(a)
         )
 
     def test_identity_and_trace(self):
         a = random_matrix(4, 4)
-        assert xq.mat_mul(a, xq.identity(4)) == a
+        assert mat_mul_q(a, identity(4)) == a
         # the trace oracle behind leverrier_fraction
         assert float(trace(a)) == pytest.approx(np.trace(to_float(a)), abs=1e-12)
 
@@ -316,11 +407,11 @@ class TestRrefAndRank:
         for _ in range(20):
             rows, cols = int(RNG.integers(1, 6)), int(RNG.integers(1, 6))
             a = random_matrix(rows, cols)
-            assert xq.rank(a) == np.linalg.matrix_rank(to_float(a), tol=1e-9)
+            assert rank_q(a) == np.linalg.matrix_rank(to_float(a), tol=1e-9)
 
     def test_rref_pivots(self):
         a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-        reduced, pivots = xq.rref(a)
+        reduced, pivots = rref_q(a)
         assert pivots == [0]
         assert reduced[0] == [Fraction(1), Fraction(2)]
         assert reduced[1] == [Fraction(0), Fraction(0)]
@@ -328,15 +419,15 @@ class TestRrefAndRank:
     def test_rank_deficient_by_construction(self):
         a = random_matrix(3, 3)
         a.append([x + y for x, y in zip(a[0], a[1])])  # dependent fourth row
-        assert xq.rank(a) == xq.rank(a[:3])
+        assert rank_q(a) == rank_q(a[:3])
 
 
 class TestNullspaceSolveDet:
     def test_nullspace_vectors_annihilate(self):
         for _ in range(15):
             a = random_matrix(3, 5)
-            basis = xq.nullspace(a)
-            assert len(basis) == 5 - xq.rank(a)
+            basis = xq.nullspace(ints(a))
+            assert len(basis) == 5 - rank_q(a)
             for vec in basis:
                 assert all(
                     sum(a[i][j] * vec[j] for j in range(5)) == 0 for i in range(3)
@@ -344,28 +435,28 @@ class TestNullspaceSolveDet:
 
     def test_left_nullspace(self):
         a = random_matrix(4, 3)
-        for vec in xq.left_nullspace(a):
+        for vec in xq.left_nullspace(ints(a)):
             assert all(sum(vec[i] * a[i][j] for i in range(4)) == 0 for j in range(3))
 
     def test_solve_and_inverse_match_numpy(self):
         for _ in range(15):
             a = random_matrix(4, 4)
-            if xq.rank(a) < 4:
+            if rank_q(a) < 4:
                 continue
             b = [Fraction(int(RNG.integers(-5, 6))) for _ in range(4)]
-            x = xq.solve(a, b)
+            x = solve_q(a, b)
             np.testing.assert_allclose(
                 [float(q) for q in x],
                 np.linalg.solve(to_float(a), [float(q) for q in b]),
                 atol=1e-9,
             )
             np.testing.assert_allclose(
-                to_float(xq.inverse(a)), np.linalg.inv(to_float(a)), atol=1e-9
+                to_float(inverse_q(a)), np.linalg.inv(to_float(a)), atol=1e-9
             )
 
     def test_solve_inconsistent_returns_none(self):
         a = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
-        assert xq.solve(a, [Fraction(0), Fraction(1)]) is None
+        assert solve_q(a, [Fraction(0), Fraction(1)]) is None
 
 
 
@@ -410,8 +501,8 @@ def all_fractions(rows):
 
 
 class TestIntegerLayerAgainstFractionOracles:
-    """``exact`` clears denominators and eliminates over the integers; its
-    results must equal the Fraction arithmetic it replaced."""
+    """``exact`` works on integer rows over one denominator; its results
+    must equal the Fraction arithmetic it replaced."""
 
     def test_mat_mul_and_vec_mat(self):
         cases = oracle_cases(11)
@@ -419,55 +510,105 @@ class TestIntegerLayerAgainstFractionOracles:
             # a a^T, a^T a and a times a matrix of the next case's entries
             b = [(b[i % len(b)] if b else []) for i in range(len(a[0]) if a else 0)]
             for x, y in ((a, xq.transpose(a)), (xq.transpose(a), a), (a, b)):
-                got = xq.mat_mul(x, y)
-                assert got == mat_mul_fraction(x, y) and all_fractions(got)
+                got = xq.mat_mul(ints(x), ints(y))
+                assert all(type(v) is int for row in got for v in row)
+                assert mat_mul_q(x, y) == mat_mul_fraction(x, y)
         for _, a in cases:
             v = [Fraction(int(x), 7) for x in np.arange(len(a)) - 3]
-            got = xq.vec_mat(v, a)
-            assert got == vec_mat_fraction(v, a) and all_fractions([got])
+            assert vec_mat_q(v, a) == vec_mat_fraction(v, a)
 
     def test_rref_rows_and_pivots(self):
         for kind, a in oracle_cases(12, count=300):
-            rows, pivots = xq.rref(a)
+            rows, pivots = rref_q(a)
             want_rows, want_pivots = rref_fraction(a)
             assert pivots == want_pivots, (kind, a)
             assert rows == want_rows, (kind, a)
-            assert all_fractions(rows)
+            # each integer pivot row is primitive with a positive pivot
+            for row, c in zip(xq.rref(ints(a))[0], pivots):
+                assert row[c] > 0 and gcd(*row) == 1
 
     def test_rref_shapes(self):
         assert xq.rref([]) == ([], [])
         assert xq.rref([[]]) == ([[]], [])
-        assert xq.rref([[Fraction(-3, 7)]]) == ([[Fraction(1)]], [0])
-        assert xq.rref([[Fraction(0)]]) == ([[Fraction(0)]], [])
+        assert xq.rref([[-3]]) == ([[1]], [0])
+        assert xq.rref([[0]]) == ([[0]], [])
         wide = [[Fraction(0), Fraction(-2), Fraction(4), Fraction(1, 3)]]
-        assert xq.rref(wide) == ([[0, 1, -2, Fraction(-1, 6)]], [1])
-        tall = [[Fraction(0)], [Fraction(-5)], [Fraction(2)]]
-        assert xq.rref(tall) == ([[1], [0], [0]], [0])
+        assert xq.rref(ints(wide)) == ([[0, 6, -12, -1]], [1])
+        assert rref_q(wide) == ([[0, 1, -2, Fraction(-1, 6)]], [1])
+        assert xq.rref([[0], [-5], [2]]) == ([[1], [0], [0]], [0])
 
     def test_nullspace_solve_and_inverse_through_the_oracle(self):
         for _, a in oracle_cases(14, count=100):
             if not a or not a[0]:
                 continue
             cols = len(a[0])
-            red, pivots = rref_fraction(a)
-            want = []
-            for fc in (c for c in range(cols) if c not in pivots):
-                vec = [Fraction(0)] * cols
-                vec[fc] = Fraction(1)
-                for r, pc in enumerate(pivots):
-                    vec[pc] = -red[r][fc]
-                want.append(vec)
-            assert xq.nullspace(a) == want
+            pivots = rref_fraction(a)[1]
+            assert kernel_matches(xq.nullspace(ints(a)), nullspace_fraction(a))
             if len(a) == cols and len(pivots) == cols:
-                inv = xq.inverse(a)
-                assert mat_mul_fraction(a, inv) == xq.identity(cols)
+                inv = inverse_q(a)
+                assert mat_mul_fraction(a, inv) == identity(cols)
+
+
+ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-20, max_value=20, max_denominator=16),
+)
+
+
+def matrices(rows, cols):
+    return st.lists(st.lists(ENTRIES, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def products(draw):
+    """(a, b) of sizes r x k and k x c, and a rank-deficient a b when k < r."""
+    r, k, c = (draw(st.integers(0, 6)) for _ in range(3))
+    return draw(matrices(r, k)), draw(matrices(k, c))
+
+
+@st.composite
+def nonempty_matrices(draw):
+    """Rational matrices of at least one row and column; rank-deficient by
+    a product through a narrow inner size when the draw says so."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        inner = draw(st.integers(1, 3))
+        return mat_mul_fraction(draw(matrices(rows, inner)), draw(matrices(inner, cols)))
+    return draw(matrices(rows, cols))
+
+
+class TestIntegerLayerProperties:
+    """Random rational matrices, cleared to integer rows over one
+    denominator: the integer routines against the Fraction oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(products())
+    def test_products_over_one_denominator(self, ab):
+        a, b = ab
+        (x, dx), (y, dy) = xq.integer_rows(a), xq.integer_rows(b)
+        got = xq.mat_mul(x, y)
+        assert all(type(v) is int for row in got for v in row)
+        assert [[Fraction(v, dx * dy) for v in row] for row in got] == mat_mul_fraction(a, b)
+        if a and b:
+            ((v,), dv) = xq.integer_rows([a[0]])
+            assert [Fraction(w, dv * dy) for w in xq.vec_mat(v, y)] == vec_mat_fraction(a[0], b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(nonempty_matrices())
+    def test_rank_and_kernels(self, a):
+        rows = ints(a)
+        want_rows, want_pivots = rref_fraction(a)
+        assert xq.rank(rows) == len(want_pivots)
+        assert rref_q(a) == (want_rows, want_pivots)
+        assert kernel_matches(xq.nullspace(rows), nullspace_fraction(a))
+        assert kernel_matches(xq.left_nullspace(rows), nullspace_fraction(xq.transpose(a)))
 
 
 class TestCharpoly:
     def test_matches_numpy_eigenvalues(self):
         for _ in range(10):
             a = random_matrix(4, 4)
-            cp = xq.charpoly(a)  # ascending, monic
+            cp = charpoly_q(a)  # ascending, monic
             assert cp[-1] == 1
             eigs = np.linalg.eigvals(to_float(a))
             vals = np.polyval([float(c) for c in reversed(cp)], eigs)
@@ -477,17 +618,17 @@ class TestCharpoly:
         for n in range(13):
             for _ in range(2):
                 a = random_matrix(n, n, den=17, lo=-9, hi=9)
-                assert xq.charpoly(a) == leverrier_fraction(a), n
+                assert charpoly_q(a) == leverrier_fraction(a), n
 
     def test_cayley_hamilton(self):
         a = random_matrix(3, 3)
-        cp = xq.charpoly(a)
-        acc = xq.zeros(3, 3)
-        power = xq.identity(3)
+        cp = charpoly_q(a)
+        acc = zeros(3, 3)
+        power = identity(3)
         for coeff in cp:
             acc = mat_add(acc, mat_scale(power, coeff))
-            power = xq.mat_mul(power, a)
-        assert acc == xq.zeros(3, 3)
+            power = mat_mul_q(power, a)
+        assert acc == zeros(3, 3)
 
 
 class TestPolynomials:
@@ -534,7 +675,7 @@ class TestPolynomials:
         half = [Fraction(-1, 2), Fraction(1)]
         p = poly_mul(poly_mul(half, half), [Fraction(3), Fraction(1)])
         p = poly_mul(p, [Fraction(1), Fraction(0), Fraction(1)])
-        roots, leftovers = xq.rational_roots(p)
+        roots, leftovers = rational_roots_q(p)
         assert dict(roots) == {Fraction(1, 2): 2, Fraction(-3): 1}
         assert len(leftovers) == 1
         factor, mult = leftovers[0]
@@ -555,7 +696,7 @@ class TestRationalRoots:
                 continue
             want = rational_roots_by_enumeration(p)
             for v in rescaled(p):
-                assert xq.rational_roots(v) == want, v
+                assert rational_roots_q(v) == want, v
             checked += 1
         assert checked > 250
 
@@ -565,7 +706,7 @@ class TestRationalRoots:
             p = random_split_polynomial(rng)
             if xq.poly_degree(p) < 1:
                 continue
-            roots, leftovers = xq.rational_roots(p)
+            roots, leftovers = rational_roots_q(p)
             rebuilt = [Fraction(1)]
             for root, mult in roots:
                 for _ in range(mult):
@@ -580,22 +721,35 @@ class TestRationalRoots:
         p = [Fraction(1)]
         for root in (0, 0, 3, Fraction(-1, 2), Fraction(2, 3)):
             p = poly_mul(p, [-Fraction(root), Fraction(1)])
-        roots, leftovers = xq.rational_roots(p)
+        roots, leftovers = rational_roots_q(p)
         # Yun's algorithm lists the simple factor before the square x^2
         assert roots == [(Fraction(-1, 2), 1), (Fraction(2, 3), 1), (Fraction(3), 1), (Fraction(0), 2)]
         assert leftovers == []
         for v in rescaled(p):
-            assert xq.rational_roots(v) == (roots, []) == rational_roots_fraction(v)
+            assert rational_roots_q(v) == (roots, []) == rational_roots_fraction(v)
 
     def test_no_rational_root_is_one_leftover_however_it_factors(self):
         # (x^2 - 2)(x^2 - 3): the split does not factor over the rationals
         p = poly_mul([Fraction(-2), Fraction(0), Fraction(1)], [Fraction(-3), Fraction(0), Fraction(1)])
-        assert xq.rational_roots(p) == ([], [(p, 1)]) == rational_roots_fraction(p)
+        assert rational_roots_q(p) == ([], [(p, 1)]) == rational_roots_fraction(p)
 
     def test_root_beyond_float_range_stays_a_leftover(self):
-        # the float guide cannot see this root; the split degrades, never lies
-        p = [Fraction(-(10**400)), Fraction(1)]
-        assert xq.rational_roots(p) == ([], [(p, 1)])
+        # the float guide cannot see the roots +-10^400; the split degrades,
+        # never lies
+        p = [Fraction(-(10**800)), Fraction(0), Fraction(1)]
+        assert rational_roots_q(p) == ([], [(p, 1)])
+        assert xq.rational_roots([-(10**800), 0, -3]) == ([], [([10**800, 0, 3], 1)])
+
+    @pytest.mark.filterwarnings("ignore::refinable.MaskSumWarning")
+    def test_linear_leftover_is_its_root(self):
+        # a root that the float guide cannot see is still the root of a
+        # leftover factor of degree 1, sorted in with its factor's roots
+        assert xq.rational_roots([-(10**400), 1]) == ([(Fraction(10**400), 1)], [])
+        # the mask (10^-21, 2) has the spectrum {2, 10^-21}; the float guide
+        # finds 2 and misses 10^-21
+        scale = rf.build_scale_matrices(rf.mask_from_coefficients(["1/1000000000000000000000", "2"]))
+        roots, leftovers = xq.rational_roots(xq.charpoly(*scale.integer_rows()))
+        assert roots == [(Fraction(1, 10**21), 1), (Fraction(2), 1)] and leftovers == []
 
     def test_large_constant_term_splits_fast(self):
         # hard_n9: the characteristic polynomial cleared to integers has a
@@ -603,11 +757,10 @@ class TestRationalRoots:
         # about 7.5e8 trial divisions
         scale = rf.build_scale_matrices(rf.mask_from_coefficients(HARD_N9))
         start = time.perf_counter()
-        cp = xq.charpoly(scale.exact_rows())
+        cp = xq.charpoly(*scale.integer_rows())
         roots, leftovers = xq.rational_roots(cp)
         elapsed = time.perf_counter() - start
-        den = lcm(*(c.denominator for c in cp))
-        assert abs(cp[0] * den) > 10**17
+        assert abs(xq.integer_poly(cp)[0]) > 10**17
         assert elapsed < 0.5
         assert roots == [(Fraction(-135, 16), 1), (Fraction(1), 1), (Fraction(65, 16), 1)]
         assert [(xq.poly_degree(f), m) for f, m in leftovers] == [(7, 1)]
@@ -615,8 +768,8 @@ class TestRationalRoots:
     def test_charpolys_equal_the_fraction_path(self):
         # HARD_N9 and the B-spline orders 1-24, whose characteristic
         # polynomials repeat roots 2^-s and, cleared to integers, lead with up to 2^299
-        hard = xq.charpoly(rf.build_scale_matrices(rf.mask_from_coefficients(HARD_N9)).exact_rows())
+        hard = charpoly_q(rf.build_scale_matrices(rf.mask_from_coefficients(HARD_N9)).exact_rows())
         for p in [hard] + [bspline_charpoly(m) for m in range(1, 25)]:
             want = rational_roots_fraction(p)
             for v in rescaled(p)[::2]:
-                assert xq.rational_roots(v) == want
+                assert rational_roots_q(v) == want

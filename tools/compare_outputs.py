@@ -3,7 +3,7 @@
 Usage::
 
     python3 tools/compare_outputs.py hash --src SRC --out HASHES.json \\
-        [--workload spectrum spectrum-exact spectrum-float spectrum-bspline verify verify-exact basis basis-deep basis-exact kernel errors]
+        [--workload spectrum spectrum-exact spectrum-float spectrum-bspline spectrum-jordan verify verify-exact basis basis-deep basis-exact kernel errors]
     python3 tools/compare_outputs.py diff A.json B.json
 
 ``hash`` imports ``refinable`` from ``SRC`` (default: this repository's
@@ -21,7 +21,15 @@ meet repeated eigenvalues and Jordan blocks.  ``spectrum-bspline`` runs
 ``spectrum MASK --exact --out OUT`` on the B-splines of orders 12 to 24,
 past the pool's last order 11, whose characteristic polynomials repeat
 roots and, cleared to integers, have the largest coefficients that the
-exact root split meets.  ``basis-deep`` runs ``basis
+exact root split meets.  ``spectrum-jordan`` runs ``spectrum MASK --exact
+--out OUT`` and ``basis MASK --exact --level 8 --out OUT`` on the seeded
+rational masks (``corpus.rational_coefficients``, N from 2 to 10,
+denominators from 2 to 16) whose exact Jordan structure has a chain
+longer than 1, which the pool's rational masks rarely reach: the exact
+chain tops, chain vectors, corner regauge and insertion layout.  The
+masks are drawn afresh on each run and kept by the tree being hashed, so
+a tree that finds another structure shows as jobs only in one file.
+``basis-deep`` runs ``basis
 MASK --level 12 --interval -2 2 --out OUT`` on every mask of the ``verify``
 pool, so that every ``phi`` and ``h`` sample the grid layer computes at
 full resolution reaches the CSV files in ``%.17g``.  ``basis-exact`` runs
@@ -87,12 +95,15 @@ from math import comb  # noqa: E402
 from pathlib import Path  # noqa: E402
 from unittest import mock  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_WORKLOADS = (
     "spectrum",
     "spectrum-exact",
     "spectrum-float",
     "spectrum-bspline",
+    "spectrum-jordan",
     "verify",
     "verify-exact",
     "basis",
@@ -116,6 +127,14 @@ DERIVED = {
     ),
 }
 BSPLINE_ORDERS = range(12, 25)
+JORDAN_SEED = 20261020
+JORDAN_DRAWS = 2000
+JORDAN_N = range(2, 11)
+JORDAN_DENOMINATORS = range(2, 17)
+JORDAN_ARGV = (
+    ("spectrum", "{mask}", "--exact", "--out", "{out}"),
+    ("basis", "{mask}", "--exact", "--level", "8", "--out", "{out}"),
+)
 # masks whose even and odd polynomials share a factor, by gcd roots
 KERNEL_MASKS = {
     "double": ["1/4", "1/4", "1/2", "1/2", "1/4", "1/4"],
@@ -200,9 +219,34 @@ def _checks(report: str) -> list | None:
         return None
 
 
+def jordan_masks(corpus) -> list[tuple[int, list[str]]]:
+    """(draw index, coefficients) of the seeded rational masks whose exact
+    Jordan structure has a chain longer than 1."""
+    rf = importlib.import_module("refinable")
+    rng = np.random.default_rng(JORDAN_SEED)
+    masks = []
+    for i in range(JORDAN_DRAWS):
+        n, den = int(rng.choice(JORDAN_N)), int(rng.choice(JORDAN_DENOMINATORS))
+        coefficients = corpus.rational_coefficients(rng, n, den)
+        try:
+            spectral = rf.eigen_structure(rf.build_scale_matrices(rf.mask_from_coefficients(coefficients)), exact=True)
+        except rf.SpectralError:
+            continue
+        if max(max(g.chain_lengths) for g in spectral.groups) > 1:
+            masks.append((i, coefficients))
+    return masks
+
+
 def pool(corpus, workload: str):
     """The jobs of one workload; the ``DERIVED`` ones run another pool's
     masks with their own argv."""
+    if workload == "spectrum-jordan":
+        masks = jordan_masks(corpus)
+        return [
+            corpus.Job(f"{workload}/{argv[0]}/draw{i}", {"name": f"draw{i}", "coefficients": c}, argv)
+            for argv in JORDAN_ARGV
+            for i, c in masks
+        ]
     if workload == "spectrum-bspline":
         argv = ("spectrum", "{mask}", "--exact", "--out", "{out}")
         return [
