@@ -89,8 +89,8 @@ def _write(text: str, directory: Path | None, filename: str) -> None:
 def _mask_doc(mask: Mask) -> dict:
     return {
         "name": mask.name,
-        "coefficients": [complex(c) for c in mask.coefficients],
-        "exact_coefficients": list(mask.exact) if mask.exact is not None else None,
+        "coefficients": mask.coefficients,
+        "exact_coefficients": mask.exact,
         "degree": mask.n,
         "sum": complex(mask.coefficients.sum()),
     }
@@ -127,19 +127,15 @@ def _spectrum_doc(mask: Mask, *, exact: bool | None) -> dict:
                 "chain": r.chain,
                 "position": r.position,
                 "prev_row": r.prev_row,
-                "vector": list(spectral.basis[r.index]),
+                "vector": spectral.basis[r.index],
             }
             for r in spectral.rows
         ],
-        "jordan": [list(row) for row in spectral.jordan],
+        "jordan": spectral.jordan,
         "accuracy": {
             "order": acc.order,
-            "polynomials": [list(c) for c in acc.coefficients],
-            "exact_polynomials": (
-                [list(c) for c in acc.exact_coefficients]
-                if acc.exact_coefficients is not None
-                else None
-            ),
+            "polynomials": acc.coefficients,
+            "exact_polynomials": acc.exact_coefficients,
         },
         "independence": {
             "verdict": indep.verdict,

@@ -346,6 +346,31 @@ def _vanishes_at(g, p, q):
     return acc == 0
 
 
+# The leading terms that ``_float_roots`` keeps are at least 2**-_GUIDE_BITS
+# of the largest coefficient, so that no ratio to the leading one overflows.
+_GUIDE_BITS = 1000
+
+
+def _float_roots(g):
+    """The float roots of the integer polynomial g (ascending, degree >= 1)
+    that guide the rational root search: those of g / L, L its leading
+    term.  When a coefficient of g / L overflows a float, g is scaled by a
+    power of two to its largest coefficient instead, and the leading terms
+    below 2**-_GUIDE_BITS of that are left out.  The roots that they move
+    lie far out; those of moderate size, which a float can hold, stay
+    within reach.  So (x - 10**400)(x + 3) still gives -3."""
+    lead = g[-1]
+    try:
+        return np.roots([x / lead for x in reversed(g)])
+    except OverflowError:
+        pass
+    top = max(abs(x).bit_length() for x in g)
+    kept = len(g)
+    while abs(g[kept - 1]).bit_length() < top - _GUIDE_BITS:
+        kept -= 1
+    return np.roots([x / (1 << top) for x in reversed(g[:kept])])
+
+
 def rational_roots(p):
     """Split a nonzero integer polynomial into rational linear factors and
     leftovers.
@@ -359,10 +384,10 @@ def rational_roots(p):
 
     Each squarefree factor g is an integer polynomial with leading term L
     and constant term a_0. Its candidate roots are the continued-fraction
-    convergents with denominator at most |L| of the real parts of the float
-    roots of g / L. A candidate p/q is kept only if p divides a_0, q divides
-    L and g(p/q) == 0 exactly; it is then divided out as the exact integer
-    quotient by q x - p. By Legendre's theorem a root p/q is among the
+    convergents with denominator at most |L| of the real parts of its float
+    roots (``_float_roots``). A candidate p/q is kept only if p divides a_0,
+    q divides L and g(p/q) == 0 exactly; it is then divided out as the exact
+    integer quotient by q x - p. By Legendre's theorem a root p/q is among the
     candidates whenever its float approximation lies within 1 / (2 q^2) of
     it. A root that the float guide misses stays inside a leftover, unless
     the leftover has degree 1: then it is its root -g_0 / g_1.
@@ -376,12 +401,8 @@ def rational_roots(p):
         if len(g) < 2:
             continue
         lead, const = g[-1], g[0]
-        try:
-            floats = np.roots([x / lead for x in reversed(g)])
-        except OverflowError:
-            floats = []
         found = set()
-        for z in floats:
+        for z in _float_roots(g):
             if not np.isfinite(z) or z.imag < 0:
                 continue
             for num, den in _convergents(*float(z.real).as_integer_ratio(), abs(lead)):

@@ -87,9 +87,16 @@ def clusters(values, rtol):
     tol = cluster_tolerance(values, rtol)
     out = []
     for idxs in cluster_scalars(values, tol):
-        members = values[idxs]
-        center = complex(members.mean())
-        out.append((center, len(idxs), float(np.abs(members - center).max(initial=0.0))))
+        if len(idxs) == 1:
+            # the mean of one value as ``mean`` makes it, a sum from +0
+            # divided by the count, so that the signs of zeros match
+            value = values[idxs[0]]
+            center = complex((value + 0.0) / 1)
+            out.append((center, 1, abs(complex(value) - center)))
+        else:
+            members = values[idxs]
+            center = complex(members.mean())
+            out.append((center, len(idxs), float(np.abs(members - center).max(initial=0.0))))
     return out
 
 

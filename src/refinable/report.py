@@ -4,9 +4,16 @@ Reports must be byte-identical across runs, so floats are always rendered
 with %.17g (enough digits to round-trip a double), keys are emitted in
 sorted order, and line endings are LF regardless of platform.
 
-In JSON each float is formatted once, by a %-template: a complex value, or
-a whole list of them, becomes the text of its ``{"im": ..., "re": ...}``
-objects in one step.
+The JSON writer walks a document by the exact type of each node, the
+types that reports hold (str, int, float, complex, Fraction, None, bool,
+dict, list, tuple, ndarray and numpy's float64 and complex128); other
+numpy scalars and subclasses of the built-in types go through
+``isinstance``.  A complex array of any rank, or a list or tuple of
+complex values, costs one step: a %-template of its nested
+``{"im": ..., "re": ...}`` objects, made once per (indent, shape), takes
+its whole im/re table in one ``%``.  The ``"key": `` text before each dict
+value is made once per (indent, key text).  Both caches are bounded LRU
+caches.  Each float is ``'%.17g' % (x + 0.0)``.
 
 The CSV columns are formatted in numpy, with CPython's ``%.17g`` bytes
 (``_format_column``).  Each value is scaled to 17 digits by one
@@ -54,70 +61,111 @@ def fraction_str(q: Fraction | None) -> str | None:
 
 
 def _dump(obj, out: list, indent: int) -> None:
-    pad = "  " * indent
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
+    kind = type(obj)
+    if kind is str:
         out.append(_escape(obj))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        z = complex(obj)
-        out.append(_complex_template(pad) % (z.imag + 0.0, z.real + 0.0))
-    elif isinstance(obj, Fraction):
-        out.append(_escape(fraction_str(obj)))
-    elif isinstance(obj, dict):
+    elif kind is dict:
         if not obj:
             out.append("{}")
             return
         out.append("{\n")
-        keys = sorted(obj.keys())
-        for i, k in enumerate(keys):
-            out.append(f'{pad}  {_escape(str(k))}: ')
+        for k in sorted(obj):
+            out.append(_key_prefix(indent, str(k)))
             _dump(obj[k], out, indent + 1)
-            out.append(",\n" if i + 1 < len(keys) else "\n")
-        out.append(pad + "}")
+            out.append(",\n")
+        out[-1] = "\n" + "  " * indent + "}"
+    elif kind is list or kind is tuple:
+        _dump_sequence(obj, out, indent)
+    elif kind is np.ndarray:
+        if obj.dtype.kind == "c" and obj.ndim:
+            out.append(_complex_array(obj, indent))
+        else:
+            _dump_sequence(list(obj), out, indent)
+    elif kind is int:
+        out.append(str(obj))
+    elif kind is float or kind is np.float64:
+        out.append("%.17g" % (obj + 0.0))
+    elif kind is complex or kind is np.complex128:
+        out.append(_template(indent, ()) % (obj.imag + 0.0, obj.real + 0.0))
+    elif kind is Fraction:
+        out.append('"' + fraction_str(obj) + '"')
+    elif obj is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if obj else "false")
+    else:
+        _dump_other(obj, out, indent)
+
+
+def _dump_other(obj, out: list, indent: int) -> None:
+    """The types that ``_dump`` does not name: the other numpy scalars and
+    subclasses of the built-in types, by ``isinstance``."""
+    if isinstance(obj, str):
+        out.append(_escape(obj))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(format_float(obj))
+    elif isinstance(obj, (complex, np.complexfloating)):
+        _dump(complex(obj), out, indent)
+    elif isinstance(obj, Fraction):
+        _dump(Fraction(obj), out, indent)
+    elif isinstance(obj, dict):
+        _dump(dict(obj), out, indent)
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        if not items:
-            out.append("[]")
-            return
-        if all(isinstance(item, (complex, np.complexfloating)) for item in items):
-            out.append(_complex_list(items, pad))
-            return
-        out.append("[\n")
-        for i, item in enumerate(items):
-            out.append(pad + "  ")
-            _dump(item, out, indent + 1)
-            out.append(",\n" if i + 1 < len(items) else "\n")
-        out.append(pad + "]")
+        _dump_sequence(list(obj), out, indent)
     else:
         raise TypeError(f"cannot serialize {type(obj)!r} deterministically")
 
 
-def _complex_template(pad: str) -> str:
-    """%-template of one complex value as the object {"im": ..., "re": ...}
-    at the indent ``pad``; it takes the imaginary, then the real part."""
-    return "{\n" + pad + '  "im": %.17g,\n' + pad + '  "re": %.17g\n' + pad + "}"
+def _dump_sequence(items, out: list, indent: int) -> None:
+    """A list or tuple: one template for all-complex items, else item by item."""
+    if not items:
+        out.append("[]")
+    elif all(isinstance(item, (complex, np.complexfloating)) for item in items):
+        out.append(_complex_array(np.array(items, dtype=complex), indent))
+    else:
+        pad = "  " * indent
+        inner = pad + "  "
+        out.append("[\n")
+        for item in items:
+            out.append(inner)
+            _dump(item, out, indent + 1)
+            out.append(",\n")
+        out[-1] = "\n" + pad + "]"
 
 
-def _complex_list(items: list, pad: str) -> str:
-    """A JSON list of complex values, formatted from one imag/real table;
-    adding 0.0 turns -0.0 into 0.0, as ``format_float`` does."""
-    values = np.array(items, dtype=complex)
-    table = np.empty((len(values), 2))
-    table[:, 0] = values.imag
-    table[:, 1] = values.real
+def _complex_array(values: np.ndarray, indent: int) -> str:
+    """The JSON text of a complex array, nested lists of {"im", "re"}
+    objects, by one %-template over its imag/real table; adding 0.0 turns
+    -0.0 into 0.0, as ``format_float`` does."""
+    table = np.empty(values.shape + (2,))
+    table[..., 0] = values.imag
+    table[..., 1] = values.real
     table += 0.0
+    return _template(indent, values.shape) % tuple(table.ravel().tolist())
+
+
+@lru_cache(maxsize=256)
+def _template(indent: int, shape: tuple) -> str:
+    """%-template of a complex array of ``shape`` at ``indent``, nested
+    lists of {"im": ..., "re": ...}; shape () is one complex value.  It
+    takes the imaginary, then the real part of each value, in C order."""
+    pad = "  " * indent
     inner = pad + "  "
-    body = ",\n".join([inner + _complex_template(inner)] * len(values))
-    return "[\n" + body % tuple(table.ravel().tolist()) + "\n" + pad + "]"
+    if not shape:
+        return "{\n" + inner + '"im": %.17g,\n' + inner + '"re": %.17g\n' + pad + "}"
+    if not shape[0]:
+        return "[]"
+    item = inner + _template(indent + 1, shape[1:])
+    return "[\n" + ",\n".join([item] * shape[0]) + "\n" + pad + "]"
+
+
+@lru_cache(maxsize=256)
+def _key_prefix(indent: int, key: str) -> str:
+    """The text before the value of a dict entry at ``indent`` whose key
+    reads ``key``; equal keys may read differently (0.0 and -0.0)."""
+    return "  " * indent + "  " + _escape(key) + ": "
 
 
 def _escape(s: str) -> str:

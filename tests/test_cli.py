@@ -44,7 +44,10 @@ BSPLINE11 = json.dumps(
 ROOT = Path(__file__).resolve().parents[1]
 MASKS = ROOT / "masks"
 # `refinable spectrum --exact` reports of the worked masks and of bspline11,
-# and `refinable basis --exact` samples of the worked masks, recorded once
+# and `refinable basis --exact` samples of the worked masks, recorded once;
+# the float reports (`spectrum` of d4 in auto mode, `verify --level 8` of the
+# worked masks) were recorded on x86-64 Linux with numpy's OpenBLAS, and
+# another LAPACK may move their last digits
 DATA = ROOT / "tests" / "data"
 PYPROJECT = ROOT / "pyproject.toml"
 
@@ -119,6 +122,13 @@ class TestSpectrumCommand:
         code2, out, _ = run(capsys, "spectrum", d4)
         assert code2 == 0
         assert json.loads(out)["exact_mode"] is False
+
+    def test_float_report_matches_the_golden_file(self, tmp_path, capsys):
+        # d4 is irrational: auto mode takes the float spectral path
+        code, _, _ = run(capsys, "spectrum", str(MASKS / "d4.json"), "--out", str(tmp_path))
+        assert code == 0
+        golden = DATA / "spectrum_auto_d4.json"
+        assert (tmp_path / "spectrum.json").read_bytes() == golden.read_bytes()
 
     @pytest.mark.filterwarnings("ignore::refinable.MaskSumWarning")
     def test_root_missed_by_the_float_guide_stays_exact(self, capsys):
@@ -315,6 +325,13 @@ class TestVerifyCommand:
         names = [c["name"] for c in doc["checks"]]
         assert "dependency-witness" in names
         assert all(c["passed"] for c in doc["checks"])
+
+    @pytest.mark.parametrize("name", ["bspline3", "d4", "jordan13", "half"])
+    def test_report_matches_the_golden_file(self, name, capsys):
+        # float residuals, their digits included
+        code, out, _ = run(capsys, "verify", str(MASKS / f"{name}.json"), "--level", "8")
+        assert code == 0
+        assert out == (DATA / f"verify_level8_{name}.json").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("tolerance", ["-1", "0", "nan", "inf"])
     def test_rejects_meaningless_tolerance(self, tolerance, capsys):

@@ -740,6 +740,18 @@ class TestRationalRoots:
         assert rational_roots_q(p) == ([], [(p, 1)])
         assert xq.rational_roots([-(10**800), 0, -3]) == ([], [([10**800, 0, 3], 1)])
 
+    def test_overflowing_ratio_keeps_the_guide_on_small_roots(self):
+        # (x + 3)(x - 10^400): the ratio -3 * 10^400 / 1 overflows a float,
+        # yet the guide still finds -3, and 10^400 is the root of the
+        # leftover of degree 1
+        assert xq.rational_roots([-3 * 10**400, 3 - 10**400, 1]) == (
+            [(Fraction(-3), 1), (Fraction(10**400), 1)],
+            [],
+        )
+        # (7x - 3)(x - 10^400): a root with a denominator
+        p = [3 * 10**400, -3 - 7 * 10**400, 7]
+        assert xq.rational_roots(p) == ([(Fraction(3, 7), 1), (Fraction(10**400), 1)], [])
+
     @pytest.mark.filterwarnings("ignore::refinable.MaskSumWarning")
     def test_linear_leftover_is_its_root(self):
         # a root that the float guide cannot see is still the root of a

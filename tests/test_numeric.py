@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import refinable.numeric as nm
 
@@ -126,6 +128,63 @@ class TestClustering:
         assert center == pytest.approx(2.0, abs=1e-15)
         assert spread == pytest.approx(2e-9, rel=1e-6)
         assert got[1] == (0.5 + 0j, 1, 0.0)
+
+
+def clusters_by_mean(values, rtol):
+    """``clusters`` as it was before singletons skipped ``mean``: every
+    center a ``mean``, every spread a reduction; an oracle, down to the
+    signs of zeros."""
+    values = np.asarray(values, dtype=complex)
+    out = []
+    for idxs in nm.cluster_scalars(values, nm.cluster_tolerance(values, rtol)):
+        members = values[idxs]
+        center = complex(members.mean())
+        out.append((center, len(idxs), float(np.abs(members - center).max(initial=0.0))))
+    return out
+
+
+PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1e-300, -5e-324]),
+    st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def cluster_values(draw):
+    """Values with +-0.0 parts, exact duplicates, chains of steps near the
+    tolerance, and conjugate pairs."""
+    rtol = draw(st.sampled_from([1e-12, 1e-8, 1e-3]))
+    values = []
+    for _ in range(draw(st.integers(0, 7))):
+        z = complex(draw(PARTS), draw(PARTS))
+        values.append(z)
+        extra = draw(st.sampled_from(["none", "duplicate", "conjugate", "chain"]))
+        if extra == "duplicate":
+            values.append(z)
+        elif extra == "conjugate":
+            values.append(z.conjugate())
+        elif extra == "chain":
+            # steps of about the tolerance, the largest magnitude being about 8
+            step = rtol * 8.0 * draw(st.sampled_from([0.5, 0.9999999, 1.0, 1.0000001, 2.0]))
+            direction = draw(st.sampled_from([1, -1, 1j, -1j, (1 + 1j) / 2**0.5]))
+            for k in range(1, draw(st.integers(2, 4))):
+                values.append(z + k * step * direction)
+    order = draw(st.permutations(range(len(values))))
+    return [values[i] for i in order], rtol
+
+
+class TestClustersOracle:
+    @given(cluster_values())
+    def test_matches_the_mean_based_clustering(self, case):
+        values, rtol = case
+        # repr shows the sign of a zero
+        assert repr(nm.clusters(values, rtol)) == repr(clusters_by_mean(values, rtol))
+
+    def test_singleton_center_keeps_the_signs_mean_gives(self):
+        for z in (complex(-0.0, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0), complex(-1.5, -0.0)):
+            ((center, mult, spread),) = nm.clusters([z], 1e-8)
+            assert repr(center) == repr(complex(np.array([z]).mean()))
+            assert (mult, spread) == (1, 0.0)
 
 
 class TestFloatPolyGcd:

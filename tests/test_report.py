@@ -6,7 +6,9 @@ of the matrix writer, whose partner rows are read off their pairs' slots.
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import enum
 import json
 import math
 import tracemalloc
@@ -294,6 +296,92 @@ class TestDumpJsonOracle:
         doc = {text: [text, Fraction(1, 3)], "k": text}
         assert report.dump_json(doc) == dump_json_recursive(doc)
         assert json.loads(report.dump_json(doc))["k"] == text
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_complex_arrays_of_rank_two_and_three(self, depth):
+        values = np.array(EDGE_COMPLEX)
+        with np.errstate(over="ignore"):  # 1e300 is inf in complex64
+            single = values[:48].reshape(4, 3, 4).astype(np.complex64)
+        for array in (values.reshape(7, 7), values[:48].reshape(2, 4, 6), single, values[:6].reshape(1, 1, 6)):
+            for doc in (array, {"m": array, "v": array[0]}, [array, 1j]):
+                doc = nested(doc, depth)
+                assert report.dump_json(doc) == dump_json_recursive(doc)
+
+    def test_complex64_arrays(self):
+        values = np.array([1.5 - 2j, -0.0 + 0.25j, -0.0j, 3e38 + 1e-45j, np.nan - np.inf * 1j], dtype=np.complex64)
+        for doc in (values, values.reshape(5, 1), {"v": values[::-1]}, list(values)):
+            assert report.dump_json(doc) == dump_json_recursive(doc)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0), (0, 0), (2, 0, 3), (2, 3, 0), (1, 0)])
+    def test_empty_shapes(self, shape):
+        array = np.zeros(shape, dtype=complex)
+        for doc in (array, {"a": array, "b": [array]}, nested(array, 3)):
+            assert report.dump_json(doc) == dump_json_recursive(doc)
+
+    def test_non_contiguous_views(self, corpus):
+        spectral = rf.eigen_structure(rf.build_scale_matrices(corpus["d4"]))
+        square = np.array(EDGE_COMPLEX).reshape(7, 7)
+        views = (
+            spectral.jordan.T,
+            spectral.basis[:, ::2],
+            spectral.basis[::-1, 1:],
+            spectral.basis[:, 0],
+            square[::-1, 1::3],
+            square.T[2:5],
+            np.broadcast_to(square[0], (3, 7)),
+        )
+        for view in views:
+            assert not view.flags.c_contiguous or view.ndim == 1
+            for doc in (view, {"v": view}):
+                assert report.dump_json(doc) == dump_json_recursive(doc)
+
+    def test_lists_of_complex_and_numpy_complex(self):
+        for doc in (
+            [1 + 2j, np.complex128(-0.0 - 1j), -0.0j],
+            (np.complex128(3j), 2 + 0j, np.complex64(0.5 - 0.5j)),
+            [[np.complex128(z), z] for z in EDGE_COMPLEX[:5]],
+        ):
+            assert report.dump_json(doc) == dump_json_recursive(doc)
+            assert report.dump_json({"a": [doc]}) == dump_json_recursive({"a": [doc]})
+
+    def test_keys_that_need_escaping(self):
+        keys = ['"', "\\", "\n", "tab\there", "\x00", "\x1f", "é λ", 'a "b"']
+        for depth in range(3):
+            doc = nested({k: [k, 1j] for k in keys}, depth)
+            assert report.dump_json(doc) == dump_json_recursive(doc)
+            assert report.dump_json(doc) == dump_json_recursive(doc)  # from the cached prefixes
+        # keys that are equal but read differently keep their own text
+        for key in (1, True, 1.0, Fraction(1), np.int64(1), 0.0, -0.0, (1, 2), (1.0, 2)):
+            assert report.dump_json({key: 0}) == dump_json_recursive({key: 0}), key
+
+    def test_subclasses_and_other_numpy_scalars(self):
+        class Kind(enum.IntEnum):
+            ONE = 1
+
+        Pair = collections.namedtuple("Pair", "a b")
+        doc = {
+            "str": np.str_("text"),
+            "int": Kind.ONE,
+            "ints": [np.int8(-3), np.uint64(2**64 - 1)],
+            "floats": [np.float32(0.1), np.float16(-0.0), np.longdouble(1.5)],
+            "complex": [np.complex64(1 - 2j), np.clongdouble(-0.0 + 1j), 2.0],
+            "ordered": collections.OrderedDict([("b", 1), ("a", 2)]),
+            "pair": Pair(1j, 2j),
+            "quarter": type("Quarter", (Fraction,), {})(1, 4),
+        }
+        assert report.dump_json(doc) == dump_json_recursive(doc)
+        for bad in (np.bool_(True), np.array(1j), object()):
+            with pytest.raises(TypeError):
+                report.dump_json({"x": bad})
+
+    def test_template_caches_stay_bounded(self):
+        for cache in (report._template, report._key_prefix):
+            assert cache.cache_info().maxsize is not None
+        for n in range(600):
+            report.dump_json({f"key{n}": np.zeros((n % 7, n % 13), dtype=complex), "v": [1j] * n})
+        for cache in (report._template, report._key_prefix):
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize
 
     @pytest.mark.parametrize("exact", [None, False])
     def test_spectrum_documents_of_the_worked_masks(self, corpus, exact):
