@@ -87,8 +87,8 @@ def integer_samples(mask: Mask) -> np.ndarray:
     """
     scale = build_scale_matrices(mask)
     size = mask.n + 1
-    if scale.exact_full is not None:
-        rows, den = scale.integer_rows()
+    if scale.integer_rows is not None:
+        rows, den = scale.integer_rows
         shifted = [[x - den if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
         # each kernel row divided by its entry in its free column, its last
         # nonzero entry (positive): the canonical kernel vector, rounded once

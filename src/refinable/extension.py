@@ -193,7 +193,6 @@ class SubdivisionKernel:
 
     windows: tuple[SequenceWindow, ...]
     rules: tuple
-    gcd_degree: int
 
     @property
     def dimension(self) -> int:
@@ -222,4 +221,4 @@ def kernel_of_L(mask: Mask) -> SubdivisionKernel:
         SequenceWindow(rule.values(0, mask.n + 1), lo=0, extender=RuleExtender(rule), name="kernel")
         for rule in rules
     )
-    return SubdivisionKernel(windows=windows, rules=rules, gcd_degree=system.gcd_degree)
+    return SubdivisionKernel(windows=windows, rules=rules)

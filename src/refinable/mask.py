@@ -51,13 +51,6 @@ class Mask:
             return complex(self.coefficients[k])
         return 0.0 + 0.0j
 
-    def exact_c(self, k: int) -> Fraction:
-        if self.exact is None:
-            raise MaskError("mask has no exact rational representation")
-        if 0 <= k <= self.n:
-            return self.exact[k]
-        return Fraction(0)
-
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
         return f"<Mask{label} N={self.n} rational={self.is_rational}>"
@@ -166,6 +159,10 @@ class ScaleMatrices:
     ``head`` uses indices 0..N-1, ``tail`` 1..N, ``core`` 1..N-1 (0x0 when
     N = 1). First row of T is (c_0, 0, ..), last row (.., 0, c_N), so the
     spectrum of T is {c_0, c_N} plus the spectrum of the core.
+
+    ``integer_rows`` is (rows, d) with T == rows / d, the rows tuples of
+    ints and d the lcm of the mask's denominators, or None for a float
+    mask; every exact stage reads this one copy.
     """
 
     mask: Mask
@@ -173,29 +170,11 @@ class ScaleMatrices:
     head: np.ndarray
     tail: np.ndarray
     core: np.ndarray
-    exact_full: tuple[tuple[Fraction, ...], ...] | None = None
+    integer_rows: tuple[tuple[tuple[int, ...], ...], int] | None
 
     @property
     def n(self) -> int:
         return self.mask.n
-
-    def exact_rows(self):
-        if self.exact_full is None:
-            raise MaskError("mask has no exact rational representation")
-        return [list(row) for row in self.exact_full]
-
-    def exact_core_rows(self):
-        rows = self.exact_rows()
-        return [row[1:-1] for row in rows[1:-1]]
-
-    def integer_rows(self):
-        """(rows, d): T == rows / d with integer rows, d the lcm of the
-        denominators of the mask."""
-        if self.exact_full is None:
-            raise MaskError("mask has no exact rational representation")
-        (c,), den = xq.integer_rows([self.mask.exact])
-        size = self.n + 1
-        return [[c[2 * i - j] if 0 <= 2 * i - j < size else 0 for j in range(size)] for i in range(size)], den
 
     def shifted(self, lam: complex) -> np.ndarray:
         """T - lam*I."""
@@ -204,23 +183,21 @@ class ScaleMatrices:
 
 def build_scale_matrices(mask: Mask) -> ScaleMatrices:
     n = mask.n
-    full = np.zeros((n + 1, n + 1), dtype=complex)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            k = 2 * i - j
-            if 0 <= k <= n:
-                full[i, j] = mask.coefficients[k]
-    exact_full = None
-    if mask.is_rational:
-        exact_full = tuple(
-            tuple(mask.exact_c(2 * i - j) for j in range(n + 1)) for i in range(n + 1)
-        )
+    i = np.arange(n + 1)
+    k = 2 * i[:, None] - i  # T[i][j] = c_{2i-j}
+    k[(k < 0) | (k > n)] = n + 1  # c_k = 0 there: the index of an appended zero
+    full = np.append(mask.coefficients, 0)[k]
     full.setflags(write=False)
+    integer_rows = None
+    if mask.is_rational:
+        (c,), den = xq.integer_rows([mask.exact])
+        c.append(0)
+        integer_rows = tuple(tuple(map(c.__getitem__, row)) for row in k.tolist()), den
     return ScaleMatrices(
         mask=mask,
         full=full,
         head=full[:n, :n],
         tail=full[1:, 1:],
         core=full[1:n, 1:n],
-        exact_full=exact_full,
+        integer_rows=integer_rows,
     )

@@ -26,14 +26,13 @@ knows when it may fail, plus an exact fallback).
 
 ``dump_csv_rows`` writes the CSV text of every row of a sample matrix on
 one grid, such as the ``h_*.csv`` files of one ``basis`` call, and
-``dump_csv`` is its one-row case.  The grid column is formatted once and
-shared by consecutive calls on the same grid.  The values are formatted
-in blocks of grid points that may span rows, one ``_format_column`` call
-each, into buffers reused from block to block.  A partner row, the
-conjugate of its pair row (``RowInfo.conjugate_of``), is not formatted:
-its text is its pair's slots with the sign byte of each im slot flipped,
-and only a value that CPython's text writes without a sign byte is
-rendered again.
+``dump_csv`` is its one-row case.  The grid column is formatted once per
+call.  The values are formatted in blocks of grid points that may span
+rows, one ``_format_column`` call each, into buffers reused from block to
+block.  A partner row, the conjugate of its pair row
+(``RowInfo.conjugate_of``), is not formatted: its text is its pair's
+slots with the sign byte of each im slot flipped, and only a value that
+CPython's text writes without a sign byte is rendered again.
 """
 
 from __future__ import annotations
@@ -392,20 +391,15 @@ def _blocks(n: int) -> list[slice]:
     return [slice(a, a + size) for a in range(0, n, size)]
 
 
-@lru_cache(maxsize=1)
-def _grid_column(grid: bytes) -> np.ndarray:
-    """The slots of a float64 grid given by its bytes, with their comma,
-    less the words that are empty at every point; one slot of cache, so a
-    run of calls on the same grid formats it once."""
-    xs = np.frombuffer(grid)
+def _grid_column(xs: np.ndarray) -> np.ndarray:
+    """The slots of the float64 grid ``xs``, with their comma, less the
+    words that are empty at every point."""
     slots = np.empty((len(xs), _SLOT_WORDS), _WORD)
     for part in _blocks(len(xs)):
         _format_column(xs[part], slots[part])
     slots[:, -1] |= _SEPARATOR[","]
     # a word that is empty at every point holds no text: leave it out
-    slots = slots[:, slots.any(axis=0)]
-    slots.setflags(write=False)
-    return slots
+    return slots[:, slots.any(axis=0)]
 
 
 def dump_csv(xs, values) -> str:
@@ -478,7 +472,7 @@ def _csv_texts(xs: np.ndarray, samples: np.ndarray, partner: dict[int, int]) -> 
     sources = sorted(set(range(rows)) - set(partner.values()))
     size = min(_BLOCK_ROWS, points * len(sources))
     if size:
-        grid = _grid_column(xs.tobytes())
+        grid = _grid_column(xs)
         x_words = grid.shape[1]
         imag = samples.imag.any(axis=1).tolist()  # NaN counts as nonzero
         values = np.empty(2 * size)

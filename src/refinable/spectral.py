@@ -341,9 +341,9 @@ class _ExactField:
     failure = SpectralError
 
     def __init__(self, scale: ScaleMatrices):
-        if scale.exact_full is None:
+        if scale.integer_rows is None:
             raise SpectralError("exact spectral mode needs a rational mask")
-        self.t, self.den = scale.integer_rows()
+        self.t, self.den = scale.integer_rows
         self.size = scale.n + 1
 
     def eigenvalues(self):
@@ -778,7 +778,7 @@ def eigen_structure(scale: ScaleMatrices, *, exact: bool | None = None) -> Spect
     """
     _check_scale(scale)
     fallback = None
-    if exact or (exact is None and scale.mask.is_rational):
+    if exact or (exact is None and scale.integer_rows is not None):
         try:
             return _build(scale, _ExactField(scale))
         except SpectralError as e:
@@ -884,10 +884,10 @@ def accuracy(scale: ScaleMatrices, *, exact: bool | None = None) -> AccuracyResu
     """
     _check_scale(scale)
     if exact is None:
-        exact = scale.mask.is_rational
+        exact = scale.integer_rows is not None
     if not exact:
         return _float_accuracy(scale)
-    if not scale.mask.is_rational:
+    if scale.integer_rows is None:
         raise SpectralError("exact spectral mode needs a rational mask")
     polys = _exact_polynomials(scale)
     return AccuracyResult(
@@ -934,16 +934,16 @@ def _exact_polynomials(scale: ScaleMatrices) -> list[tuple[list[int], list[int],
     """(a, v, d) for each reproduced degree s: p_s = a / d in ascending
     integer coefficients, v / d its samples p_s(0..N).
 
-    With c = c' / D in integers and M_r = sum_l c'_l l^r, mu_r = M_r / (2D),
-    so the back-substitution step for coefficient q of p_s is
+    With T = t / D in integer rows, c = c' / D for c' the diagonal of t,
+    and M_r = sum_l c'_l l^r, mu_r = M_r / (2D), so the back-substitution
+    step for coefficient q of p_s is
     a_q = -sum_p C(p, q) M_{p-q} a_p 2^(s-p) / (2 D (2^(s-q) - 1)) over the
-    current denominator; the certificate v T = 2^-s v is 2^s (v t) == d_T v
-    for T = t / d_T.
+    current denominator; the certificate v T = 2^-s v is 2^s (v t) == D v.
     """
-    (c,), den = xq.integer_rows([scale.mask.exact])
+    t, den = scale.integer_rows
+    c = [row[i] for i, row in enumerate(t)]  # T[i][i] = c_i
     k = _sum_rules(c, 0, 2 * den)
     moments = [sum(x * l**r for l, x in enumerate(c)) for r in range(k)]
-    t, t_den = scale.integer_rows()
     polys = []
     for s in range(k):
         a, d = [0] * s + [(-1) ** s], 1
@@ -955,7 +955,7 @@ def _exact_polynomials(scale: ScaleMatrices) -> list[tuple[list[int], list[int],
             g = gcd(d * step, *a)
             a, d = [y // g for y in a], d * step // g
         v = [xq.poly_eval(a, x) for x in range(scale.n + 1)]
-        if [y << s for y in xq.vec_mat(v, t)] != [y * t_den for y in v]:
+        if [y << s for y in xq.vec_mat(v, t)] != [y * den for y in v]:
             break
         polys.append((a, v, d))
     return polys
@@ -1008,8 +1008,8 @@ def independence_test(scale: ScaleMatrices) -> IndependenceResult:
     _check_scale(scale)
     if scale.n < 2:
         kernel_dimension = 0  # empty core
-    elif scale.mask.is_rational:
-        rows, _ = scale.integer_rows()
+    elif scale.integer_rows is not None:
+        rows, _ = scale.integer_rows
         core = [row[1:-1] for row in rows[1:-1]]
         kernel_dimension = len(core) - xq.rank(core)
     else:

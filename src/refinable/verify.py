@@ -10,6 +10,7 @@ constructions that produced them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -99,9 +100,13 @@ def _multiset_distance(a, b) -> float:
 
 
 def _check_spectrum(scale, tol) -> CheckResult:
-    rational = scale.mask.is_rational
-    full = _expand(spectrum_of(scale.exact_rows() if rational else scale.full))
-    core = _expand(spectrum_of(scale.exact_core_rows() if rational else scale.core))
+    full, core = scale.full, scale.core
+    if scale.integer_rows is not None:
+        # Fraction entries take the exact branch of spectrum_of
+        rows, d = scale.integer_rows
+        full = [[Fraction(x, d) for x in row] for row in rows]
+        core = [row[1:-1] for row in full[1:-1]]
+    full, core = _expand(spectrum_of(full)), _expand(spectrum_of(core))
     head = _expand(spectrum_of(scale.head))
     tail = _expand(spectrum_of(scale.tail))
     c0 = complex(scale.full[0, 0])
@@ -125,7 +130,7 @@ def _jordan_residual(spectral: SpectralData) -> float:
     if spectral.exact_basis is not None:
         b, db = xq.integer_rows(spectral.exact_basis)
         j, dj = xq.integer_rows(spectral.exact_jordan)
-        t, dt = spectral.scale.integer_rows()
+        t, dt = spectral.scale.integer_rows
         # B T - J B == (b t dj - j b dt) / (db dt dj)
         lhs, rhs = xq.mat_mul(b, t), xq.mat_mul(j, b)
         top = max(abs(x * dj - y * dt) for row, other in zip(lhs, rhs) for x, y in zip(row, other))

@@ -8,6 +8,7 @@ sums are 1) and hence a well-defined refinable function.
 from __future__ import annotations
 
 import os
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from pathlib import Path
@@ -52,6 +53,19 @@ def make_mask(name: str) -> rf.Mask:
 
 def make_scale(name: str) -> rf.ScaleMatrices:
     return rf.build_scale_matrices(make_mask(name))
+
+
+def scale_matrix_oracle(c, zero=0) -> list[list]:
+    """T = (c_{2i-j}) for the coefficient list ``c``, ``zero`` outside
+    0..N, as nested lists: the scale matrix laid out apart from the
+    package."""
+    n = len(c) - 1
+    return [[c[2 * i - j] if 0 <= 2 * i - j <= n else zero for j in range(n + 1)] for i in range(n + 1)]
+
+
+def exact_scale_matrix(mask: rf.Mask) -> list[list[Fraction]]:
+    """The Fraction scale matrix of a rational mask, from ``mask.exact``."""
+    return scale_matrix_oracle(mask.exact, Fraction(0))
 
 
 def _draw_coefficients(rng: np.random.Generator, n: int, imag: bool = False) -> np.ndarray:

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 import refinable as rf
 import refinable.exact as xq
 
+from conftest import exact_scale_matrix
+
 RNG = np.random.default_rng(987654321)
 
 
@@ -260,7 +262,7 @@ def rescaled(p):
 
 def bspline_charpoly(order):
     coeffs = [Fraction(comb(order, k), 2 ** (order - 1)) for k in range(order + 1)]
-    return charpoly_q(rf.build_scale_matrices(rf.mask_from_coefficients(coeffs)).exact_rows())
+    return charpoly_q(exact_scale_matrix(rf.mask_from_coefficients(coeffs)))
 
 
 def _divisors(n):
@@ -759,17 +761,17 @@ class TestRationalRoots:
         assert xq.rational_roots([-(10**400), 1]) == ([(Fraction(10**400), 1)], [])
         # the mask (10^-21, 2) has the spectrum {2, 10^-21}; the float guide
         # finds 2 and misses 10^-21
-        scale = rf.build_scale_matrices(rf.mask_from_coefficients(["1/1000000000000000000000", "2"]))
-        roots, leftovers = xq.rational_roots(xq.charpoly(*scale.integer_rows()))
+        t = exact_scale_matrix(rf.mask_from_coefficients(["1/1000000000000000000000", "2"]))
+        roots, leftovers = xq.rational_roots(xq.charpoly(*xq.integer_rows(t)))
         assert roots == [(Fraction(1, 10**21), 1), (Fraction(2), 1)] and leftovers == []
 
     def test_large_constant_term_splits_fast(self):
         # hard_n9: the characteristic polynomial cleared to integers has a
         # constant term of about 5.7e17, so enumerating its divisors takes
         # about 7.5e8 trial divisions
-        scale = rf.build_scale_matrices(rf.mask_from_coefficients(HARD_N9))
+        t = xq.integer_rows(exact_scale_matrix(rf.mask_from_coefficients(HARD_N9)))
         start = time.perf_counter()
-        cp = xq.charpoly(*scale.integer_rows())
+        cp = xq.charpoly(*t)
         roots, leftovers = xq.rational_roots(cp)
         elapsed = time.perf_counter() - start
         assert abs(xq.integer_poly(cp)[0]) > 10**17
@@ -780,7 +782,7 @@ class TestRationalRoots:
     def test_charpolys_equal_the_fraction_path(self):
         # HARD_N9 and the B-spline orders 1-24, whose characteristic
         # polynomials repeat roots 2^-s and, cleared to integers, lead with up to 2^299
-        hard = charpoly_q(rf.build_scale_matrices(rf.mask_from_coefficients(HARD_N9)).exact_rows())
+        hard = charpoly_q(exact_scale_matrix(rf.mask_from_coefficients(HARD_N9)))
         for p in [hard] + [bspline_charpoly(m) for m in range(1, 25)]:
             want = rational_roots_fraction(p)
             for v in rescaled(p)[::2]:

@@ -107,6 +107,21 @@ STAGES = {
 }
 
 
+def test_the_scale_matrix_has_one_exact_copy():
+    # the integer rows are a field built once; the Fraction copy, its
+    # accessors and the per-coefficient accessor of the mask are gone
+    scale = rf.build_scale_matrices(BSPLINE3)
+    assert not callable(scale.integer_rows)
+    for name in ("exact_full", "exact_rows", "exact_core_rows"):
+        assert not hasattr(scale, name)
+    assert not hasattr(BSPLINE3, "exact_c")
+
+
+def test_subdivision_kernel_has_no_second_dimension():
+    # the gcd degree is the number of windows, ``dimension``
+    assert not hasattr(rf.kernel_of_L(BSPLINE3), "gcd_degree")
+
+
 def _inputs():
     scale = rf.build_scale_matrices(BSPLINE3)
     return {"mask": BSPLINE3, "scale": scale, "spectral": rf.eigen_structure(scale)}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import warnings
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -14,7 +15,31 @@ from hypothesis import strategies as st
 import refinable as rf
 from refinable.errors import MaskError
 
-from conftest import make_mask
+from conftest import CORPUS_SPECS, bits, exact_scale_matrix, make_mask, scale_matrix_oracle
+
+
+def _seeded_rational_masks(count=6, seed=27):
+    rng = np.random.default_rng(seed)
+    out = {}
+    for i in range(count):
+        n = 2 + i
+        den = int(rng.integers(2, 17))
+        numerators = [int(x) for x in rng.integers(-2 * den, 2 * den + 1, size=n + 1)]
+        numerators[0] = numerators[0] or 1
+        numerators[-1] = numerators[-1] or -1
+        out[f"seeded{i}_n{n}"] = [Fraction(x, den) for x in numerators]
+    return out
+
+
+# the worked masks, N = 1 (an empty core), zero inner coefficients, a
+# complex float mask and seeded rational masks
+SCALE_MASKS = {
+    **CORPUS_SPECS,
+    "n1": ["2/3", "4/3"],
+    "zero_inner": ["1/2", "0", "1", "0", "1/2"],
+    "complex": [0.5 + 0.5j, 1.0, 0.5 - 0.5j],
+    **_seeded_rational_masks(),
+}
 
 
 class TestParsing:
@@ -70,8 +95,6 @@ class TestParsing:
         assert m.c(-1) == 0
         assert m.c(4) == 0
         assert m.c(0) == 0.25
-        assert m.exact_c(-2) == 0
-        assert m.exact_c(3) == Fraction(1, 4)
 
     @pytest.mark.parametrize(
         "bad",
@@ -194,17 +217,25 @@ class TestScaleMatrices:
             np.testing.assert_allclose(e0 @ scale.full, mask.c(0) * e0, atol=1e-14)
             np.testing.assert_allclose(en @ scale.full, mask.c(n) * en, atol=1e-14)
 
-    def test_exact_rows_match_floats(self):
-        scale = rf.build_scale_matrices(make_mask("jordan13"))
-        rows = scale.exact_rows()
-        for i, row in enumerate(rows):
-            for j, q in enumerate(row):
-                assert abs(float(q) - scale.full[i, j].real) < 1e-15
-
-    def test_exact_rows_raise_without_rational_mask(self):
-        scale = rf.build_scale_matrices(make_mask("d4"))
-        with pytest.raises(MaskError):
-            scale.exact_rows()
+    @pytest.mark.parametrize("values", SCALE_MASKS.values(), ids=SCALE_MASKS.keys())
+    def test_scale_matrix_follows_the_oracle(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", rf.MaskSumWarning)
+            mask = rf.mask_from_coefficients(values)
+        scale = rf.build_scale_matrices(mask)
+        want = np.array(scale_matrix_oracle(list(mask.coefficients), 0j), dtype=complex)
+        assert np.array_equal(bits(scale.full), bits(want))
+        assert scale.core.shape == (mask.n - 1,) * 2
+        if not mask.is_rational:
+            assert scale.integer_rows is None
+            return
+        # one shared copy, read without a rebuild, that nobody can change
+        assert scale.integer_rows is scale.integer_rows
+        rows, d = scale.integer_rows
+        assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+        assert all(type(x) is int for row in rows for x in row)
+        assert d == lcm(*(x.denominator for x in mask.exact))
+        assert [[Fraction(x, d) for x in row] for row in rows] == exact_scale_matrix(mask)
 
     def test_shifted(self):
         scale = rf.build_scale_matrices(make_mask("bspline3"))

@@ -398,7 +398,7 @@ class TestDumpJsonOracle:
 
 
 class TestDumpCsvOracle:
-    """The grid-column cache and the column formatter give the bytes of the
+    """The grid column and the column formatter give the bytes of the
     per-row writer."""
 
     def test_alternating_grids_of_equal_length(self):
@@ -532,18 +532,13 @@ class TestCsvColumnFormatter:
 def cpython_text():
     """Every value takes CPython's text: the band of undecided roundings
     covers every product, the path of a platform whose longdouble is
-    binary64.  The fast path may not run, and no grid slot cached before
-    or inside the block outlives it."""
+    binary64.  The fast path may not run."""
 
     def fast_slots(x, out):
         raise AssertionError("the fast path ran")
 
-    report._grid_column.cache_clear()
-    try:
-        with mock.patch.object(report, "_BAND", 1.0), mock.patch.object(report, "_fast_slots", fast_slots):
-            yield
-    finally:
-        report._grid_column.cache_clear()
+    with mock.patch.object(report, "_BAND", 1.0), mock.patch.object(report, "_fast_slots", fast_slots):
+        yield
 
 
 @pytest.fixture
@@ -701,7 +696,6 @@ def test_matrix_writer_peak_memory():
     samples.imag[7:10] = 0.0
     samples[0], samples[12] = conjugate(samples[1]), conjugate(samples[11])
     pairs = [1] + [None] * 11 + [11, None]
-    report._grid_column.cache_clear()
     tracemalloc.start()
     try:
         for _ in report.dump_csv_rows(xs, samples, pairs):

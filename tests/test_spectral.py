@@ -20,7 +20,7 @@ import refinable as rf
 from refinable.errors import SpectralError
 from refinable.spectral import VERDICT_DEPENDENT, VERDICT_INDEPENDENT
 
-from conftest import make_mask, make_scale
+from conftest import exact_scale_matrix, make_mask, make_scale
 
 
 def chain_residual(spectral: rf.SpectralData, scale: rf.ScaleMatrices) -> float:
@@ -240,7 +240,7 @@ class TestExactMode:
             spectral = rf.eigen_structure(scale, exact=True)
             basis = [list(row) for row in spectral.exact_basis]
             jordan = [list(row) for row in spectral.exact_jordan]
-            lhs = xq.mat_mul(basis, scale.exact_rows())
+            lhs = xq.mat_mul(basis, exact_scale_matrix(scale.mask))
             rhs = xq.mat_mul(jordan, basis)
             assert lhs == rhs, name
             # the float rendition is the exact data rounded once
